@@ -13,7 +13,7 @@ from og4 import _kernels
 
 if not _kernels.NUMBA_ENABLED:
     raise SystemExit(
-        "numba backend is disabled (OG4_BACKEND=python); nothing to compare"
+        "numba not installed or OG4_BACKEND=python; nothing to compare"
     )
 
 

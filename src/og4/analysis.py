@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .graph import OGPair
 from .perm import PermGroup, Permutation, compose, enumerate_group, point_stabilizer
 from .quotient import InvariantViolation
@@ -158,7 +156,7 @@ class SArcReport:
     lower_bound: bool  # cap reached before transitivity failed
 
 
-def _count_s_arcs(outs: list[list[int]], n: int, s: int, cap: int) -> Optional[int]:
+def _count_s_arcs(n: int, s: int, cap: int) -> Optional[int]:
     """Number of directed s-step walks; None once it exceeds the cap."""
     total = n * (2 ** s)
     return None if total > cap else total
@@ -196,7 +194,7 @@ def s_arc_report(pair: OGPair, max_sarcs: int = DEFAULT_SARC_CAP) -> SArcReport:
     s = 0
     lower_bound = False
     while True:
-        nxt = _count_s_arcs(outs, n, s + 1, max_sarcs)
+        nxt = _count_s_arcs(n, s + 1, max_sarcs)
         if nxt is None:
             lower_bound = True
             break
@@ -234,17 +232,15 @@ def _commutator_subgroup(
 
 
 def nilpotency_class(group: PermGroup) -> int:
-    """Length of the lower central series; raises if the group is not
-    nilpotent within |group| steps."""
-    if group.order == 1:
-        return 0
+    """Length of the lower central series; raises as soon as a term fails
+    to shrink, i.e. the group is not nilpotent."""
     elems = group.elements()
     layer = group
     c = 0
     while layer.order > 1:
-        layer = _commutator_subgroup(group, elems, layer.elements())
+        prev, layer = layer.order, _commutator_subgroup(group, elems, layer.elements())
         c += 1
-        if c > group.order:
+        if layer.order == prev:
             raise InvariantViolation("lower central series does not terminate")
     return c
 

@@ -27,15 +27,14 @@ from .graph import (
     ConstructionRefuted,
     OGPair,
     OrientedGraph,
+    certify_og,
     export_dot,
     orbital_graph,
     verify_og,
 )
 from .perm import (
     DEFAULT_CAP,
-    EnumerationCapExceeded,
     OG4Error,
-    ParseError,
     enumerate_group,
     format_cycles,
     parse_permutation,
@@ -64,14 +63,14 @@ class UsageError(OG4Error):
 
 def _parse_gens(doc: dict, key: str, degree: Optional[int]) -> list:
     gens = doc.get(key)
-    if not isinstance(gens, list) or not gens:
-        raise UsageError(f"document needs a nonempty list field {key!r}")
+    if not isinstance(gens, list) or not gens or not all(isinstance(g, str) for g in gens):
+        raise UsageError(f"document needs a nonempty list of strings {key!r}")
     return [parse_permutation(g, degree) for g in gens]
 
 
 def _doc_degree(doc: dict) -> Optional[int]:
     d = doc.get("degree")
-    if d is not None and (not isinstance(d, int) or d < 1):
+    if d is not None and (type(d) is not int or d < 1):
         raise UsageError("degree must be a positive integer")
     return d
 
@@ -97,12 +96,12 @@ def build_from_document(doc: dict, cap: int = DEFAULT_CAP) -> OGPair:
         raise UsageError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if family == "lex_cycle":
         r = doc.get("r")
-        if not isinstance(r, int):
+        if type(r) is not int:
             raise UsageError("lex_cycle needs an integer field 'r'")
         return cons.lexicographic_cycle(r, cap)
     if family == "sym_bigstab":
         n = doc.get("n")
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise UsageError("sym_bigstab needs an integer field 'n'")
         return cons.sym_bigstab(n, cap)
     if family == "simple_cayley":
@@ -170,10 +169,14 @@ def parse_pair_document(doc: dict, cap: int = DEFAULT_CAP,
     if arcs is None:
         graph = orbital_graph(group, seed_arc)
         return graph, group, labels
+    if not isinstance(arcs, list):
+        raise UsageError("arcs must be a list of [x, y] pairs")
     n = doc.get("n_vertices", group.degree)
+    if type(n) is not int or n < 1:
+        raise UsageError("n_vertices must be a positive integer")
     pairs = []
     for a in arcs:
-        if not (isinstance(a, list) and len(a) == 2):
+        if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
             raise UsageError(f"bad arc entry {a!r}")
         x, y = a
         if x == y:
@@ -281,8 +284,6 @@ def _obtain_pair(args) -> OGPair:
         return build_from_document(doc, args.max_order)
     seed = tuple(v - 1 for v in args.seed_arc) if args.seed_arc else None
     graph, group, labels = parse_pair_document(doc, args.max_order, seed)
-    from .graph import certify_og
-
     return certify_og(graph, group, 4, labels)
 
 
@@ -439,9 +440,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "detail": exc.detail,
         }
         status = 1
-    except (UsageError, ParseError, EnumerationCapExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OG4Error as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -25,10 +25,8 @@ from .perm import (
     conjugate,
     enumerate_group,
     format_cycles,
-    group_from_table,
     identity,
     is_nonabelian_simple,
-    orbits,
     transitivity_profile,
 )
 

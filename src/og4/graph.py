@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .perm import OG4Error, PermGroup, orbits, transitivity_profile
+from .perm import OG4Error, PermGroup, transitivity_profile
 
 
 class ConstructionRefuted(OG4Error):

@@ -306,10 +306,6 @@ def _small_generating_set(table: np.ndarray) -> list[Permutation]:
     return [Permutation(g) for g in gens]
 
 
-def subgroup_from_rows(rows: Iterable[np.ndarray]) -> PermGroup:
-    return group_from_table(np.asarray(list(rows), dtype=np.int32))
-
-
 # ---------------------------------------------------------------------------
 # partitions and orbits
 

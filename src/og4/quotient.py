@@ -29,6 +29,7 @@ from .perm import (
     all_normal_subgroups,
     induced_block_action,
     is_normal_in,
+    minimal_normal_subgroups,
     orbits,
     quasiprimitivity_type,
     transitivity_profile,
@@ -220,8 +221,19 @@ def classify_all_quotients(
 
 
 def basic_type(pair: OGPair, cap: int = DEFAULT_CAP) -> str:
-    """Quasiprimitive | Biquasiprimitive | Cycle | NonBasic."""
-    kinds = {out.kind for _, out in classify_all_quotients(pair, cap)}
+    """Quasiprimitive | Biquasiprimitive | Cycle | NonBasic.
+
+    Decided from the minimal normal subgroups alone.  Each nontrivial normal
+    N contains a minimal normal M whose orbits refine N's.  If N gives a
+    Cover, M <= N is semiregular and x's out-neighbours lie in distinct
+    M-blocks, so M gives a Cover.  If N gives a Cycle (r >= 3 blocks), M
+    gives a Cover or a Cycle; if N gives K2, M is intransitive and gives a
+    Cover, a Cycle or K2.  If every minimal normal is transitive, so is
+    every normal.  So the precedence Cover > Cycle > K2 > Quasiprimitive
+    over the minimal normals agrees with that over the whole lattice.
+    """
+    minimal = minimal_normal_subgroups(pair.group, cap)
+    kinds = {classify_og4_quotient(pair, m, cap).kind for m in minimal}
     result = _basic_type_from_kinds(kinds)
     # cross-check against the group-theoretic characterization
     qp = quasiprimitivity_type(pair.group, cap)

@@ -154,3 +154,16 @@ class TestStabilizers:
              og4.parse_permutation("(1 3)(2 4)", 4)]
         )
         assert nilpotency_class(v4) == 1
+
+    def test_nilpotency_class_stops_when_series_stalls(self, monkeypatch):
+        calls = []
+        real = og4.analysis._commutator_subgroup
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(og4.analysis, "_commutator_subgroup", counting)
+        with pytest.raises(InvariantViolation):
+            nilpotency_class(og4.alternating_group(5))
+        assert len(calls) <= 2

@@ -121,6 +121,41 @@ class TestVerifyRoundTrip:
         assert status == 1
 
 
+class TestMalformedDocuments:
+    """Malformed fields exit 2 with a one-line error, never a traceback."""
+
+    @pytest.fixture
+    def lex3_pair(self, capsys, lex3_doc):
+        _, out, _ = run(capsys, "construct", lex3_doc)
+        return json.loads(out)["pair"]
+
+    def assert_usage_error(self, capsys, tmp_path, command, doc):
+        status, out, err = run(capsys, command, write_doc(tmp_path, "bad.json", doc))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_string_n_vertices(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "n_vertices": "6"}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
+    def test_string_arc_endpoint(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "arcs": [["1", 2]] + lex3_pair["arcs"][1:]}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
+    def test_arcs_not_a_list(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "arcs": 5}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
+    def test_generator_not_a_string(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "generators": [5]}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
+    def test_bool_r(self, capsys, tmp_path):
+        doc = {"family": "lex_cycle", "r": True}
+        self.assert_usage_error(capsys, tmp_path, "construct", doc)
+
+
 class TestClassifyQuotientChain:
     def test_classify_lex3(self, capsys, lex3_doc):
         status, out, _ = run(capsys, "classify", lex3_doc)

@@ -6,7 +6,7 @@ from og4 import _kernels
 
 pytestmark = pytest.mark.skipif(
     not _kernels.NUMBA_ENABLED,
-    reason="numba backend disabled (OG4_BACKEND=python); nothing to compare",
+    reason="numba not installed or OG4_BACKEND=python; nothing to compare",
 )
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import og4
-from og4 import OG4Error, enumerate_group, parse_permutation
+from og4 import OG4Error, enumerate_group, parse_permutation, perm, quotient
 from og4.perm import BlockPartition, induced_block_action
 from og4.quotient import (
+    _basic_type_from_kinds,
     basic_chain,
     basic_quotients,
     basic_type,
@@ -110,3 +111,35 @@ class TestBasic:
         _, terminal = basic_chain(sc_pair)
         kinds = {out.kind for _, out in classify_all_quotients(terminal)}
         assert "Cover" not in kinds
+
+    def test_basic_type_matches_full_lattice_oracle(
+        self, monkeypatch, lex_pairs, sc_pair, cs_pair, sym5_pair, sym7_pair
+    ):
+        # basic_type reads only the minimal normal subgroups; the full
+        # lattice, classified quotient by quotient, is the oracle
+        pairs = [(f"lex_cycle({r})", p) for r, p in lex_pairs.items()]
+        pairs += [
+            ("simple_cayley", sc_pair),
+            ("coset_simple", cs_pair),
+            ("sym_bigstab(5)", sym5_pair),
+            ("sym_bigstab(7)", sym7_pair),
+            ("simple_cayley chain terminal", basic_chain(sc_pair)[1]),
+        ]
+        calls = []
+        real_lattice = perm.all_normal_subgroups
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_lattice(*args, **kwargs)
+
+        seen = set()
+        for name, pair in pairs:
+            with monkeypatch.context() as m:
+                m.setattr(perm, "all_normal_subgroups", counting)
+                m.setattr(quotient, "all_normal_subgroups", counting)
+                got = basic_type(pair)
+            assert calls == [], name
+            kinds = {o.kind for _, o in classify_all_quotients(pair)}
+            assert got == _basic_type_from_kinds(kinds), name
+            seen |= kinds
+        assert {"Cover", "OrientedCycle", "K2", "K1"} <= seen
