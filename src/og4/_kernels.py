@@ -1,11 +1,5 @@
 """Hot array kernels: group closure, orbit partitions, arc-orbit search.
 
-Each kernel has a numba-compiled implementation and a pure NumPy/Python
-fallback.  The backend is selected once at import time: set
-``OG4_BACKEND=python`` to force the fallback (useful for debugging and for
-the benchmark in ``benchmarks/``), anything else uses numba when it is
-installed.
-
 All kernels work on ``int32`` image rows: a permutation of degree ``n`` is a
 row ``r`` with ``r[x]`` the image of ``x``, and the product "apply ``p`` then
 ``q``" is the gather ``q[p]``.
@@ -13,37 +7,12 @@ row ``r`` with ``r[x]`` the image of ``x``, and the product "apply ``p`` then
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BACKEND = os.environ.get("OG4_BACKEND", "numba").strip().lower()
-
-NUMBA_ENABLED = False
-if _BACKEND != "python":
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # no-op decorator fallback
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+BACKEND = "python"
 
 
-# ---------------------------------------------------------------------------
-# closure under products
-
-
-def close_under_products_py(gen_rows: np.ndarray, cap: int):
+def close_under_products(gen_rows: np.ndarray, cap: int):
     """BFS closure of the generator rows under composition.
 
     Returns an ``(m, n)`` int32 array containing the identity and every
@@ -69,112 +38,13 @@ def close_under_products_py(gen_rows: np.ndarray, cap: int):
     return np.asarray(rows, dtype=np.int32)
 
 
-@njit(cache=True)
-def _row_hash(rows, i):
-    h = np.uint64(1469598103934665603)
-    for k in range(rows.shape[1]):
-        h = (h ^ np.uint64(np.int64(rows[i, k]) + 1)) * np.uint64(1099511628211)
-    return h
+def point_orbit_labels(table: np.ndarray) -> np.ndarray:
+    """Label each point by the least point of its orbit.
 
-
-@njit(cache=True)
-def _probe(table, rows, nrows, i):
-    # Find row i of `rows` among rows[:nrows]; returns (slot, found_index).
-    mask = np.uint64(table.shape[0] - 1)
-    slot = _row_hash(rows, i) & mask
-    while True:
-        j = table[np.int64(slot)]
-        if j < 0:
-            return np.int64(slot), -1
-        same = True
-        for k in range(rows.shape[1]):
-            if rows[j, k] != rows[i, k]:
-                same = False
-                break
-        if same:
-            return np.int64(slot), j
-        slot = (slot + np.uint64(1)) & mask
-
-
-@njit(cache=True)
-def _rehash(rows, nrows, tsize):
-    table = np.full(tsize, -1, dtype=np.int64)
-    mask = np.uint64(tsize - 1)
-    for i in range(nrows):
-        slot = _row_hash(rows, i) & mask
-        while table[np.int64(slot)] >= 0:
-            slot = (slot + np.uint64(1)) & mask
-        table[np.int64(slot)] = i
-    return table
-
-
-@njit(cache=True)
-def _close_under_products_nb(gen_rows, cap):
-    g, n = gen_rows.shape
-    capacity = 1024
-    rows = np.empty((capacity, n), dtype=np.int32)
-    for k in range(n):
-        rows[0, k] = k
-    nrows = 1
-    table = _rehash(rows, nrows, 4096)
-    head = 0
-    while head < nrows:
-        for gi in range(g):
-            if nrows == capacity:
-                capacity *= 2
-                bigger = np.empty((capacity, n), dtype=np.int32)
-                bigger[:nrows] = rows[:nrows]
-                rows = bigger
-            for k in range(n):
-                rows[nrows, k] = gen_rows[gi, rows[head, k]]
-            slot, found = _probe(table, rows, nrows, nrows)
-            if found < 0:
-                if nrows >= cap:
-                    return rows[:0]
-                table[slot] = nrows
-                nrows += 1
-                if 2 * nrows >= table.shape[0]:
-                    table = _rehash(rows, nrows, table.shape[0] * 2)
-        head += 1
-    return rows[:nrows].copy()
-
-
-def close_under_products_nb(gen_rows: np.ndarray, cap: int):
-    out = _close_under_products_nb(np.ascontiguousarray(gen_rows, dtype=np.int32), cap)
-    if out.shape[0] == 0:
-        return None
-    return out
-
-
-# ---------------------------------------------------------------------------
-# orbit partition of points under generator rows
-
-
-def _point_orbit_labels_impl(gen_rows, n):
-    labels = np.full(n, -1, dtype=np.int32)
-    stack = np.empty(n, dtype=np.int32)
-    label = 0
-    for v in range(n):
-        if labels[v] >= 0:
-            continue
-        labels[v] = label
-        stack[0] = v
-        top = 1
-        while top > 0:
-            top -= 1
-            x = stack[top]
-            for gi in range(gen_rows.shape[0]):
-                y = gen_rows[gi, x]
-                if labels[y] < 0:
-                    labels[y] = label
-                    stack[top] = y
-                    top += 1
-        label += 1
-    return labels
-
-
-point_orbit_labels_py = _point_orbit_labels_impl
-point_orbit_labels_nb = njit(cache=True)(_point_orbit_labels_impl)
+    ``table`` is the complete element table of the group, so column ``x``
+    lists the orbit of ``x``.
+    """
+    return table.min(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +54,7 @@ point_orbit_labels_nb = njit(cache=True)(_point_orbit_labels_impl)
 # the group action must preserve the arc set.
 
 
-def _arc_orbit_labels_impl(gen_rows, arcs_enc, n):
+def arc_orbit_labels(gen_rows, arcs_enc, n):
     m = arcs_enc.shape[0]
     labels = np.full(m, -1, dtype=np.int32)
     stack = np.empty(m, dtype=np.int64)
@@ -222,22 +92,3 @@ def _arc_orbit_labels_impl(gen_rows, arcs_enc, n):
                     top += 1
         label += 1
     return labels
-
-
-arc_orbit_labels_py = _arc_orbit_labels_impl
-arc_orbit_labels_nb = njit(cache=True)(_arc_orbit_labels_impl)
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-if NUMBA_ENABLED:
-    close_under_products = close_under_products_nb
-    point_orbit_labels = point_orbit_labels_nb
-    arc_orbit_labels = arc_orbit_labels_nb
-    BACKEND = "numba"
-else:
-    close_under_products = close_under_products_py
-    point_orbit_labels = point_orbit_labels_py
-    arc_orbit_labels = arc_orbit_labels_py
-    BACKEND = "python"

@@ -163,6 +163,7 @@ def parse_pair_document(doc: dict, cap: int = DEFAULT_CAP,
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or len(labels) != group.degree
+        or not all(isinstance(s, str) for s in labels)
     ):
         raise UsageError("labels must list one string per vertex")
     arcs = doc.get("arcs")

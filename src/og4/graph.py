@@ -34,14 +34,15 @@ class OrientedGraph:
     def __init__(self, n_vertices: int, arcs):
         if n_vertices < 1:
             raise OG4Error("graph needs at least one vertex")
-        arr = np.asarray(sorted({(int(x), int(y)) for x, y in arcs}), dtype=np.int64)
+        given = [(int(x), int(y)) for x, y in arcs]
+        arr = np.asarray(sorted(set(given)), dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n_vertices):
             raise OG4Error("arc endpoint out of range")
         if arr.size and (arr[:, 0] == arr[:, 1]).any():
             raise OG4Error("diagonal arc (x, x) is not allowed")
-        if len(arr) != len({(x, y) for x, y in arcs}):
+        if len(arr) != len(given):
             raise OG4Error("duplicate arcs")
         arr.setflags(write=False)
         self.n_vertices = n_vertices
@@ -196,7 +197,6 @@ def arc_orbit_count(graph: OrientedGraph, group: PermGroup) -> int:
     both |= {(y, x) for x, y in both}
     enc = np.asarray(sorted(x * n + y for x, y in both), dtype=np.int64)
     labels = _kernels.arc_orbit_labels(group.gen_rows(), enc, n)
-    labels = np.asarray(labels)
     if labels.size == 0 and enc.size:
         raise OG4Error("group does not preserve the arc set union its reverse")
     return int(labels.max()) + 1 if labels.size else 0

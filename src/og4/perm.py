@@ -5,6 +5,11 @@ Everything here works at "desk scale": a group is its complete element table
 (orbits, stabilizers, normal subgroups, quasiprimitivity) are answered by
 direct search over that table.  No stabilizer-chain machinery.
 
+A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
+is the slice of the parent's sorted table at its element indices, so it is
+sorted already; orbits are read off the table's columns, and a subgroup's
+generating set is derived only when something reads ``generators``.
+
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
 
@@ -191,11 +196,15 @@ class PermGroup:
 
     ``table`` holds every element as an image row, sorted lexicographically;
     that ordering is the canonical element indexing used for all tie-breaks.
+    With ``generators=None`` a greedy generating set is derived from the
+    table on first read.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], table: np.ndarray):
+    def __init__(
+        self, degree: int, generators: Optional[Sequence[Permutation]], table: np.ndarray
+    ):
         self.degree = degree
-        self.generators = tuple(generators)
+        self._generators = None if generators is None else tuple(generators)
         table = np.ascontiguousarray(table, dtype=np.int32)
         table.setflags(write=False)
         self.table = table
@@ -203,6 +212,12 @@ class PermGroup:
         self._index: Optional[dict[bytes, int]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._closures: Optional[list[set[int]]] = None
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        if self._generators is None:
+            self._generators = tuple(_small_generating_set(self.table))
+        return self._generators
 
     # -- element access ----------------------------------------------------
 
@@ -277,15 +292,16 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     return PermGroup(degree, gens, _sorted_table(rows))
 
 
-def group_from_table(
-    table: np.ndarray, generators: Optional[Sequence[Permutation]] = None
-) -> PermGroup:
+def group_from_table(table: np.ndarray) -> PermGroup:
     """Wrap an element table (must already be closed) as a PermGroup."""
     table = _sorted_table(np.asarray(table, dtype=np.int32))
-    degree = table.shape[1]
-    if generators is None:
-        generators = _small_generating_set(table)
-    return PermGroup(degree, generators, table)
+    return PermGroup(table.shape[1], None, table)
+
+
+def _subgroup(parent: PermGroup, selection) -> PermGroup:
+    """The subgroup at a boolean mask or sorted index list of ``parent``'s
+    table; a sorted selection of a sorted table needs no re-sort."""
+    return PermGroup(parent.degree, None, parent.table[selection])
 
 
 def _small_generating_set(table: np.ndarray) -> list[Permutation]:
@@ -340,8 +356,7 @@ class BlockPartition:
 
 
 def orbits(group: PermGroup) -> BlockPartition:
-    labels = _kernels.point_orbit_labels(group.gen_rows(), group.degree)
-    return BlockPartition.from_labels(np.asarray(labels))
+    return BlockPartition.from_labels(_kernels.point_orbit_labels(group.table))
 
 
 @dataclass(frozen=True)
@@ -369,8 +384,7 @@ def transitivity_profile(group: PermGroup) -> TransitivityProfile:
 def point_stabilizer(group: PermGroup, x: int) -> PermGroup:
     if not 0 <= x < group.degree:
         raise OG4Error(f"point {x} out of range for degree {group.degree}")
-    mask = group.table[:, x] == x
-    return group_from_table(group.table[mask])
+    return _subgroup(group, group.table[:, x] == x)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +416,7 @@ def normal_closure(
 ) -> PermGroup:
     """Least normal subgroup of ``group`` containing the seeds."""
     seed_idx = {group.index_of(s) for s in seeds}
-    return _subgroup(group, _normal_closure_indices(group, seed_idx, cap))
+    return _subgroup(group, sorted(_normal_closure_indices(group, seed_idx, cap)))
 
 
 def _normal_closure_indices(group: PermGroup, seed_idx: set[int], cap: int) -> set[int]:
@@ -426,11 +440,6 @@ def _normal_closure_indices(group: PermGroup, seed_idx: set[int], cap: int) -> s
         if not new:
             return members
         current |= set(new)
-
-
-def _subgroup(parent: PermGroup, indices: set[int]) -> PermGroup:
-    rows = parent.table[sorted(indices)]
-    return group_from_table(rows)
 
 
 def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
@@ -496,11 +505,7 @@ def _generate_subgroup_containing_class(group: PermGroup, cls: np.ndarray, cap: 
         gens.append(missing)
 
 
-def all_normal_subgroups(
-    group: PermGroup,
-    cap: int = DEFAULT_CAP,
-    limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
-) -> list[PermGroup]:
+def all_normal_subgroups(group: PermGroup, cap: int = DEFAULT_CAP) -> list[PermGroup]:
     """Every normal subgroup, ordered by (order, element index tuple).
 
     The lattice is generated by closing the normal closures of the conjugacy
@@ -519,15 +524,15 @@ def all_normal_subgroups(
                     continue
                 joined = frozenset(_generate_in_parent(group, sub | atom, cap))
                 if joined not in found:
-                    if len(found) >= limit:
+                    if len(found) >= DEFAULT_NORMAL_SUBGROUP_LIMIT:
                         raise OG4Error(
-                            f"normal-subgroup lattice exceeds the limit of {limit} candidates"
+                            "normal-subgroup lattice exceeds the limit of "
+                            f"{DEFAULT_NORMAL_SUBGROUP_LIMIT} candidates"
                         )
                     found.add(joined)
                     nxt.append(joined)
         frontier = nxt
-    subs = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return [_subgroup(group, set(s)) for s in subs]
+    return _subgroups_by_order(group, found)
 
 
 def minimal_normal_subgroups(group: PermGroup, cap: int = DEFAULT_CAP) -> list[PermGroup]:
@@ -538,12 +543,14 @@ def minimal_normal_subgroups(group: PermGroup, cap: int = DEFAULT_CAP) -> list[P
     are exactly the minimal normal subgroups.
     """
     closures = _class_closures(group, cap)
-    minimal = []
-    for c in closures:
-        if not any(other < c for other in closures):
-            minimal.append(c)
-    minimal.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return [_subgroup(group, c) for c in minimal]
+    minimal = [c for c in closures if not any(other < c for other in closures)]
+    return _subgroups_by_order(group, minimal)
+
+
+def _subgroups_by_order(group: PermGroup, index_sets: Iterable[set[int]]) -> list[PermGroup]:
+    """Subgroups at the given index sets, ordered by (order, element indices)."""
+    selections = sorted((sorted(s) for s in index_sets), key=lambda s: (len(s), s))
+    return [_subgroup(group, s) for s in selections]
 
 
 def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
@@ -618,7 +625,7 @@ def induced_block_action(
     gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
     image = PermGroup(partition.n_blocks, _dedupe_perms(gen_images), uniq)
     kernel_mask = (induced == np.arange(partition.n_blocks)).all(axis=1)
-    kernel = group_from_table(group.table[kernel_mask])
+    kernel = _subgroup(group, kernel_mask)
     return image, kernel
 
 

@@ -151,6 +151,14 @@ class TestMalformedDocuments:
         doc = {**lex3_pair, "generators": [5]}
         self.assert_usage_error(capsys, tmp_path, "verify", doc)
 
+    def test_repeated_arc(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "arcs": lex3_pair["arcs"] + lex3_pair["arcs"][:1]}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
+    def test_non_string_labels(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "labels": [1, 2, 3, 4, 5, 6]}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
     def test_bool_r(self, capsys, tmp_path):
         doc = {"family": "lex_cycle", "r": True}
         self.assert_usage_error(capsys, tmp_path, "construct", doc)

@@ -37,6 +37,14 @@ class TestOrientedGraph:
         with pytest.raises(OG4Error):
             OrientedGraph(3, [(0, 3)])
 
+    def test_rejects_duplicate_arc(self):
+        with pytest.raises(OG4Error, match="duplicate"):
+            OrientedGraph(3, [(0, 1), (0, 1)])
+
+    def test_accepts_a_generator_of_arcs(self):
+        g = OrientedGraph(3, ((i, (i + 1) % 3) for i in range(3)))
+        assert g.n_arcs == 3
+
     def test_arcs_sorted(self):
         g = OrientedGraph(3, [(2, 1), (0, 2), (0, 1)])
         assert g.arcs.tolist() == [[0, 1], [0, 2], [2, 1]]

@@ -1,59 +1,69 @@
 import numpy as np
 import pytest
 
+import og4
 from og4 import _kernels
-
-
-pytestmark = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED,
-    reason="numba not installed or OG4_BACKEND=python; nothing to compare",
-)
+from og4.perm import BlockPartition
 
 
 def random_gen_rows(rng, n, k):
     return np.stack([rng.permutation(n).astype(np.int32) for _ in range(k)])
 
 
-class TestClosureBackends:
+def bfs_point_orbit_labels(gen_rows, n):
+    """Orbit labels by search along the generators: the slow oracle for the
+    table-column labelling."""
+    labels = np.full(n, -1, dtype=np.int32)
+    label = 0
+    for v in range(n):
+        if labels[v] >= 0:
+            continue
+        labels[v] = label
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for g in gen_rows:
+                y = g[x]
+                if labels[y] < 0:
+                    labels[y] = label
+                    stack.append(y)
+        label += 1
+    return labels
+
+
+def assert_orbits_match_oracle(group):
+    got = BlockPartition.from_labels(_kernels.point_orbit_labels(group.table))
+    want = BlockPartition.from_labels(bfs_point_orbit_labels(group.gen_rows(), group.degree))
+    assert got.blocks == want.blocks
+
+
+class TestClosure:
     @pytest.mark.parametrize("seed", range(8))
-    def test_same_row_set(self, seed):
+    def test_closed_distinct_with_identity(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 7))
         gens = random_gen_rows(rng, n, int(rng.integers(1, 3)))
-        py = _kernels.close_under_products_py(gens, 10_000)
-        nb = _kernels.close_under_products_nb(gens, 10_000)
-        assert py is not None and nb is not None
-        assert py.shape == nb.shape
-        assert {r.tobytes() for r in py} == {r.tobytes() for r in nb}
+        rows = _kernels.close_under_products(gens, 10_000)
+        keys = {r.tobytes() for r in rows}
+        assert len(keys) == len(rows)
+        assert np.arange(n, dtype=np.int32).tobytes() in keys
+        assert all(g[r].tobytes() in keys for r in rows for g in gens)
 
-    def test_cap_agreement(self):
-        # both backends refuse once the cap is exceeded
+    def test_cap_gives_none(self):
         gens = np.stack([
             np.roll(np.arange(7, dtype=np.int32), 1),
             np.array([1, 0, 2, 3, 4, 5, 6], dtype=np.int32),
         ])
-        assert _kernels.close_under_products_py(gens, 100) is None
-        assert _kernels.close_under_products_nb(gens, 100) is None
+        assert _kernels.close_under_products(gens, 100) is None
 
     def test_identity_only(self):
         gens = np.arange(5, dtype=np.int32)[None, :]
-        py = _kernels.close_under_products_py(gens, 10)
-        nb = _kernels.close_under_products_nb(gens, 10)
-        assert py.shape == nb.shape == (1, 5)
+        assert _kernels.close_under_products(gens, 10).shape == (1, 5)
 
 
-class TestOrbitBackends:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_point_orbits_equal(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(4, 20))
-        gens = random_gen_rows(rng, n, int(rng.integers(1, 4)))
-        py = _kernels.point_orbit_labels_py(gens, n)
-        nb = _kernels.point_orbit_labels_nb(gens, n)
-        assert np.array_equal(py, nb)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_arc_orbits_equal(self, seed):
+class TestArcOrbits:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_constant_on_orbits(self, seed):
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(4, 10))
         # arcs = all ordered pairs, which every permutation action preserves
@@ -62,14 +72,45 @@ class TestOrbitBackends:
             dtype=np.int64,
         )
         gens = random_gen_rows(rng, n, int(rng.integers(1, 3)))
-        py = _kernels.arc_orbit_labels_py(gens, arcs, n)
-        nb = _kernels.arc_orbit_labels_nb(gens, arcs, n)
-        assert np.array_equal(py, nb)
+        labels = _kernels.arc_orbit_labels(gens, arcs, n)
+        assert labels.shape == arcs.shape
+        for a, lab in zip(arcs.tolist(), labels.tolist()):
+            for g in gens:
+                image = int(g[a // n]) * n + int(g[a % n])
+                assert labels[np.searchsorted(arcs, image)] == lab
 
-    def test_arc_orbit_rejects_unpreserved(self):
+    def test_rejects_unpreserved(self):
         n = 4
         gens = np.array([[1, 2, 3, 0]], dtype=np.int32)
         arcs = np.array([0 * n + 1], dtype=np.int64)  # orbit leaves the set
-        py = _kernels.arc_orbit_labels_py(gens, arcs, n)
-        nb = _kernels.arc_orbit_labels_nb(gens, arcs, n)
-        assert py.shape[0] == 0 and nb.shape[0] == 0
+        assert _kernels.arc_orbit_labels(gens, arcs, n).shape[0] == 0
+
+
+CORPUS = [f"lex_cycle({r})" for r in range(3, 9)] + [
+    "simple_cayley", "coset_simple", "sym_bigstab(5)", "sym_bigstab(7)",
+]
+
+
+@pytest.fixture
+def corpus_group(request, lex_pairs):
+    name = request.param
+    if name.startswith("lex_cycle"):
+        return lex_pairs[int(name[10:-1])].group
+    fixture = {"simple_cayley": "sc_pair", "coset_simple": "cs_pair",
+               "sym_bigstab(5)": "sym5_pair", "sym_bigstab(7)": "sym7_pair"}[name]
+    return request.getfixturevalue(fixture).group
+
+
+class TestPointOrbits:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_groups_match_bfs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(4, 8))
+        gens = random_gen_rows(rng, n, int(rng.integers(1, 4)))
+        assert_orbits_match_oracle(og4.enumerate_group([og4.Permutation(g) for g in gens]))
+
+    @pytest.mark.parametrize("corpus_group", CORPUS, indirect=True)
+    def test_corpus_and_normal_subgroups_match_bfs(self, corpus_group):
+        assert_orbits_match_oracle(corpus_group)
+        for n_sub in og4.all_normal_subgroups(corpus_group):
+            assert_orbits_match_oracle(n_sub)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import og4
+import og4.cli
 from og4 import (
     EnumerationCapExceeded,
     GroupAutomorphism,
@@ -175,6 +178,49 @@ class TestStructure:
         assert image.order == 2
         assert kernel.order == 4
         assert image.order * kernel.order == g.order
+
+
+    def test_normal_subgroup_limit(self, monkeypatch):
+        monkeypatch.setattr(og4.perm, "DEFAULT_NORMAL_SUBGROUP_LIMIT", 3)
+        with pytest.raises(og4.OG4Error, match="limit of 3"):
+            og4.all_normal_subgroups(og4.lexicographic_cycle(4).group)
+
+
+class TestSubgroupSlices:
+    """Subgroups are slices of the parent's table; their generating sets are
+    derived only when read."""
+
+    DOCS = {
+        "lex_cycle(5)": {"family": "lex_cycle", "r": 5},
+        "simple_cayley": {
+            "family": "simple_cayley", "degree": 5,
+            "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "a": "(1 2 3)", "sigma": "(1 4)(2 5)",
+        },
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "chain"])
+    @pytest.mark.parametrize("family", sorted(DOCS))
+    def test_reports_derive_no_generating_set(self, command, family, tmp_path, capsys,
+                                              monkeypatch):
+        calls = []
+        real = og4.perm._small_generating_set
+
+        def counting(table):
+            calls.append(table.shape)
+            return real(table)
+
+        monkeypatch.setattr(og4.perm, "_small_generating_set", counting)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self.DOCS[family]))
+        assert og4.cli.main([command, str(path)]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_derived_generators_match_wrapped_table(self, sc_pair):
+        for n_sub in og4.all_normal_subgroups(sc_pair.group):
+            assert n_sub.generators == og4.group_from_table(n_sub.table).generators
+            assert enumerate_group(n_sub.generators).same_elements(n_sub)
 
 
 class TestAutomorphisms:
