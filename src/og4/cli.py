@@ -318,11 +318,11 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     pair = _obtain_pair(args)
-    results = classify_all_quotients(pair, args.max_order)
+    results = classify_all_quotients(pair)
     return {
         "command": "classify",
         "ok": True,
-        "basic_type": basic_type(pair, args.max_order),
+        "basic_type": basic_type(pair),
         "certificate": _certificate_dict(pair),
         "quotients": [_quotient_dict(n, o) for n, o in results],
     }
@@ -330,7 +330,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_quotient(args) -> dict:
     pair = _obtain_pair(args)
-    results = classify_all_quotients(pair, args.max_order)
+    results = classify_all_quotients(pair)
     return {
         "command": "quotient",
         "ok": True,
@@ -340,11 +340,11 @@ def _cmd_quotient(args) -> dict:
 
 def _cmd_chain(args) -> dict:
     pair = _obtain_pair(args)
-    chain, terminal = basic_chain(pair, args.max_order)
+    chain, terminal = basic_chain(pair)
     return {
         "command": "chain",
         "ok": True,
-        "basic_type_of_terminal": basic_type(terminal, args.max_order),
+        "basic_type_of_terminal": basic_type(terminal),
         "kernel_orders": [n.order for n, _ in chain],
         "terminal": {
             "n_vertices": terminal.graph.n_vertices,

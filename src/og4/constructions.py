@@ -239,7 +239,7 @@ def simple_cayley(
     t_grp: PermGroup, a: Permutation, sigma: AutLike, cap: int = DEFAULT_CAP
 ) -> OGPair:
     """Cayley pair on a nonabelian simple group with half-set {a, a^sigma}."""
-    if not is_nonabelian_simple(t_grp, cap):
+    if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("simple_cayley:nonabelian_simple")
     aut = _as_automorphism(t_grp, sigma)
     if aut is None:
@@ -268,7 +268,7 @@ def tw_cayley(
     ``aut_list`` is the caller's inventory of Aut(T) (e.g. all conjugations
     inside Sym(n) for T = Alt(n), n != 6).
     """
-    if not is_nonabelian_simple(t_grp, cap):
+    if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("tw:nonabelian_simple")
     span = enumerate_group([a, b], cap)
     if span.order != t_grp.order:
@@ -447,7 +447,7 @@ def coset_simple(
     g_grp: PermGroup, h: Permutation, g: Permutation, cap: int = DEFAULT_CAP
 ) -> OGPair:
     """Coset pair on a nonabelian simple group over an order-2 subgroup."""
-    if not is_nonabelian_simple(g_grp, cap):
+    if not is_nonabelian_simple(g_grp):
         raise ConstructionRefuted("coset_simple:nonabelian_simple")
     if h.is_identity() or not compose(h, h).is_identity():
         raise ConstructionRefuted("coset_simple:h_involution")
@@ -489,7 +489,7 @@ def pa_construction(
     hypothesis checked is b^c != b*a for every inventory member centralizing
     a.
     """
-    if not is_nonabelian_simple(t_grp, cap):
+    if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("pa:nonabelian_simple")
     if a.is_identity() or not compose(a, a).is_identity():
         raise ConstructionRefuted("pa:a_involution")

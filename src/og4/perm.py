@@ -3,12 +3,18 @@
 Everything here works at "desk scale": a group is its complete element table
 (int32 image rows, sorted lexicographically), and structural questions
 (orbits, stabilizers, normal subgroups, quasiprimitivity) are answered by
-direct search over that table.  No stabilizer-chain machinery.
+direct search over that table.  No stabilizer-chain machinery: a greedy base
+is derived only to look elements up by their base images, and there is no
+Schreier-Sims.
 
 A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
 is the slice of the parent's sorted table at its element indices, so it is
 sorted already; orbits are read off the table's columns, and a subgroup's
 generating set is derived only when something reads ``generators``.
+Closures, conjugacy classes and normality tests inside a group work on its
+element indices: multiplying or conjugating the whole table by one element
+is a gather of the base columns and one batch lookup, and a subgroup being
+built is a boolean mask over the table.
 
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
@@ -144,7 +150,7 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
         pts = [tok for tok in re.split(r"[,\s]+", grp.strip()) if tok]
         cyc = []
         for tok in pts:
-            if not tok.isdigit() or int(tok) < 1:
+            if not tok.isdecimal() or int(tok) < 1:
                 raise ParseError(f"bad point {tok!r} in {text!r}")
             cyc.append(int(tok) - 1)
         if len(set(cyc)) != len(cyc):
@@ -210,8 +216,11 @@ class PermGroup:
         self.table = table
         self.order = table.shape[0]
         self._index: Optional[dict[bytes, int]] = None
+        self._keys: Optional[BaseKeys] = None
+        self._right_mult: dict[int, np.ndarray] = {}
+        self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
-        self._closures: Optional[list[set[int]]] = None
+        self._closures: Optional[list[tuple[np.ndarray, list[int]]]] = None
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -243,8 +252,15 @@ class PermGroup:
         return p.degree == self.degree and p.images.tobytes() in self.index
 
     @property
+    def base_keys(self) -> "BaseKeys":
+        if self._keys is None:
+            self._keys = BaseKeys(self.table)
+        return self._keys
+
+    @property
     def identity_index(self) -> int:
-        return self.index[np.arange(self.degree, dtype=np.int32).tobytes()]
+        # the identity is the lexicographically least permutation
+        return 0
 
     def gen_rows(self) -> np.ndarray:
         return np.asarray([g.images for g in self.generators], dtype=np.int32)
@@ -265,6 +281,81 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+_KEY_LIMIT = 1 << 62
+
+
+class BaseKeys:
+    """Batch element lookup in a sorted table by images of a base.
+
+    An element is fixed by its images of a base (see ``_base_of``).  Those
+    images are folded into one int64 key per element, re-ranked densely
+    whenever the next fold could overflow, and the keys are sorted once.
+
+    ``lookup`` is exact only for rows known to lie in the group (products
+    and conjugates of members); ``indices_of`` also checks the full rows.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.degree = table.shape[1]
+        self.base = _base_of(table)
+        self.images = table[:, self.base]  # (order, len(base))
+        # ranks[j]: the sorted distinct keys before column j is folded in,
+        # or None where folding needs no re-ranking
+        self.ranks: list[Optional[np.ndarray]] = []
+        key = np.zeros(table.shape[0], dtype=np.int64)
+        bound = 1
+        for j in range(len(self.base)):
+            ranks = None
+            if bound > _KEY_LIMIT // self.degree:
+                ranks = np.unique(key)
+                key = np.searchsorted(ranks, key)
+                bound = ranks.size
+            self.ranks.append(ranks)
+            key = key * self.degree + self.images[:, j]
+            bound *= self.degree
+        self.by_key = np.argsort(key).astype(np.int32)
+        self.sorted_keys = key[self.by_key]
+
+    def lookup(self, base_images: np.ndarray) -> np.ndarray:
+        """Element indices of rows with the given (m, len(base)) base images."""
+        key = np.zeros(base_images.shape[0], dtype=np.int64)
+        for j, ranks in enumerate(self.ranks):
+            if ranks is not None:
+                key = np.searchsorted(ranks, key)
+            key = key * self.degree + base_images[:, j]
+        pos = np.searchsorted(self.sorted_keys, key)
+        return self.by_key[np.minimum(pos, self.by_key.size - 1)]
+
+    def indices_of(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """Element indices of arbitrary rows, or None if one is not a member."""
+        idx = self.lookup(rows[:, self.base])
+        return idx if _rows_equal(self.table, idx, rows) else None
+
+
+def _base_of(table: np.ndarray) -> list[int]:
+    """Greedy base of the group at a sorted ``table``: the first point moved
+    by the least nonidentity member of the pointwise stabiliser of the points
+    so far, until that stabiliser is trivial.  A stabiliser's rows are a
+    sorted slice, so its identity comes first and that member second."""
+    rows = np.arange(table.shape[0])
+    base: list[int] = []
+    while rows.size > 1:
+        b = int(np.argmax(table[rows[1]] != np.arange(table.shape[1])))
+        base.append(b)
+        rows = rows[table[rows, b] == b]
+    return base
+
+
+def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
+    """table[idx] == rows, compared in blocks of about 2^16 entries."""
+    step = max(1, (1 << 16) // rows.shape[1])
+    return all(
+        np.array_equal(table[idx[lo:lo + step]], rows[lo:lo + step])
+        for lo in range(0, idx.size, step)
+    )
 
 
 def _sorted_table(rows: np.ndarray) -> np.ndarray:
@@ -388,185 +479,208 @@ def point_stabilizer(group: PermGroup, x: int) -> PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# normal-subgroup machinery
+# normal-subgroup machinery, in the index space of the parent's table
 
 
-def _generate_in_parent(parent: PermGroup, seed_indices: Iterable[int], cap: int) -> set[int]:
-    """Subgroup generated by the given parent elements, as parent indices.
+def _right_mult_map(group: PermGroup, s: int) -> np.ndarray:
+    """x -> x * s over the whole table, as element indices."""
+    m = group._right_mult.get(s)
+    if m is None:
+        keys = group.base_keys
+        m = keys.lookup(group.table[s][keys.images])
+        group._right_mult[s] = m
+    return m
 
-    Seeds already inside the running closure are skipped, so the closure
-    kernel only ever sees a small generating set (each kept seed at least
-    doubles the subgroup, so at most log2(order) closure passes happen).
+
+def _conjugation_maps(group: PermGroup) -> list[np.ndarray]:
+    """x -> g^-1 x g over the whole table, one index map per generator g."""
+    if group._conjugation is None:
+        keys = group.base_keys
+        group._conjugation = [
+            keys.lookup(g.images[group.table[:, g.inverse().images[keys.base]]])
+            for g in group.generators
+        ]
+    return group._conjugation
+
+
+def _grow(group: PermGroup, mask: np.ndarray, gens: list[int], seeds: Iterable[int]) -> None:
+    """Extend the subgroup at ``mask`` by the seeds, in place.
+
+    ``mask`` must be N<gens> for a normal subgroup N of ``group`` (the
+    trivial one to begin with), which is a subgroup; it stays so.  A seed
+    already in the mask is skipped.  Any other is appended to ``gens``; the
+    old members times the seed form the first new coset, and each new
+    frontier is multiplied on the right by every generator until nothing
+    new turns up.
     """
-    idx = parent.index
-    seeds = sorted(set(int(i) for i in seed_indices))
-    gens: list[int] = []
-    members: set[int] = {parent.identity_index}
     for s in seeds:
-        if s in members:
+        s = int(s)
+        if mask[s]:
             continue
         gens.append(s)
-        rows = _closure_rows(parent.table[gens], min(cap, parent.order + 1))
-        members = {idx[r.tobytes()] for r in rows}
-    return members
+        maps = [_right_mult_map(group, g) for g in gens]
+        new = np.zeros_like(mask)
+        new[maps[-1][np.flatnonzero(mask)]] = True
+        while new.any():
+            mask |= new
+            frontier = np.flatnonzero(new)
+            new[:] = False
+            for m in maps:
+                new[m[frontier]] = True
+            new &= ~mask
 
 
-def normal_closure(
-    group: PermGroup, seeds: Iterable[Permutation], cap: int = DEFAULT_CAP
-) -> PermGroup:
+def _generate_in_parent(
+    parent: PermGroup, seed_indices: Iterable[int]
+) -> tuple[np.ndarray, list[int]]:
+    """Subgroup generated by the given parent elements, as a mask over the
+    parent's table, and the seeds that were kept as its generators."""
+    mask = np.zeros(parent.order, dtype=bool)
+    mask[parent.identity_index] = True
+    gens: list[int] = []
+    _grow(parent, mask, gens, seed_indices)
+    return mask, gens
+
+
+def normal_closure(group: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     """Least normal subgroup of ``group`` containing the seeds."""
-    seed_idx = {group.index_of(s) for s in seeds}
-    return _subgroup(group, sorted(_normal_closure_indices(group, seed_idx, cap)))
+    seed_idx = sorted({group.index_of(s) for s in seeds})
+    return _subgroup(group, _normal_closure_mask(group, seed_idx))
 
 
-def _normal_closure_indices(group: PermGroup, seed_idx: set[int], cap: int) -> set[int]:
-    idx = group.index
-    gens = sorted(seed_idx - {group.identity_index})
-    if not gens:
-        return {group.identity_index}
-    gen_rows = [g.images for g in group.generators]
-    gen_invs = [g.inverse().images for g in group.generators]
-    current = set(gens)
-    while True:
-        members = _generate_in_parent(group, current, cap)
-        new = []
-        for s in sorted(current):
-            srow = group.table[s]
-            for grow, ginv in zip(gen_rows, gen_invs):
-                conj = grow[srow[ginv]]
-                j = idx[conj.tobytes()]
-                if j not in members:
-                    new.append(j)
-        if not new:
-            return members
-        current |= set(new)
+def _normal_closure_mask(group: PermGroup, seed_idx: Sequence[int]) -> np.ndarray:
+    """Grow <seeds> by the conjugates of each kept generator until they all
+    lie inside: then every generator's conjugates do, so it is normal."""
+    mask, gens = _generate_in_parent(group, seed_idx)
+    conj = _conjugation_maps(group)
+    checked = 0
+    while checked < len(gens):
+        new = np.asarray(gens[checked:])
+        checked = len(gens)
+        _grow(group, mask, gens, np.concatenate([c[new] for c in conj]))
+    return mask
 
 
 def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
-    """Classes as sorted index arrays, ordered by least element index."""
+    """Classes as sorted index arrays, ordered by least element index.
+
+    The classes are the connected components of the generators' conjugation
+    maps.  Each index is labelled by the least index of its component:
+    labels are pulled back along every map and then shortcut
+    (``labels[labels]``) until nothing changes.  At that point no label
+    exceeds the one it is pulled from, so labels are constant along each
+    cycle of each map, hence on each component.
+    """
     if group._classes is not None:
         return group._classes
-    idx = group.index
-    gen_rows = [g.images for g in group.generators]
-    gen_invs = [g.inverse().images for g in group.generators]
-    labels = np.full(group.order, -1, dtype=np.int64)
-    classes: list[np.ndarray] = []
-    for start in range(group.order):
-        if labels[start] >= 0:
-            continue
-        label = len(classes)
-        labels[start] = label
-        stack = [start]
-        members = [start]
-        while stack:
-            i = stack.pop()
-            row = group.table[i]
-            for grow, ginv in zip(gen_rows, gen_invs):
-                conj = grow[row[ginv]]
-                j = idx[conj.tobytes()]
-                if labels[j] < 0:
-                    labels[j] = label
-                    stack.append(j)
-                    members.append(j)
-        classes.append(np.asarray(sorted(members), dtype=np.int64))
-    group._classes = classes
-    return classes
+    labels = np.arange(group.order)
+    while True:
+        new = labels
+        for m in _conjugation_maps(group):
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    by_label = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
+    group._classes = np.split(by_label, cuts)
+    return group._classes
 
 
-def _class_closures(group: PermGroup, cap: int) -> list[set[int]]:
-    """Normal closure of each nontrivial conjugacy class, deduplicated."""
+def _class_closures(group: PermGroup) -> list[tuple[np.ndarray, list[int]]]:
+    """Normal closure of each nontrivial conjugacy class, deduplicated, as
+    (mask, kept generators).  <class> is normal since conjugation permutes
+    the class."""
     if group._closures is not None:
         return group._closures
-    closures: list[set[int]] = []
-    seen_keys: set[tuple[int, ...]] = set()
+    closures = []
+    seen: set[bytes] = set()
     ident = group.identity_index
     for cls in conjugacy_classes(group):
         if cls.size == 1 and int(cls[0]) == ident:
             continue
-        members = _generate_subgroup_containing_class(group, cls, cap)
-        key = tuple(sorted(members))
-        if key not in seen_keys:
-            seen_keys.add(key)
-            closures.append(members)
+        mask, gens = _generate_in_parent(group, cls)
+        key = mask.tobytes()
+        if key in seen:
+            # classes are disjoint, so no other closure was grown by these
+            for s in gens:
+                del group._right_mult[s]
+        else:
+            seen.add(key)
+            closures.append((mask, gens))
     group._closures = closures
     return closures
 
 
-def _generate_subgroup_containing_class(group: PermGroup, cls: np.ndarray, cap: int) -> set[int]:
-    # <class> is normal since conjugation permutes the class.  Build it with
-    # an incrementally grown generating set instead of all class members.
-    gens = [int(cls[0])]
-    cls_set = [int(c) for c in cls]
-    while True:
-        members = _generate_in_parent(group, gens, cap)
-        missing = next((c for c in cls_set if c not in members), None)
-        if missing is None:
-            return members
-        gens.append(missing)
-
-
-def all_normal_subgroups(group: PermGroup, cap: int = DEFAULT_CAP) -> list[PermGroup]:
+def all_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every normal subgroup, ordered by (order, element index tuple).
 
     The lattice is generated by closing the normal closures of the conjugacy
     classes under joins; every normal subgroup is the join of the closures of
-    the classes it contains, and every such join is normal.
+    the classes it contains, and every such join is normal.  The join of a
+    normal N with an atom <S> is N<S>, grown from N's mask by the seeds S.
     """
-    ident = group.identity_index
-    atoms = [frozenset(c) for c in _class_closures(group, cap)]
-    found: set[frozenset[int]] = {frozenset({ident})}
-    frontier = [frozenset({ident})]
+    atoms = _class_closures(group)
+    trivial, _ = _generate_in_parent(group, ())
+    found = {trivial.tobytes(): trivial}
+    frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for atom in atoms:
-                if atom <= sub:
+            for atom, seeds in atoms:
+                if not (atom & ~sub).any():
                     continue
-                joined = frozenset(_generate_in_parent(group, sub | atom, cap))
-                if joined not in found:
+                joined = sub.copy()
+                _grow(group, joined, [], seeds)
+                key = joined.tobytes()
+                if key not in found:
                     if len(found) >= DEFAULT_NORMAL_SUBGROUP_LIMIT:
                         raise OG4Error(
                             "normal-subgroup lattice exceeds the limit of "
                             f"{DEFAULT_NORMAL_SUBGROUP_LIMIT} candidates"
                         )
-                    found.add(joined)
+                    found[key] = joined
                     nxt.append(joined)
         frontier = nxt
-    return _subgroups_by_order(group, found)
+    return _subgroups_by_order(group, found.values())
 
 
-def minimal_normal_subgroups(group: PermGroup, cap: int = DEFAULT_CAP) -> list[PermGroup]:
+def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Minimal nontrivial normal subgroups.
 
     Every minimal normal subgroup is the normal closure of any of its
     nonidentity elements, so the minimal elements among the class closures
     are exactly the minimal normal subgroups.
     """
-    closures = _class_closures(group, cap)
-    minimal = [c for c in closures if not any(other < c for other in closures)]
+    closures = [mask for mask, _ in _class_closures(group)]
+    minimal = [
+        c for c in closures
+        if not any(other is not c and not (other & ~c).any() for other in closures)
+    ]
     return _subgroups_by_order(group, minimal)
 
 
-def _subgroups_by_order(group: PermGroup, index_sets: Iterable[set[int]]) -> list[PermGroup]:
-    """Subgroups at the given index sets, ordered by (order, element indices)."""
-    selections = sorted((sorted(s) for s in index_sets), key=lambda s: (len(s), s))
+def _subgroups_by_order(group: PermGroup, masks: Iterable[np.ndarray]) -> list[PermGroup]:
+    """Subgroups at the given masks, ordered by (order, element indices)."""
+    selections = sorted((np.flatnonzero(m) for m in masks), key=lambda s: (s.size, s.tolist()))
     return [_subgroup(group, s) for s in selections]
 
 
 def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
-    if not group.contains_all(sub):
+    """Whether every row of ``sub`` lies in ``group`` and conjugating them
+    by ``group``'s generators stays inside ``sub``."""
+    if sub.degree != group.degree:
         return False
-    idx = {sub.table[i].tobytes() for i in range(sub.order)}
-    for g in group.generators:
-        ginv = g.inverse().images
-        for i in range(sub.order):
-            conj = g.images[sub.table[i][ginv]]
-            if conj.tobytes() not in idx:
-                return False
-    return True
+    idx = group.base_keys.indices_of(sub.table)
+    if idx is None:
+        return False
+    member = np.zeros(group.order, dtype=bool)
+    member[idx] = True
+    return all(member[c[idx]].all() for c in _conjugation_maps(group))
 
 
-def quasiprimitivity_type(group: PermGroup, cap: int = DEFAULT_CAP) -> str:
+def quasiprimitivity_type(group: PermGroup) -> str:
     """One of "quasiprimitive", "biquasiprimitive", "neither".
 
     Determined from the minimal normal subgroups: orbit counts of larger
@@ -575,7 +689,7 @@ def quasiprimitivity_type(group: PermGroup, cap: int = DEFAULT_CAP) -> str:
     """
     if not transitivity_profile(group).transitive:
         raise OG4Error("quasiprimitivity is defined for transitive groups only")
-    counts = [orbits(m).n_blocks for m in minimal_normal_subgroups(group, cap)]
+    counts = [orbits(m).n_blocks for m in minimal_normal_subgroups(group)]
     if all(c == 1 for c in counts):
         return "quasiprimitive"
     if all(c <= 2 for c in counts):
@@ -583,7 +697,7 @@ def quasiprimitivity_type(group: PermGroup, cap: int = DEFAULT_CAP) -> str:
     return "neither"
 
 
-def is_nonabelian_simple(group: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+def is_nonabelian_simple(group: PermGroup) -> bool:
     """Exhaustive check: nontrivial, nonabelian, no proper nontrivial normals."""
     if group.order == 1:
         return False
@@ -596,10 +710,7 @@ def is_nonabelian_simple(group: PermGroup, cap: int = DEFAULT_CAP) -> bool:
         break
     else:
         return False  # abelian
-    for closure in _class_closures(group, cap):
-        if len(closure) != group.order:
-            return False
-    return True
+    return all(mask.all() for mask, _ in _class_closures(group))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +718,7 @@ def is_nonabelian_simple(group: PermGroup, cap: int = DEFAULT_CAP) -> bool:
 
 
 def induced_block_action(
-    group: PermGroup, partition: BlockPartition, cap: int = DEFAULT_CAP
+    group: PermGroup, partition: BlockPartition
 ) -> tuple[PermGroup, PermGroup]:
     """(image on block indices, kernel of that action)."""
     pb = partition.point_block

@@ -22,7 +22,6 @@ from .graph import (
     connectivity,
 )
 from .perm import (
-    DEFAULT_CAP,
     BlockPartition,
     OG4Error,
     PermGroup,
@@ -62,13 +61,13 @@ def _check_normal(pair: OGPair, n_sub: PermGroup) -> None:
         raise OG4Error("subgroup is not normal in the acting group")
 
 
-def normal_quotient(pair: OGPair, n_sub: PermGroup, cap: int = DEFAULT_CAP) -> QuotientOutcome:
+def normal_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
     """Collapse N-orbits; classify as K1 / oriented / arc-transitive
     multicover and compute the multicover degree."""
     _check_normal(pair, n_sub)
     m = pair.valency
     part = orbits(n_sub)
-    image, kernel = induced_block_action(pair.group, part, cap)
+    image, kernel = induced_block_action(pair.group, part)
 
     if part.n_blocks == 1:
         return QuotientOutcome("K1", None, image, kernel, part, None, None)
@@ -142,14 +141,14 @@ def _is_dihedral_of_order(group: PermGroup, two_r: int) -> bool:
     return False
 
 
-def classify_og4_quotient(pair: OGPair, n_sub: PermGroup, cap: int = DEFAULT_CAP) -> QuotientOutcome:
+def classify_og4_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
     """Refine a quotient of an OG(4) pair to one of the five cases:
     K1, Cover, K2, OrientedCycle, UnorientedCycle."""
     if pair.valency != 4:
         raise OG4Error("classification applies to OG(4) pairs")
     if n_sub.order <= 1:
         raise OG4Error("classification applies to nontrivial normal subgroups")
-    out = normal_quotient(pair, n_sub, cap)
+    out = normal_quotient(pair, n_sub)
     if out.kind == "K1":
         return out
 
@@ -207,20 +206,18 @@ def classify_og4_quotient(pair: OGPair, n_sub: PermGroup, cap: int = DEFAULT_CAP
 # basic type and basic chains
 
 
-def classify_all_quotients(
-    pair: OGPair, cap: int = DEFAULT_CAP
-) -> list[tuple[PermGroup, QuotientOutcome]]:
+def classify_all_quotients(pair: OGPair) -> list[tuple[PermGroup, QuotientOutcome]]:
     """Classified quotient for every nontrivial normal subgroup of the
     acting group (the full group included)."""
     results = []
-    for n_sub in all_normal_subgroups(pair.group, cap):
+    for n_sub in all_normal_subgroups(pair.group):
         if n_sub.order == 1:
             continue
-        results.append((n_sub, classify_og4_quotient(pair, n_sub, cap)))
+        results.append((n_sub, classify_og4_quotient(pair, n_sub)))
     return results
 
 
-def basic_type(pair: OGPair, cap: int = DEFAULT_CAP) -> str:
+def basic_type(pair: OGPair) -> str:
     """Quasiprimitive | Biquasiprimitive | Cycle | NonBasic.
 
     Decided from the minimal normal subgroups alone.  Each nontrivial normal
@@ -232,11 +229,11 @@ def basic_type(pair: OGPair, cap: int = DEFAULT_CAP) -> str:
     every normal.  So the precedence Cover > Cycle > K2 > Quasiprimitive
     over the minimal normals agrees with that over the whole lattice.
     """
-    minimal = minimal_normal_subgroups(pair.group, cap)
-    kinds = {classify_og4_quotient(pair, m, cap).kind for m in minimal}
+    minimal = minimal_normal_subgroups(pair.group)
+    kinds = {classify_og4_quotient(pair, m).kind for m in minimal}
     result = _basic_type_from_kinds(kinds)
     # cross-check against the group-theoretic characterization
-    qp = quasiprimitivity_type(pair.group, cap)
+    qp = quasiprimitivity_type(pair.group)
     if result == "Quasiprimitive" and qp != "quasiprimitive":
         raise InvariantViolation("basic type and quasiprimitivity test disagree")
     if result == "Biquasiprimitive" and qp != "biquasiprimitive":
@@ -254,9 +251,7 @@ def _basic_type_from_kinds(kinds: set[str]) -> str:
     return "Quasiprimitive"
 
 
-def basic_chain(
-    pair: OGPair, cap: int = DEFAULT_CAP
-) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
+def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
     """Greedy cover chain 1 < N_1 < ... < N_s ending at a basic quotient.
 
     Each N_i is a normal subgroup of the *original* group; the paired OGPair
@@ -271,7 +266,7 @@ def basic_chain(
     while True:
         covers = [
             (n_sub, out)
-            for n_sub, out in classify_all_quotients(current, cap)
+            for n_sub, out in classify_all_quotients(current)
             if out.kind == "Cover"
         ]
         if not covers:
@@ -282,21 +277,21 @@ def basic_chain(
         # chain subgroup inside the original group
         composed_labels = out.partition.point_block[current_blocks.point_block]
         current_blocks = BlockPartition.from_labels(composed_labels)
-        _, n_orig = induced_block_action(group, current_blocks, cap)
+        _, n_orig = induced_block_action(group, current_blocks)
         if chain and n_orig.order <= chain[-1][0].order:
             raise InvariantViolation("basic chain is not strictly increasing")
         current = out.quotient_pair
         chain.append((n_orig, current))
 
 
-def basic_quotients(pair: OGPair, cap: int = DEFAULT_CAP) -> list[tuple[PermGroup, OGPair]]:
+def basic_quotients(pair: OGPair) -> list[tuple[PermGroup, OGPair]]:
     """All (N, quotient) with the quotient a *basic* OG(4) cover of the pair.
 
     Exhaustive counterpart to the greedy chain; for basic input this is
     empty.
     """
     out = []
-    for n_sub, res in classify_all_quotients(pair, cap):
-        if res.kind == "Cover" and basic_type(res.quotient_pair, cap) != "NonBasic":
+    for n_sub, res in classify_all_quotients(pair):
+        if res.kind == "Cover" and basic_type(res.quotient_pair) != "NonBasic":
             out.append((n_sub, res.quotient_pair))
     return out

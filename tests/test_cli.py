@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from og4.cli import main
 
@@ -70,6 +76,14 @@ class TestConstruct:
     def test_cap_exit_2(self, capsys, sc_doc):
         status, out, err = run(capsys, "construct", sc_doc, "--max-order", "10")
         assert status == 2
+
+    def test_classify_cap_exit_2(self, capsys, tmp_path):
+        doc = write_doc(tmp_path, "s5.json", {"family": "sym_bigstab", "n": 5})
+        status, out, err = run(capsys, "classify", doc, "--max-order", "50")
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap of 50" in err
 
     def test_deterministic_bytes(self, capsys, sc_doc):
         s1, out1, _ = run(capsys, "construct", sc_doc)
@@ -159,9 +173,65 @@ class TestMalformedDocuments:
         doc = {**lex3_pair, "labels": [1, 2, 3, 4, 5, 6]}
         self.assert_usage_error(capsys, tmp_path, "verify", doc)
 
+    def test_superscript_digit_in_generator(self, capsys, tmp_path, lex3_pair):
+        doc = {**lex3_pair, "generators": ["(1 \u00b2)"]}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
     def test_bool_r(self, capsys, tmp_path):
         doc = {"family": "lex_cycle", "r": True}
         self.assert_usage_error(capsys, tmp_path, "construct", doc)
+
+
+# The lex_cycle(3) pair document as `construct` emits it.
+LEX3_PAIR = {
+    "n_vertices": 6,
+    "generators": ["(1 3 5)(2 4 6)", "(1 2)"],
+    "arcs": [[1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [3, 6],
+             [4, 5], [4, 6], [5, 1], [5, 2], [6, 1], [6, 2]],
+    "labels": ["(0,0)", "(0,1)", "(1,0)", "(1,1)", "(2,0)", "(2,1)"],
+}
+LEX3_SPEC = {"family": "lex_cycle", "r": 3}
+
+# Integers stay small and strings short: a huge r, n_vertices or point
+# number is allocated before any bound applies (there is no byte budget
+# yet).  A six-character string holds no point above 9999, so with
+# `--max-order 1000` every table stays under 40 MB.  Cycle-notation strings
+# are built from a few points, a superscript and an Arabic-Indic digit, and
+# a letter; lists of them reach the generator parser.
+POINT = st.sampled_from(["1", "2", "3", "7", "0", "\u00b2", "\u0662", "x"])
+CYCLES = st.lists(st.lists(POINT, max_size=3).map(lambda pts: "(" + " ".join(pts) + ")"),
+                  max_size=2).map("".join)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6)
+    | CYCLES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+) | st.lists(CYCLES, min_size=1, max_size=3)
+
+
+class TestFuzzedDocuments:
+    """One field of a valid document replaced by arbitrary JSON: every
+    command exits 0, 1 or 2 and never raises."""
+
+    def test_lex3_pair_matches_construct(self, capsys, lex3_doc):
+        _, out, _ = run(capsys, "construct", lex3_doc)
+        assert json.loads(out)["pair"] == LEX3_PAIR
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([LEX3_PAIR, LEX3_SPEC]).flatmap(
+               lambda doc: st.tuples(st.just(doc), st.sampled_from(sorted(doc)), JSON)),
+           st.sampled_from(["verify", "construct", "classify"]))
+    def test_one_field_replaced(self, case, command):
+        doc, field, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps({**doc, field: value}))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main([command, str(path), "--max-order", "1000"])
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestClassifyQuotientChain:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +22,67 @@ from og4 import (
     parse_permutation,
 )
 from og4.perm import BlockPartition, induced_block_action
+
+
+# ---------------------------------------------------------------------------
+# slow exhaustive oracles: the byte-keyed, per-element code that the index
+# arithmetic in og4.perm replaced
+
+
+def oracle_generate_in_parent(parent, seed_indices):
+    """Re-close the kept seeds from the identity after each new seed."""
+    idx = parent.index
+    gens = []
+    members = {parent.identity_index}
+    for s in sorted(set(int(i) for i in seed_indices)):
+        if s in members:
+            continue
+        gens.append(s)
+        rows = og4.perm._closure_rows(parent.table[gens], parent.order + 1)
+        members = {idx[r.tobytes()] for r in rows}
+    return members
+
+
+def oracle_conjugacy_classes(group):
+    """Depth-first search of each class through the generators' conjugates."""
+    idx = group.index
+    gen_rows = [g.images for g in group.generators]
+    gen_invs = [g.inverse().images for g in group.generators]
+    labels = np.full(group.order, -1, dtype=np.int64)
+    classes = []
+    for start in range(group.order):
+        if labels[start] >= 0:
+            continue
+        labels[start] = len(classes)
+        stack = [start]
+        members = [start]
+        while stack:
+            row = group.table[stack.pop()]
+            for grow, ginv in zip(gen_rows, gen_invs):
+                j = idx[grow[row[ginv]].tobytes()]
+                if labels[j] < 0:
+                    labels[j] = len(classes)
+                    stack.append(j)
+                    members.append(j)
+        classes.append(sorted(members))
+    return classes
+
+
+def oracle_is_normal_in(sub, group):
+    """Every row of sub in group, and every conjugate by a generator in sub."""
+    if not group.contains_all(sub):
+        return False
+    rows = {sub.table[i].tobytes() for i in range(sub.order)}
+    for g in group.generators:
+        ginv = g.inverse().images
+        for i in range(sub.order):
+            if g.images[sub.table[i][ginv]].tobytes() not in rows:
+                return False
+    return True
+
+
+def index_set(mask):
+    return set(np.flatnonzero(mask).tolist())
 
 
 def perm_strategy(degree):
@@ -221,6 +284,114 @@ class TestSubgroupSlices:
         for n_sub in og4.all_normal_subgroups(sc_pair.group):
             assert n_sub.generators == og4.group_from_table(n_sub.table).generators
             assert enumerate_group(n_sub.generators).same_elements(n_sub)
+
+
+class TestIndexSpace:
+    """Base-image lookup, closures, classes and normality tests on element
+    indices agree with the slow oracles above."""
+
+    WIDE = ("tw_cayley", "pa")
+
+    def test_base_lengths(self, lex_pairs, sym7_pair, pa_pair):
+        assert len(pa_pair.group.base_keys.base) == 2
+        assert len(sym7_pair.group.base_keys.base) == 2
+        assert len(lex_pairs[8].group.base_keys.base) == 8
+
+    def test_lookup_of_every_member(self, all_pairs):
+        for name, pair in all_pairs:
+            group = pair.group
+            keys = group.base_keys
+            fixed = np.all(group.table[:, keys.base] == keys.base, axis=1)
+            assert np.flatnonzero(fixed).tolist() == [group.identity_index], name
+            assert np.array_equal(keys.lookup(keys.images), np.arange(group.order)), name
+
+    def test_long_base_keys_are_reranked(self):
+        """11 disjoint transpositions on 64 points: an 11-point base, and
+        64^11 > 2^62, so the keys are re-ranked before the last fold."""
+        group = enumerate_group([parse_permutation(f"({2 * i + 1} {2 * i + 2})", 64)
+                                 for i in range(11)])
+        keys = group.base_keys
+        assert len(keys.base) == 11 and keys.ranks[-1] is not None
+        assert np.array_equal(keys.lookup(keys.images), np.arange(group.order))
+        rng = random.Random(5)
+        for _ in range(5):
+            seeds = rng.sample(range(group.order), 3)
+            mask, _ = og4.perm._generate_in_parent(group, seeds)
+            assert index_set(mask) == oracle_generate_in_parent(group, seeds)
+
+    def test_generate_in_parent(self, all_pairs):
+        rng = random.Random(4)
+        for name, pair in all_pairs:
+            group = pair.group
+            for _ in range(2 if name in self.WIDE else 6):
+                seeds = rng.sample(range(group.order), rng.randint(1, 3))
+                mask, gens = og4.perm._generate_in_parent(group, seeds)
+                assert index_set(mask) == oracle_generate_in_parent(group, seeds), name
+                assert set(gens) <= set(seeds)
+
+    def test_conjugacy_classes(self, all_pairs):
+        for name, pair in all_pairs:
+            if name in self.WIDE:
+                continue
+            got = [c.tolist() for c in og4.conjugacy_classes(pair.group)]
+            assert got == oracle_conjugacy_classes(pair.group), name
+
+    def test_is_normal_in_lattice(self, all_pairs):
+        for name, pair in all_pairs:
+            if name in self.WIDE:
+                continue
+            group = pair.group
+            for n_sub in og4.all_normal_subgroups(group):
+                assert og4.is_normal_in(n_sub, group) and oracle_is_normal_in(n_sub, group)
+            stab = og4.point_stabilizer(group, 0)
+            assert og4.is_normal_in(stab, group) == oracle_is_normal_in(stab, group), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(perm_strategy(5), min_size=1, max_size=3),
+           st.lists(perm_strategy(5), min_size=1, max_size=2))
+    def test_random_subgroups_of_sym5(self, gens, more):
+        s5 = og4.symmetric_group(5)
+        sub = enumerate_group(gens)
+        seeds = [s5.index_of(p) for p in gens + more]
+        mask, _ = og4.perm._generate_in_parent(s5, seeds)
+        assert index_set(mask) == oracle_generate_in_parent(s5, seeds)
+        assert og4.is_normal_in(sub, s5) == oracle_is_normal_in(sub, s5)
+        assert [c.tolist() for c in og4.conjugacy_classes(sub)] == oracle_conjugacy_classes(sub)
+        inner = enumerate_group(gens[:1])
+        assert og4.is_normal_in(inner, sub) == oracle_is_normal_in(inner, sub)
+        closure = og4.normal_closure(sub, gens[:1])
+        assert closure.same_elements(enumerate_group(
+            [conjugate(gens[0], p) for p in sub.elements()]))
+
+    def test_outsider_rows_with_member_base_images(self, monkeypatch):
+        """A conjugate N^c of a normal subgroup of D12 by a permutation
+        outside it, whose rows are not members but whose base images are
+        those of a normal set of members: only the full-row check tells
+        that N^c is not normal."""
+        group = enumerate_group([parse_permutation("(1 2 3 4 5 6)"),
+                                 parse_permutation("(2 6)(3 5)", 6)])
+        keys = group.base_keys
+        conj = og4.perm._conjugation_maps(group)
+
+        def fools_lookup(rows):
+            found = keys.lookup(rows[:, keys.base])
+            member = np.zeros(group.order, dtype=bool)
+            member[found] = True
+            return (np.array_equal(keys.images[found], rows[:, keys.base])
+                    and all(member[c[found]].all() for c in conj))
+
+        outsiders = (
+            og4.group_from_table(np.asarray([conjugate(p, c).images for p in n_sub.elements()]))
+            for n_sub in og4.all_normal_subgroups(group)[1:]
+            for c in map(Permutation, itertools.permutations(range(6)))
+            if c not in group
+        )
+        outsider = next(o for o in outsiders
+                        if not group.contains_all(o) and fools_lookup(o.table))
+        assert not oracle_is_normal_in(outsider, group)
+        assert not og4.is_normal_in(outsider, group)
+        monkeypatch.setattr(og4.perm, "_rows_equal", lambda table, idx, rows: True)
+        assert og4.is_normal_in(outsider, group)
 
 
 class TestAutomorphisms:
