@@ -21,12 +21,15 @@ from .perm import (
     OG4Error,
     PermGroup,
     Permutation,
+    _conjugation_maps,
     compose,
     conjugate,
     enumerate_group,
     format_cycles,
     identity,
     is_nonabelian_simple,
+    left_mult_map,
+    right_mult_map,
     transitivity_profile,
 )
 
@@ -102,39 +105,6 @@ def conjugation_inventory(supergroup: PermGroup) -> list[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# index arithmetic on an enumerated group
-
-
-class _IndexOps:
-    def __init__(self, group: PermGroup):
-        self.group = group
-        self.idx = group.index
-
-    def of(self, p: Permutation) -> int:
-        return self.group.index_of(p)
-
-    def mul(self, i: int, j: int) -> int:
-        # i then j
-        return self.idx[self.group.table[j][self.group.table[i]].tobytes()]
-
-    def inv(self, i: int) -> int:
-        row = self.group.table[i]
-        out = np.empty_like(row)
-        out[row] = np.arange(row.size, dtype=row.dtype)
-        return self.idx[out.tobytes()]
-
-    def right_mult_perm(self, j: int) -> Permutation:
-        """The permutation of element indices i -> i * j."""
-        rows = self.group.table[j][self.group.table]  # (order, degree)
-        images = np.fromiter(
-            (self.idx[rows[i].tobytes()] for i in range(self.group.order)),
-            dtype=np.int32,
-            count=self.group.order,
-        )
-        return Permutation(images)
-
-
-# ---------------------------------------------------------------------------
 # Cayley graphs
 
 
@@ -173,20 +143,20 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
     x -> y iff y * x^-1 in {a, b}, acted on by N (right multiplication)
     extended by the swapping automorphism h."""
     n_grp, a, b, h = spec.group, spec.a, spec.b, spec.h
-    ops = _IndexOps(n_grp)
     if a not in n_grp or b not in n_grp:
         raise ConstructionRefuted("cayley:elements_in_group")
-    ai, bi = ops.of(a), ops.of(b)
+    ai, bi = n_grp.index_of(a), n_grp.index_of(b)
+    by_a, by_b = left_mult_map(n_grp, ai), left_mult_map(n_grp, bi)  # x -> a*x, b*x
     ident = n_grp.identity_index
     if ai == bi:
         raise ConstructionRefuted("cayley:halfset_size", "a = b")
-    if ops.mul(ai, ai) == ident:
+    if by_a[ai] == ident:
         raise ConstructionRefuted("cayley:a_sq_ne_1", "a is an involution")
-    if ops.mul(bi, bi) == ident:
+    if by_b[bi] == ident:
         raise ConstructionRefuted("cayley:b_sq_ne_1", "b is an involution")
-    if ops.mul(ai, bi) == ident:
+    if by_a[bi] == ident:
         raise ConstructionRefuted("cayley:ab_ne_1", "b = a^-1")
-    if len({ai, bi, ops.inv(ai), ops.inv(bi)}) != 4:
+    if len({ai, bi, n_grp.index_of(a.inverse()), n_grp.index_of(b.inverse())}) != 4:
         raise ConstructionRefuted("cayley:halfset_disjoint", "S0 meets its inverse set")
     span = enumerate_group([a, b], cap)
     if span.order != n_grp.order:
@@ -200,12 +170,10 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
     if h.apply_index(ai) != bi or h.apply_index(bi) != ai:
         raise ConstructionRefuted("cayley:h_swaps", "h does not interchange a and b")
 
-    arcs = []
-    for x in range(n_grp.order):
-        arcs.append((x, ops.mul(ai, x)))
-        arcs.append((x, ops.mul(bi, x)))
-    graph = OrientedGraph(n_grp.order, arcs)
-    gens = [ops.right_mult_perm(ops.of(g)) for g in n_grp.generators]
+    tails = np.arange(n_grp.order)
+    graph = OrientedGraph(n_grp.order, zip(np.concatenate([tails, tails]).tolist(),
+                                           np.concatenate([by_a, by_b]).tolist()))
+    gens = _right_regular_generators(n_grp)
     gens.append(h.as_point_permutation())
     vertex_group = enumerate_group(gens, cap)
     labels = [format_cycles(n_grp.element(i)) for i in range(n_grp.order)]
@@ -247,6 +215,8 @@ def simple_cayley(
                                   "sigma does not induce an automorphism")
     if not aut.is_involution() or aut.is_identity():
         raise ConstructionRefuted("simple_cayley:sigma_involution")
+    if a not in t_grp:
+        raise ConstructionRefuted("simple_cayley:a_in_group")
     b = aut.apply(a)
     span = enumerate_group([a, b], cap)
     if span.order != t_grp.order:
@@ -294,11 +264,14 @@ def tw_cayley(
     return pair
 
 
+def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
+    """N's generators as right multiplications of its element indices."""
+    return [Permutation(right_mult_map(n_grp, n_grp.index_of(g))) for g in n_grp.generators]
+
+
 def _right_regular_image(n_grp: PermGroup, vertex_group: PermGroup) -> PermGroup:
     """Image of N inside the Cayley vertex action (right multiplications)."""
-    ops = _IndexOps(n_grp)
-    gens = [ops.right_mult_perm(ops.of(g)) for g in n_grp.generators]
-    return enumerate_group(gens, vertex_group.order + 1)
+    return enumerate_group(_right_regular_generators(n_grp), vertex_group.order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +297,11 @@ class CosetSpace:
         return self.reps.size
 
     def vertex_perm(self, p: Permutation) -> Permutation:
-        """Right multiplication by p as a permutation of the cosets."""
-        rows = p.images[self.group.table[self.reps]]
-        idx = self.group.index
-        images = np.fromiter(
-            (self.coset_id[idx[rows[c].tobytes()]] for c in range(self.n_cosets)),
-            dtype=np.int32,
-            count=self.n_cosets,
-        )
-        return Permutation(images)
+        """Right multiplication by p, a member of the group, as a permutation
+        of the cosets."""
+        keys = self.group.index
+        row = self.group.table[self.group.index_of(p)]
+        return Permutation(self.coset_id[keys.lookup(row[keys.images[self.reps]])])
 
     def labels(self) -> list[str]:
         return [
@@ -343,38 +312,42 @@ class CosetSpace:
 
 
 def coset_space(group: PermGroup, subgroup: PermGroup) -> CosetSpace:
-    """Right cosets Hx with canonical (least-element) representatives."""
-    if not group.contains_all(subgroup):
+    """Right cosets Hx with canonical (least-element) representatives.
+
+    Each element's representative is the least index over its H-translates
+    h * x; cosets are numbered in the order of their representatives.
+    """
+    h_idx = group.index.indices_of(subgroup.table)
+    if h_idx is None:
         raise OG4Error("subgroup elements not all inside the group")
-    ops = _IndexOps(group)
-    h_idx = [int(i) for i in subgroup.element_indices_in(group)]
-    coset_id = np.full(group.order, -1, dtype=np.int64)
-    reps = []
-    for i in range(group.order):
-        if coset_id[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for h in h_idx:
-            coset_id[ops.mul(h, i)] = cid
-    return CosetSpace(group, subgroup, coset_id, np.asarray(reps, dtype=np.int64))
+    least = np.arange(group.order)
+    for h in h_idx:
+        np.minimum(least, left_mult_map(group, h), out=least)
+    reps = np.flatnonzero(least == np.arange(group.order))
+    return CosetSpace(group, subgroup, np.searchsorted(reps, least), reps)
 
 
-def _core_indices(group: PermGroup, h_idx: set[int]) -> set[int]:
-    """Largest normal subgroup of the group inside H, by iterated pruning."""
-    ops = _IndexOps(group)
-    gen_idx = [ops.of(g) for g in group.generators]
-    gen_inv = [ops.inv(i) for i in gen_idx]
-    core = set(h_idx)
+def _core_mask(group: PermGroup, h_idx: np.ndarray) -> np.ndarray:
+    """Largest normal subgroup of the group inside H, as a mask: H pruned of
+    the members some generator conjugates out of it, until nothing changes."""
+    core = np.zeros(group.order, dtype=bool)
+    core[h_idx] = True
     while True:
-        keep = {
-            x for x in core
-            if all(ops.mul(ops.mul(gi_inv, x), gi) in core
-                   for gi, gi_inv in zip(gen_idx, gen_inv))
-        }
-        if keep == core:
+        keep = core.copy()
+        for conj in _conjugation_maps(group):
+            keep &= core[conj]
+        if np.array_equal(keep, core):
             return core
         core = keep
+
+
+def _double_coset_mask(group: PermGroup, h_idx: np.ndarray, si: int) -> np.ndarray:
+    """HsH as a mask over the group's table."""
+    member = np.zeros(group.order, dtype=bool)
+    s_h = left_mult_map(group, si)[h_idx]
+    for h in h_idx:
+        member[left_mult_map(group, h)[s_h]] = True
+    return member
 
 
 def double_coset_graph(
@@ -383,17 +356,14 @@ def double_coset_graph(
     """Raw coset graph: arcs Hx -> Hy iff y * x^-1 in HsH, plus the vertex
     action of the full group.  No OG conditions are enforced here."""
     group, subgroup, s = spec.group, spec.subgroup, spec.s
-    ops = _IndexOps(group)
     space = coset_space(group, subgroup)
-    h_idx = [int(i) for i in subgroup.element_indices_in(group)]
-    si = ops.of(s)
-    dcs = sorted({ops.mul(ops.mul(h1, si), h2) for h1 in h_idx for h2 in h_idx})
-    arcs = set()
-    for c in range(space.n_cosets):
-        x = int(space.reps[c])
-        for d in dcs:
-            arcs.add((c, int(space.coset_id[ops.mul(d, x)])))
-    graph = OrientedGraph(space.n_cosets, sorted(arcs))
+    dcs = _double_coset_mask(group, group.index.indices_of(subgroup.table), group.index_of(s))
+    arcs = {
+        (c, t)
+        for d in np.flatnonzero(dcs)
+        for c, t in enumerate(space.coset_id[left_mult_map(group, d)[space.reps]].tolist())
+    }
+    graph = OrientedGraph(space.n_cosets, arcs)
     vertex_group = enumerate_group(
         [space.vertex_perm(g) for g in group.generators], cap
     )
@@ -406,29 +376,31 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
     group, subgroup, s = spec.group, spec.subgroup, spec.s
     if subgroup.order >= group.order:
         raise ConstructionRefuted("coset:proper_subgroup")
+    h_idx = group.index.indices_of(subgroup.table)
+    if h_idx is None:
+        outside = next(g for g in subgroup.generators if g not in group)
+        raise ConstructionRefuted("coset:subgroup_in_group",
+                                  f"{format_cycles(outside)} is not in the group")
     if s not in group:
         raise ConstructionRefuted("coset:s_in_group")
-    ops = _IndexOps(group)
-    h_idx = {int(i) for i in subgroup.element_indices_in(group)}
-    ident = group.identity_index
 
-    core = _core_indices(group, h_idx)
-    if core != {ident}:
-        raise ConstructionRefuted("coset:core_free", f"core has order {len(core)}")
+    core = int(_core_mask(group, h_idx).sum())
+    if core != 1:
+        raise ConstructionRefuted("coset:core_free", f"core has order {core}")
 
-    si = ops.of(s)
-    dcs = {ops.mul(ops.mul(h1, si), h2) for h1 in h_idx for h2 in h_idx}
-    if ops.inv(si) in dcs:
+    si, s_inv = group.index_of(s), group.index_of(s.inverse())
+    if _double_coset_mask(group, h_idx, si)[s_inv]:
         raise ConstructionRefuted("coset:s_inv_not_in_HsH",
                                   "s^-1 lies in HsH (arc-transitive, not oriented)")
 
-    s_inv = ops.inv(si)
-    h_conj = {ops.mul(ops.mul(s_inv, h), si) for h in h_idx}
-    meet = h_idx & h_conj
-    if len(h_idx) != 2 * len(meet):
+    in_h = np.zeros(group.order, dtype=bool)
+    in_h[h_idx] = True
+    h_conj = left_mult_map(group, s_inv)[right_mult_map(group, si)[h_idx]]  # s^-1 h s
+    meet = int(in_h[h_conj].sum())
+    if h_idx.size != 2 * meet:
         raise ConstructionRefuted(
             "coset:index_two",
-            f"|H : H meet H^s| = {len(h_idx) // max(len(meet), 1)}, need 2",
+            f"|H : H meet H^s| = {h_idx.size // max(meet, 1)}, need 2",
         )
 
     span = enumerate_group(list(subgroup.generators) + [s], cap)

@@ -7,6 +7,12 @@ direct search over that table.  No stabilizer-chain machinery: a greedy base
 is derived only to look elements up by their base images, and there is no
 Schreier-Sims.
 
+Each group has one element index, ``PermGroup.index``: the base images of
+every row, folded into sorted keys (``BaseKeys``).  Membership tests,
+products, cosets, automorphisms and generating sets all go through it.
+Only the closure that builds a table from generators keys rows by their
+bytes, since no table exists yet while it runs.
+
 A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
 is the slice of the parent's sorted table at its element indices, so it is
 sorted already; orbits are read off the table's columns, and a subgroup's
@@ -203,7 +209,8 @@ class PermGroup:
     ``table`` holds every element as an image row, sorted lexicographically;
     that ordering is the canonical element indexing used for all tie-breaks.
     With ``generators=None`` a greedy generating set is derived from the
-    table on first read.
+    table on first read.  ``index`` (a ``BaseKeys``) is the group's one
+    element index, built on first use.
     """
 
     def __init__(
@@ -215,8 +222,7 @@ class PermGroup:
         table.setflags(write=False)
         self.table = table
         self.order = table.shape[0]
-        self._index: Optional[dict[bytes, int]] = None
-        self._keys: Optional[BaseKeys] = None
+        self._index: Optional[BaseKeys] = None
         self._right_mult: dict[int, np.ndarray] = {}
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
@@ -224,16 +230,19 @@ class PermGroup:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
+        """Given generators, or the greedy set: each element in table order
+        that the ones before it do not generate."""
         if self._generators is None:
-            self._generators = tuple(_small_generating_set(self.table))
+            _, kept = _generate_in_parent(self, range(self.order))
+            self._generators = tuple(self.element(i) for i in kept) or (identity(self.degree),)
         return self._generators
 
     # -- element access ----------------------------------------------------
 
     @property
-    def index(self) -> dict[bytes, int]:
+    def index(self) -> "BaseKeys":
         if self._index is None:
-            self._index = {self.table[i].tobytes(): i for i in range(self.order)}
+            self._index = BaseKeys(self.table)
         return self._index
 
     def element(self, i: int) -> Permutation:
@@ -243,19 +252,13 @@ class PermGroup:
         return [self.element(i) for i in range(self.order)]
 
     def index_of(self, p: Permutation) -> int:
-        i = self.index.get(p.images.tobytes())
-        if i is None:
+        idx = self.index.indices_of(p.images[None, :])
+        if idx is None:
             raise OG4Error("element not in group")
-        return i
+        return int(idx[0])
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and p.images.tobytes() in self.index
-
-    @property
-    def base_keys(self) -> "BaseKeys":
-        if self._keys is None:
-            self._keys = BaseKeys(self.table)
-        return self._keys
+        return self.index.indices_of(p.images[None, :]) is not None
 
     @property
     def identity_index(self) -> int:
@@ -265,19 +268,8 @@ class PermGroup:
     def gen_rows(self) -> np.ndarray:
         return np.asarray([g.images for g in self.generators], dtype=np.int32)
 
-    def contains_all(self, other: "PermGroup") -> bool:
-        idx = self.index
-        return all(other.table[i].tobytes() in idx for i in range(other.order))
-
     def same_elements(self, other: "PermGroup") -> bool:
         return self.order == other.order and np.array_equal(self.table, other.table)
-
-    def element_indices_in(self, parent: "PermGroup") -> np.ndarray:
-        """Indices of this group's elements inside ``parent``'s table."""
-        idx = parent.index
-        return np.asarray(
-            sorted(idx[self.table[i].tobytes()] for i in range(self.order)), dtype=np.int64
-        )
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -330,7 +322,10 @@ class BaseKeys:
         return self.by_key[np.minimum(pos, self.by_key.size - 1)]
 
     def indices_of(self, rows: np.ndarray) -> Optional[np.ndarray]:
-        """Element indices of arbitrary rows, or None if one is not a member."""
+        """Element indices of arbitrary rows, or None if one is not a member.
+        Rows in table order (a sorted subgroup table) get sorted indices."""
+        if rows.shape[1] != self.degree:
+            return None
         idx = self.lookup(rows[:, self.base])
         return idx if _rows_equal(self.table, idx, rows) else None
 
@@ -389,28 +384,12 @@ def group_from_table(table: np.ndarray) -> PermGroup:
     return PermGroup(table.shape[1], None, table)
 
 
-def _subgroup(parent: PermGroup, selection) -> PermGroup:
-    """The subgroup at a boolean mask or sorted index list of ``parent``'s
-    table; a sorted selection of a sorted table needs no re-sort."""
-    return PermGroup(parent.degree, None, parent.table[selection])
-
-
-def _small_generating_set(table: np.ndarray) -> list[Permutation]:
-    """Greedy generating set: add the first element not yet generated."""
-    n = table.shape[1]
-    if table.shape[0] == 1:
-        return [identity(n)]
-    gens: list[np.ndarray] = []
-    generated = {np.arange(n, dtype=np.int32).tobytes()}
-    for row in table:
-        if row.tobytes() in generated:
-            continue
-        gens.append(row)
-        rows = _closure_rows(np.asarray(gens), table.shape[0] + 1)
-        generated = {r.tobytes() for r in rows}
-        if len(generated) == table.shape[0]:
-            break
-    return [Permutation(g) for g in gens]
+def _subgroup(parent: PermGroup, mask: np.ndarray) -> PermGroup:
+    """The subgroup at a boolean mask over ``parent``'s table; a sorted
+    selection of a sorted table needs no re-sort, and the whole group shares
+    the parent's (read-only) table."""
+    table = parent.table if mask.all() else parent.table[mask]
+    return PermGroup(parent.degree, None, table)
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +461,30 @@ def point_stabilizer(group: PermGroup, x: int) -> PermGroup:
 # normal-subgroup machinery, in the index space of the parent's table
 
 
-def _right_mult_map(group: PermGroup, s: int) -> np.ndarray:
+def right_mult_map(group: PermGroup, s: int) -> np.ndarray:
     """x -> x * s over the whole table, as element indices."""
+    keys = group.index
+    return keys.lookup(group.table[s][keys.images])
+
+
+def left_mult_map(group: PermGroup, s: int) -> np.ndarray:
+    """x -> s * x over the whole table, as element indices."""
+    keys = group.index
+    return keys.lookup(group.table[:, group.table[s][keys.base]])
+
+
+def _right_mult_map(group: PermGroup, s: int) -> np.ndarray:
+    """``right_mult_map``, cached on the group for closure generators."""
     m = group._right_mult.get(s)
     if m is None:
-        keys = group.base_keys
-        m = keys.lookup(group.table[s][keys.images])
-        group._right_mult[s] = m
+        m = group._right_mult[s] = right_mult_map(group, s)
     return m
 
 
 def _conjugation_maps(group: PermGroup) -> list[np.ndarray]:
     """x -> g^-1 x g over the whole table, one index map per generator g."""
     if group._conjugation is None:
-        keys = group.base_keys
+        keys = group.index
         group._conjugation = [
             keys.lookup(g.images[group.table[:, g.inverse().images[keys.base]]])
             for g in group.generators
@@ -663,8 +652,8 @@ def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
 
 def _subgroups_by_order(group: PermGroup, masks: Iterable[np.ndarray]) -> list[PermGroup]:
     """Subgroups at the given masks, ordered by (order, element indices)."""
-    selections = sorted((np.flatnonzero(m) for m in masks), key=lambda s: (s.size, s.tolist()))
-    return [_subgroup(group, s) for s in selections]
+    masks = sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist()))
+    return [_subgroup(group, m) for m in masks]
 
 
 def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
@@ -672,7 +661,7 @@ def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
     by ``group``'s generators stays inside ``sub``."""
     if sub.degree != group.degree:
         return False
-    idx = group.base_keys.indices_of(sub.table)
+    idx = group.index.indices_of(sub.table)
     if idx is None:
         return False
     member = np.zeros(group.order, dtype=bool)
@@ -734,21 +723,10 @@ def induced_block_action(
     induced = pb[group.table[:, reps]]  # (order, n_blocks)
     uniq = np.unique(induced, axis=0)
     gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
-    image = PermGroup(partition.n_blocks, _dedupe_perms(gen_images), uniq)
+    image = PermGroup(partition.n_blocks, list(dict.fromkeys(gen_images)), uniq)
     kernel_mask = (induced == np.arange(partition.n_blocks)).all(axis=1)
     kernel = _subgroup(group, kernel_mask)
     return image, kernel
-
-
-def _dedupe_perms(perms: Sequence[Permutation]) -> list[Permutation]:
-    seen = set()
-    out = []
-    for p in perms:
-        key = p.images.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,39 +749,38 @@ class GroupAutomorphism:
         """Conjugation inside a stated supergroup: must normalize ``group``."""
         if c.degree != group.degree:
             raise DegreeMismatch("conjugating permutation has a different degree")
-        cinv = c.inverse().images
-        conj_rows = c.images[group.table[:, cinv]]
-        idx = group.index
-        index_map = np.empty(group.order, dtype=np.int64)
-        for i in range(group.order):
-            j = idx.get(conj_rows[i].tobytes())
-            if j is None:
-                raise OG4Error("conjugating permutation does not normalize the group")
-            index_map[i] = j
+        index_map = group.index.indices_of(c.images[group.table[:, c.inverse().images]])
+        if index_map is None:
+            raise OG4Error("conjugating permutation does not normalize the group")
         return GroupAutomorphism(group, index_map, check=False)
 
     @staticmethod
     def from_generator_images(
         group: PermGroup, gens: Sequence[Permutation], images: Sequence[Permutation]
     ) -> Optional["GroupAutomorphism"]:
-        """Extend gens -> images to an automorphism, or None if impossible."""
-        idx = group.index
-        gi = [group.index_of(g) for g in gens]
-        im = [group.index_of(h) for h in images]
+        """Extend gens -> images to an automorphism, or None if impossible.
+
+        f(x * g) = f(x) * h is imposed frontier by frontier, from f(1) = 1,
+        by the right multiplications by each g and its image h.
+        """
+        maps = [
+            (right_mult_map(group, group.index_of(g)), right_mult_map(group, group.index_of(h)))
+            for g, h in zip(gens, images)
+        ]
         fmap = np.full(group.order, -1, dtype=np.int64)
         fmap[group.identity_index] = group.identity_index
-        queue = [group.identity_index]
-        while queue:
-            x = queue.pop()
-            for g, h in zip(gi, im):
-                y = idx[group.table[g][group.table[x]].tobytes()]  # x * g
-                fy = idx[group.table[h][group.table[fmap[x]]].tobytes()]
-                if fmap[y] < 0:
-                    fmap[y] = fy
-                    queue.append(y)
-                elif fmap[y] != fy:
+        frontier = np.asarray([group.identity_index])
+        while frontier.size:
+            reached = np.zeros(group.order, dtype=bool)
+            for by_g, by_h in maps:
+                y, fy = by_g[frontier], by_h[fmap[frontier]]
+                unset = fmap[y] < 0
+                fmap[y[unset]] = fy[unset]
+                if not np.array_equal(fmap[y], fy):
                     return None
-        if (fmap < 0).any() or len(set(fmap.tolist())) != group.order:
+                reached[y[unset]] = True
+            frontier = np.flatnonzero(reached)
+        if not np.array_equal(np.sort(fmap), np.arange(group.order)):
             return None
         return GroupAutomorphism(group, fmap, check=False)
 
@@ -826,19 +803,15 @@ class GroupAutomorphism:
 
 
 def _check_automorphism(group: PermGroup, index_map: np.ndarray) -> None:
-    if sorted(index_map.tolist()) != list(range(group.order)):
+    if not np.array_equal(np.sort(index_map), np.arange(group.order)):
         raise OG4Error("index map is not a bijection on the element table")
-    idx = group.index
     # f(x*g) = f(x)*f(g) for all x and generating g implies the full
     # homomorphism property by induction on word length.
     for g in group.generators:
         gidx = group.index_of(g)
-        fg_row = group.table[index_map[gidx]]
-        for x in range(group.order):
-            left = idx[g.images[group.table[x]].tobytes()]
-            right_row = fg_row[group.table[index_map[x]]]
-            if int(index_map[left]) != idx[right_row.tobytes()]:
-                raise OG4Error("index map is not a homomorphism")
+        by_fg = right_mult_map(group, int(index_map[gidx]))
+        if not np.array_equal(index_map[right_mult_map(group, gidx)], by_fg[index_map]):
+            raise OG4Error("index map is not a homomorphism")
 
 
 def all_automorphisms(group: PermGroup, max_candidates: int = 2_000_000) -> list[GroupAutomorphism]:

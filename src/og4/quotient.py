@@ -127,18 +127,9 @@ def _is_dihedral_of_order(group: PermGroup, two_r: int) -> bool:
         return False
     rot = group.element(rotations[0])
     rot_inv = rot.inverse()
-    cyc = {rot.images.tobytes()}
-    p = rot
-    for _ in range(r - 1):
-        p = p * rot
-        cyc.add(p.images.tobytes())
-    for i in range(group.order):
-        t = group.element(i)
-        if t.images.tobytes() in cyc:
-            continue
-        if t.order() == 2 and (t.inverse() * rot * t) == rot_inv:
-            return True
-    return False
+    # an element inverting rot (r >= 3) commutes with no power of rot, so it
+    # lies outside the rotations
+    return any(t.order() == 2 and t.inverse() * rot * t == rot_inv for t in group.elements())
 
 
 def classify_og4_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
@@ -257,7 +248,8 @@ def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
     Each N_i is a normal subgroup of the *original* group; the paired OGPair
     is the corresponding quotient.  For basic input the chain is empty.
     When several normal subgroups give covers, the largest is taken (fewest
-    quotient vertices), ties broken by element-table order.
+    quotient vertices), ties broken by the order of
+    ``classify_all_quotients`` (element indices, i.e. element-table order).
     """
     group = pair.group
     chain: list[tuple[PermGroup, OGPair]] = []
@@ -271,8 +263,7 @@ def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
         ]
         if not covers:
             return chain, current
-        covers.sort(key=lambda item: (-item[0].order, tuple(map(tuple, item[0].table.tolist()))))
-        n_bar, out = covers[0]
+        n_bar, out = max(covers, key=lambda item: item[0].order)  # first of the largest
         # compose the quotient partition with the current one to express the
         # chain subgroup inside the original group
         composed_labels = out.partition.point_block[current_blocks.point_block]

@@ -67,6 +67,34 @@ def all_pairs(lex_pairs, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair, pa_pai
     return pairs
 
 
+@pytest.fixture(scope="session")
+def construction_groups(alt5, sym5):
+    """The groups the named constructions compute in, by name."""
+    a, b = P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)
+    pa_gens = [og4.embed_pair(t, og4.identity(5)) for t in alt5.generators]
+    return [
+        ("Alt(5)", alt5),
+        ("Sym(5)", sym5),
+        ("Sym(7)", og4.symmetric_group(7)),
+        ("tw N", og4.enumerate_group([og4.embed_pair(a, b), og4.embed_pair(b, a)])),
+        ("pa G", og4.enumerate_group(pa_gens + [og4.constructions.block_swap(5)])),
+    ]
+
+
+@pytest.fixture(scope="session")
+def corpus_groups(all_pairs, construction_groups):
+    """(name, group): each corpus pair's acting group, then the construction
+    groups."""
+    return [(name, pair.group) for name, pair in all_pairs] + construction_groups
+
+
+@pytest.fixture(scope="session")
+def narrow_groups(corpus_groups):
+    """``corpus_groups`` without the tw_cayley and pa acting groups, whose
+    7200 rows of degree 3600 and 1800 make the byte-keyed oracles slow."""
+    return [(name, g) for name, g in corpus_groups if name not in ("tw_cayley", "pa")]
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting: one PASS/FAIL line per criterion, printed in the
 # terminal summary so it survives output capture

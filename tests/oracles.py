@@ -1,0 +1,254 @@
+"""Slow exhaustive oracles: the byte-keyed, per-element code that og4's
+base-image index arithmetic replaced.
+
+Each element is looked up by the bytes of its full image row in a dict built
+here, never through ``PermGroup.index``, so the oracles share no lookup code
+with what they check.  Index maps are returned as int64 arrays.
+"""
+
+import numpy as np
+
+import og4
+from og4 import OG4Error, Permutation
+
+
+def byte_index(group):
+    """Row bytes -> element index, over the whole table."""
+    return {group.table[i].tobytes(): i for i in range(group.order)}
+
+
+# ---------------------------------------------------------------------------
+# og4.perm
+
+
+def generate_in_parent(parent, seed_indices, idx=None):
+    """Re-close the kept seeds from the identity after each new seed."""
+    idx = byte_index(parent) if idx is None else idx
+    gens = []
+    members = {parent.identity_index}
+    for s in sorted(set(int(i) for i in seed_indices)):
+        if s in members:
+            continue
+        gens.append(s)
+        rows = og4.perm._closure_rows(parent.table[gens], parent.order + 1)
+        members = {idx[r.tobytes()] for r in rows}
+    return members
+
+
+def conjugacy_classes(group):
+    """Depth-first search of each class through the generators' conjugates."""
+    idx = byte_index(group)
+    gen_rows = [g.images for g in group.generators]
+    gen_invs = [g.inverse().images for g in group.generators]
+    labels = np.full(group.order, -1, dtype=np.int64)
+    classes = []
+    for start in range(group.order):
+        if labels[start] >= 0:
+            continue
+        labels[start] = len(classes)
+        stack = [start]
+        members = [start]
+        while stack:
+            row = group.table[stack.pop()]
+            for grow, ginv in zip(gen_rows, gen_invs):
+                j = idx[grow[row[ginv]].tobytes()]
+                if labels[j] < 0:
+                    labels[j] = len(classes)
+                    stack.append(j)
+                    members.append(j)
+        classes.append(sorted(members))
+    return classes
+
+
+def contains_all(group, sub):
+    idx = byte_index(group)
+    return all(sub.table[i].tobytes() in idx for i in range(sub.order))
+
+
+def is_normal_in(sub, group):
+    """Every row of sub in group, and every conjugate by a generator in sub."""
+    if not contains_all(group, sub):
+        return False
+    rows = {sub.table[i].tobytes() for i in range(sub.order)}
+    for g in group.generators:
+        ginv = g.inverse().images
+        for i in range(sub.order):
+            if g.images[sub.table[i][ginv]].tobytes() not in rows:
+                return False
+    return True
+
+
+def small_generating_set(table):
+    """Greedy generating set: add the first element not yet generated."""
+    n = table.shape[1]
+    if table.shape[0] == 1:
+        return [og4.identity(n)]
+    gens = []
+    generated = {np.arange(n, dtype=np.int32).tobytes()}
+    for row in table:
+        if row.tobytes() in generated:
+            continue
+        gens.append(row)
+        rows = og4.perm._closure_rows(np.asarray(gens), table.shape[0] + 1)
+        generated = {r.tobytes() for r in rows}
+        if len(generated) == table.shape[0]:
+            break
+    return [Permutation(g) for g in gens]
+
+
+def from_conjugation(group, c):
+    """Index map of x -> c^-1 x c; raises if c does not normalize."""
+    idx = byte_index(group)
+    conj_rows = c.images[group.table[:, c.inverse().images]]
+    index_map = np.empty(group.order, dtype=np.int64)
+    for i in range(group.order):
+        j = idx.get(conj_rows[i].tobytes())
+        if j is None:
+            raise OG4Error("conjugating permutation does not normalize the group")
+        index_map[i] = j
+    return index_map
+
+
+def from_generator_images(group, gens, images):
+    """Index map extending gens -> images by a stack search, or None."""
+    idx = byte_index(group)
+    gi = [idx[g.images.tobytes()] for g in gens]
+    im = [idx[h.images.tobytes()] for h in images]
+    fmap = np.full(group.order, -1, dtype=np.int64)
+    fmap[group.identity_index] = group.identity_index
+    queue = [group.identity_index]
+    while queue:
+        x = queue.pop()
+        for g, h in zip(gi, im):
+            y = idx[group.table[g][group.table[x]].tobytes()]  # x * g
+            fy = idx[group.table[h][group.table[fmap[x]]].tobytes()]
+            if fmap[y] < 0:
+                fmap[y] = fy
+                queue.append(y)
+            elif fmap[y] != fy:
+                return None
+    if (fmap < 0).any() or len(set(fmap.tolist())) != group.order:
+        return None
+    return fmap
+
+
+def is_automorphism(group, index_map):
+    """Bijection, and f(x*g) = f(x)*f(g) for every x and generator g."""
+    if sorted(index_map.tolist()) != list(range(group.order)):
+        return False
+    idx = byte_index(group)
+    for g in group.generators:
+        fg_row = group.table[index_map[idx[g.images.tobytes()]]]
+        for x in range(group.order):
+            left = idx[g.images[group.table[x]].tobytes()]
+            right_row = fg_row[group.table[index_map[x]]]
+            if int(index_map[left]) != idx[right_row.tobytes()]:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# og4.constructions
+
+
+class IndexOps:
+    """Products, inverses and right multiplications of element indices."""
+
+    def __init__(self, group):
+        self.group = group
+        self.idx = byte_index(group)
+
+    def of(self, p):
+        return self.idx[p.images.tobytes()]
+
+    def mul(self, i, j):
+        # i then j
+        return self.idx[self.group.table[j][self.group.table[i]].tobytes()]
+
+    def inv(self, i):
+        row = self.group.table[i]
+        out = np.empty_like(row)
+        out[row] = np.arange(row.size, dtype=row.dtype)
+        return self.idx[out.tobytes()]
+
+    def right_mult_perm(self, j):
+        """The permutation of element indices i -> i * j."""
+        rows = self.group.table[j][self.group.table]  # (order, degree)
+        return np.fromiter((self.idx[rows[i].tobytes()] for i in range(self.group.order)),
+                           dtype=np.int64, count=self.group.order)
+
+
+def coset_space(group, subgroup, ops=None):
+    """(coset_id, reps): right cosets Hx numbered in order of their least
+    element, by a scan of the table."""
+    ops = IndexOps(group) if ops is None else ops
+    if not all(subgroup.table[i].tobytes() in ops.idx for i in range(subgroup.order)):
+        raise OG4Error("subgroup elements not all inside the group")
+    h_idx = sorted(ops.idx[r.tobytes()] for r in subgroup.table)
+    coset_id = np.full(group.order, -1, dtype=np.int64)
+    reps = []
+    for i in range(group.order):
+        if coset_id[i] >= 0:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for h in h_idx:
+            coset_id[ops.mul(h, i)] = cid
+    return coset_id, np.asarray(reps, dtype=np.int64)
+
+
+def core_indices(group, h_idx, ops=None):
+    """Largest normal subgroup of the group inside H, by iterated pruning."""
+    ops = IndexOps(group) if ops is None else ops
+    gen_idx = [ops.of(g) for g in group.generators]
+    gen_inv = [ops.inv(i) for i in gen_idx]
+    core = set(h_idx)
+    while True:
+        keep = {
+            x for x in core
+            if all(ops.mul(ops.mul(gi_inv, x), gi) in core
+                   for gi, gi_inv in zip(gen_idx, gen_inv))
+        }
+        if keep == core:
+            return core
+        core = keep
+
+
+def double_coset_arcs(group, subgroup, s, ops=None):
+    """Sorted arcs Hx -> Hdx of the coset graph, d in HsH."""
+    ops = IndexOps(group) if ops is None else ops
+    coset_id, reps = coset_space(group, subgroup, ops)
+    h_idx = [ops.idx[r.tobytes()] for r in subgroup.table]
+    si = ops.of(s)
+    dcs = {ops.mul(ops.mul(h1, si), h2) for h1 in h_idx for h2 in h_idx}
+    return sorted({(c, int(coset_id[ops.mul(d, int(x))])) for c, x in enumerate(reps)
+                   for d in dcs})
+
+
+# ---------------------------------------------------------------------------
+# og4.quotient
+
+
+def is_dihedral_of_order(group, two_r):
+    """A rotation of order r, and an involution outside <rotation> that
+    inverts it; <rotation> kept as a set of row bytes."""
+    r = two_r // 2
+    if group.order != two_r or two_r % 2 != 0 or r < 3:
+        return False
+    rotations = [i for i in range(group.order) if group.element(i).order() == r]
+    if not rotations:
+        return False
+    rot = group.element(rotations[0])
+    rot_inv = rot.inverse()
+    cyc = {rot.images.tobytes()}
+    p = rot
+    for _ in range(r - 1):
+        p = p * rot
+        cyc.add(p.images.tobytes())
+    for i in range(group.order):
+        t = group.element(i)
+        if t.images.tobytes() in cyc:
+            continue
+        if t.order() == 2 and (t.inverse() * rot * t) == rot_inv:
+            return True
+    return False

@@ -329,6 +329,32 @@ class TestUsage:
         assert status == 0
         assert json.loads(out)["pair"]["n_vertices"] == 60
 
+    def test_raw_coset_subgroup_outside_group_refuted(self, capsys, tmp_path):
+        doc = {
+            "family": "raw_coset",
+            "degree": 5,
+            "group_generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "subgroup_generators": ["(1 2)"],
+            "s": "(1 2 3)",
+        }
+        status, out, err = run(capsys, "construct", write_doc(tmp_path, "k.json", doc))
+        assert (status, err) == (1, "")
+        report = json.loads(out)
+        assert report["clause"] == "coset:subgroup_in_group"
+        assert report["detail"] == "(1 2) is not in the group"
+
+    def test_simple_cayley_a_outside_group_refuted(self, capsys, tmp_path):
+        doc = {
+            "family": "simple_cayley",
+            "degree": 5,
+            "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "a": "(1 2)",
+            "sigma": "(1 4)(2 5)",
+        }
+        status, out, err = run(capsys, "construct", write_doc(tmp_path, "sc.json", doc))
+        assert (status, err) == (1, "")
+        assert json.loads(out)["clause"] == "simple_cayley:a_in_group"
+
     def test_raw_coset_document(self, capsys, tmp_path):
         doc = {
             "family": "raw_coset",

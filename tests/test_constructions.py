@@ -7,6 +7,7 @@ from og4.constructions import (
     CayleySpec,
     CosetSpec,
     block_swap,
+    _core_mask,
     _right_regular_image,
     build_cayley,
     build_coset_graph,
@@ -14,6 +15,8 @@ from og4.constructions import (
     find_swapping_automorphism,
 )
 from og4.perm import GroupAutomorphism
+
+import oracles
 
 
 class TestLexCycle:
@@ -104,6 +107,11 @@ class TestSimpleCayley:
             og4.simple_cayley(alt5, P("(1 2 3)", 5), P("(1 2 3 4 5)", 5))
         assert exc.value.clause == "simple_cayley:sigma_involution"
 
+    def test_rejects_a_outside_group(self, alt5):
+        with pytest.raises(ConstructionRefuted) as exc:
+            og4.simple_cayley(alt5, P("(1 2)", 5), P("(1 4)(2 5)", 5))
+        assert exc.value.clause == "simple_cayley:a_in_group"
+
     def test_rejects_involution_a(self, alt5):
         # a of order 2 fails inside build_cayley's half-set conditions
         with pytest.raises(ConstructionRefuted):
@@ -175,11 +183,62 @@ class TestCosetGraph:
         assert exc.value.clause in ("coset:s_inv_not_in_HsH", "coset:generates",
                                     "coset:index_two")
 
+    def test_subgroup_outside_group_refuted(self, alt5):
+        h = og4.enumerate_group([P("(1 2)", 5)])
+        with pytest.raises(ConstructionRefuted) as exc:
+            build_coset_graph(CosetSpec(alt5, h, P("(1 2 3)", 5)))
+        assert exc.value.clause == "coset:subgroup_in_group"
+        assert exc.value.detail == "(1 2) is not in the group"
+        with pytest.raises(og4.OG4Error, match="not all inside"):
+            og4.coset_space(alt5, h)
+
     def test_double_coset_graph_shape(self, alt5):
         h = og4.enumerate_group([P("(1 4)(2 5)", 5)])
         graph, vg, space = double_coset_graph(CosetSpec(alt5, h, P("(1 2 3)", 5)))
         assert graph.n_vertices == 30
         assert vg.order == 60
+
+
+class TestCosetOracles:
+    """Cosets, cores, vertex actions and coset-graph arcs agree with the
+    byte-keyed oracles."""
+
+    def test_cosets_and_cores(self, narrow_groups):
+        """Over the stabiliser of point 0 of every group, and over the normal
+        subgroups of those of order at most 2048."""
+        for name, group in narrow_groups:
+            ops = oracles.IndexOps(group)
+            subs = [og4.point_stabilizer(group, 0)]
+            if group.order <= 2048:
+                subs += og4.all_normal_subgroups(group)
+            for sub in subs:
+                space = og4.coset_space(group, sub)
+                coset_id, reps = oracles.coset_space(group, sub, ops)
+                assert np.array_equal(space.coset_id, coset_id), name
+                assert np.array_equal(space.reps, reps), name
+                h_idx = group.index.indices_of(sub.table)
+                core = set(np.flatnonzero(_core_mask(group, h_idx)).tolist())
+                assert core == oracles.core_indices(group, h_idx.tolist(), ops), name
+                for g in group.generators:
+                    want = [coset_id[ops.mul(int(r), ops.of(g))] for r in reps]
+                    assert space.vertex_perm(g).images.tolist() == want, name
+
+    def test_coset_graph_arcs(self, alt5, construction_groups):
+        groups = dict(construction_groups)
+        specs = [CosetSpec(alt5, og4.enumerate_group([P("(1 4)(2 5)", 5)]), P("(1 2 3)", 5))]
+        for n in (5, 7):
+            m = (n - 1) // 2
+            h = og4.enumerate_group([og4.constructions.parse_cycle_pair(i, i + m, n)
+                                     for i in range(m)])
+            s = og4.Permutation(np.roll(np.arange(n), -1))
+            specs.append(CosetSpec(groups[f"Sym({n})"], h, s))
+        a, b = P("(1 2)(3 4)", 5), P("(1 5 4 3 2)", 5)
+        klein = og4.enumerate_group([og4.embed_pair(a, a), block_swap(5)])
+        specs.append(CosetSpec(groups["pa G"], klein, og4.embed_pair(b, compose(b, a))))
+        for spec in specs:
+            graph, _, _ = double_coset_graph(spec)
+            want = oracles.double_coset_arcs(spec.group, spec.subgroup, spec.s)
+            assert [tuple(arc) for arc in graph.arcs.tolist()] == want
 
 
 class TestCosetSimple:

@@ -23,62 +23,7 @@ from og4 import (
 )
 from og4.perm import BlockPartition, induced_block_action
 
-
-# ---------------------------------------------------------------------------
-# slow exhaustive oracles: the byte-keyed, per-element code that the index
-# arithmetic in og4.perm replaced
-
-
-def oracle_generate_in_parent(parent, seed_indices):
-    """Re-close the kept seeds from the identity after each new seed."""
-    idx = parent.index
-    gens = []
-    members = {parent.identity_index}
-    for s in sorted(set(int(i) for i in seed_indices)):
-        if s in members:
-            continue
-        gens.append(s)
-        rows = og4.perm._closure_rows(parent.table[gens], parent.order + 1)
-        members = {idx[r.tobytes()] for r in rows}
-    return members
-
-
-def oracle_conjugacy_classes(group):
-    """Depth-first search of each class through the generators' conjugates."""
-    idx = group.index
-    gen_rows = [g.images for g in group.generators]
-    gen_invs = [g.inverse().images for g in group.generators]
-    labels = np.full(group.order, -1, dtype=np.int64)
-    classes = []
-    for start in range(group.order):
-        if labels[start] >= 0:
-            continue
-        labels[start] = len(classes)
-        stack = [start]
-        members = [start]
-        while stack:
-            row = group.table[stack.pop()]
-            for grow, ginv in zip(gen_rows, gen_invs):
-                j = idx[grow[row[ginv]].tobytes()]
-                if labels[j] < 0:
-                    labels[j] = len(classes)
-                    stack.append(j)
-                    members.append(j)
-        classes.append(sorted(members))
-    return classes
-
-
-def oracle_is_normal_in(sub, group):
-    """Every row of sub in group, and every conjugate by a generator in sub."""
-    if not group.contains_all(sub):
-        return False
-    rows = {sub.table[i].tobytes() for i in range(sub.order)}
-    for g in group.generators:
-        ginv = g.inverse().images
-        for i in range(sub.order):
-            if g.images[sub.table[i][ginv]].tobytes() not in rows:
-                return False
-    return True
+import oracles
 
 
 def index_set(mask):
@@ -267,13 +212,14 @@ class TestSubgroupSlices:
     def test_reports_derive_no_generating_set(self, command, family, tmp_path, capsys,
                                               monkeypatch):
         calls = []
-        real = og4.perm._small_generating_set
+        real = og4.perm.PermGroup.generators.fget
 
-        def counting(table):
-            calls.append(table.shape)
-            return real(table)
+        def counting(group):
+            if group._generators is None:
+                calls.append(group.order)
+            return real(group)
 
-        monkeypatch.setattr(og4.perm, "_small_generating_set", counting)
+        monkeypatch.setattr(og4.perm.PermGroup, "generators", property(counting))
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(self.DOCS[family]))
         assert og4.cli.main([command, str(path)]) == 0
@@ -285,22 +231,33 @@ class TestSubgroupSlices:
             assert n_sub.generators == og4.group_from_table(n_sub.table).generators
             assert enumerate_group(n_sub.generators).same_elements(n_sub)
 
+    def test_whole_group_shares_the_parent_table(self, all_pairs):
+        for name, pair in all_pairs:
+            if name == "tw_cayley":
+                continue
+            group = pair.group
+            *proper, whole = og4.all_normal_subgroups(group)
+            assert whole.order == group.order, name
+            assert np.shares_memory(whole.table, group.table), name
+            assert not any(np.shares_memory(n.table, group.table) for n in proper), name
+            assert whole.generators == og4.group_from_table(group.table).generators, name
+
 
 class TestIndexSpace:
     """Base-image lookup, closures, classes and normality tests on element
-    indices agree with the slow oracles above."""
+    indices agree with the byte-keyed oracles in oracles.py."""
 
     WIDE = ("tw_cayley", "pa")
 
     def test_base_lengths(self, lex_pairs, sym7_pair, pa_pair):
-        assert len(pa_pair.group.base_keys.base) == 2
-        assert len(sym7_pair.group.base_keys.base) == 2
-        assert len(lex_pairs[8].group.base_keys.base) == 8
+        assert len(pa_pair.group.index.base) == 2
+        assert len(sym7_pair.group.index.base) == 2
+        assert len(lex_pairs[8].group.index.base) == 8
 
     def test_lookup_of_every_member(self, all_pairs):
         for name, pair in all_pairs:
             group = pair.group
-            keys = group.base_keys
+            keys = group.index
             fixed = np.all(group.table[:, keys.base] == keys.base, axis=1)
             assert np.flatnonzero(fixed).tolist() == [group.identity_index], name
             assert np.array_equal(keys.lookup(keys.images), np.arange(group.order)), name
@@ -310,23 +267,24 @@ class TestIndexSpace:
         64^11 > 2^62, so the keys are re-ranked before the last fold."""
         group = enumerate_group([parse_permutation(f"({2 * i + 1} {2 * i + 2})", 64)
                                  for i in range(11)])
-        keys = group.base_keys
+        keys = group.index
         assert len(keys.base) == 11 and keys.ranks[-1] is not None
         assert np.array_equal(keys.lookup(keys.images), np.arange(group.order))
         rng = random.Random(5)
         for _ in range(5):
             seeds = rng.sample(range(group.order), 3)
             mask, _ = og4.perm._generate_in_parent(group, seeds)
-            assert index_set(mask) == oracle_generate_in_parent(group, seeds)
+            assert index_set(mask) == oracles.generate_in_parent(group, seeds)
 
     def test_generate_in_parent(self, all_pairs):
         rng = random.Random(4)
         for name, pair in all_pairs:
             group = pair.group
+            idx = oracles.byte_index(group)
             for _ in range(2 if name in self.WIDE else 6):
                 seeds = rng.sample(range(group.order), rng.randint(1, 3))
                 mask, gens = og4.perm._generate_in_parent(group, seeds)
-                assert index_set(mask) == oracle_generate_in_parent(group, seeds), name
+                assert index_set(mask) == oracles.generate_in_parent(group, seeds, idx), name
                 assert set(gens) <= set(seeds)
 
     def test_conjugacy_classes(self, all_pairs):
@@ -334,7 +292,7 @@ class TestIndexSpace:
             if name in self.WIDE:
                 continue
             got = [c.tolist() for c in og4.conjugacy_classes(pair.group)]
-            assert got == oracle_conjugacy_classes(pair.group), name
+            assert got == oracles.conjugacy_classes(pair.group), name
 
     def test_is_normal_in_lattice(self, all_pairs):
         for name, pair in all_pairs:
@@ -342,9 +300,9 @@ class TestIndexSpace:
                 continue
             group = pair.group
             for n_sub in og4.all_normal_subgroups(group):
-                assert og4.is_normal_in(n_sub, group) and oracle_is_normal_in(n_sub, group)
+                assert og4.is_normal_in(n_sub, group) and oracles.is_normal_in(n_sub, group)
             stab = og4.point_stabilizer(group, 0)
-            assert og4.is_normal_in(stab, group) == oracle_is_normal_in(stab, group), name
+            assert og4.is_normal_in(stab, group) == oracles.is_normal_in(stab, group), name
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(perm_strategy(5), min_size=1, max_size=3),
@@ -354,11 +312,11 @@ class TestIndexSpace:
         sub = enumerate_group(gens)
         seeds = [s5.index_of(p) for p in gens + more]
         mask, _ = og4.perm._generate_in_parent(s5, seeds)
-        assert index_set(mask) == oracle_generate_in_parent(s5, seeds)
-        assert og4.is_normal_in(sub, s5) == oracle_is_normal_in(sub, s5)
-        assert [c.tolist() for c in og4.conjugacy_classes(sub)] == oracle_conjugacy_classes(sub)
+        assert index_set(mask) == oracles.generate_in_parent(s5, seeds)
+        assert og4.is_normal_in(sub, s5) == oracles.is_normal_in(sub, s5)
+        assert [c.tolist() for c in og4.conjugacy_classes(sub)] == oracles.conjugacy_classes(sub)
         inner = enumerate_group(gens[:1])
-        assert og4.is_normal_in(inner, sub) == oracle_is_normal_in(inner, sub)
+        assert og4.is_normal_in(inner, sub) == oracles.is_normal_in(inner, sub)
         closure = og4.normal_closure(sub, gens[:1])
         assert closure.same_elements(enumerate_group(
             [conjugate(gens[0], p) for p in sub.elements()]))
@@ -370,7 +328,7 @@ class TestIndexSpace:
         that N^c is not normal."""
         group = enumerate_group([parse_permutation("(1 2 3 4 5 6)"),
                                  parse_permutation("(2 6)(3 5)", 6)])
-        keys = group.base_keys
+        keys = group.index
         conj = og4.perm._conjugation_maps(group)
 
         def fools_lookup(rows):
@@ -387,11 +345,109 @@ class TestIndexSpace:
             if c not in group
         )
         outsider = next(o for o in outsiders
-                        if not group.contains_all(o) and fools_lookup(o.table))
-        assert not oracle_is_normal_in(outsider, group)
+                        if not oracles.contains_all(group, o) and fools_lookup(o.table))
+        assert not oracles.is_normal_in(outsider, group)
         assert not og4.is_normal_in(outsider, group)
+        # one of its rows is no member, though its base images are a member's
+        idx = oracles.byte_index(group)
+        row = next(r for r in outsider.table if r.tobytes() not in idx)
+        member = keys.lookup(row[keys.base][None, :])[0]
+        assert np.array_equal(group.table[member][keys.base], row[keys.base])
+        assert Permutation(row) not in group
+        with pytest.raises(og4.OG4Error, match="not in group"):
+            group.index_of(Permutation(row))
         monkeypatch.setattr(og4.perm, "_rows_equal", lambda table, idx, rows: True)
         assert og4.is_normal_in(outsider, group)
+
+
+class TestOneIndex:
+    """Membership, generating sets, multiplication maps and automorphisms
+    through ``PermGroup.index`` agree with the byte-keyed oracles."""
+
+    def test_membership(self, corpus_groups):
+        rng = np.random.default_rng(6)
+        for name, group in corpus_groups:
+            assert np.array_equal(group.index.indices_of(group.table), np.arange(group.order))
+            for i in rng.choice(group.order, 5):
+                assert group.index_of(group.element(i)) == i and group.element(i) in group
+            idx = oracles.byte_index(group)
+            for p in map(Permutation, (rng.permutation(group.degree) for _ in range(20))):
+                if p.images.tobytes() in idx:
+                    assert group.index_of(p) == idx[p.images.tobytes()], name
+                    continue
+                assert p not in group, name
+                with pytest.raises(og4.OG4Error, match="not in group"):
+                    group.index_of(p)
+            assert identity(group.degree + 1) not in group
+            short = identity(max(group.index.base))  # too short to hold a base image
+            assert short not in group, name
+
+    def test_generating_sets(self, narrow_groups):
+        """On every group, and on the normal subgroups and the stabiliser of
+        point 0 of those of order at most 2048."""
+        for name, group in narrow_groups:
+            subs = [og4.group_from_table(group.table)]
+            if group.order <= 2048:
+                subs += og4.all_normal_subgroups(group) + [og4.point_stabilizer(group, 0)]
+            for sub in subs:
+                assert list(sub.generators) == oracles.small_generating_set(sub.table), name
+
+    def test_multiplication_maps(self, narrow_groups):
+        rng = random.Random(7)
+        for name, group in narrow_groups:
+            ops = oracles.IndexOps(group)
+            for j in rng.sample(range(group.order), 3):
+                by_j = og4.perm.right_mult_map(group, j)
+                assert np.array_equal(by_j, ops.right_mult_perm(j)), name
+                j_by = og4.perm.left_mult_map(group, j)
+                assert all(j_by[x] == ops.mul(j, x) for x in range(group.order)), name
+
+    def test_from_conjugation(self, narrow_groups):
+        rng = np.random.default_rng(8)
+        refused = 0
+        for name, group in narrow_groups:
+            inner = [group.element(i) for i in rng.choice(group.order, 2)]
+            outer = [Permutation(rng.permutation(group.degree)) for _ in range(2)]
+            for c in inner + outer:
+                try:
+                    want = oracles.from_conjugation(group, c)
+                except og4.OG4Error:
+                    refused += 1
+                    with pytest.raises(og4.OG4Error, match="does not normalize"):
+                        GroupAutomorphism.from_conjugation(group, c)
+                    continue
+                got = GroupAutomorphism.from_conjugation(group, c).index_map
+                assert np.array_equal(got, want), name
+                assert oracles.is_automorphism(group, got), name
+        assert refused > 0
+
+    def test_from_generator_images(self, narrow_groups):
+        rng = np.random.default_rng(9)
+        for name, group in narrow_groups:
+            gens = list(group.generators)
+            c = group.element(int(rng.integers(group.order)))
+            trials = [[conjugate(g, c) for g in gens],
+                      [group.element(i) for i in rng.choice(group.order, len(gens))]]
+            for images in trials:
+                want = oracles.from_generator_images(group, gens, images)
+                got = GroupAutomorphism.from_generator_images(group, gens, images)
+                if want is None:
+                    assert got is None, name
+                else:
+                    assert np.array_equal(got.index_map, want), name
+            assert want is None or oracles.is_automorphism(group, want)
+
+    def test_automorphism_check(self, construction_groups):
+        for name, group in construction_groups[:2]:
+            aut = GroupAutomorphism.from_conjugation(group, parse_permutation("(1 2)", 5))
+            GroupAutomorphism(group, aut.index_map)  # checked, passes
+            broken = aut.index_map.copy()
+            broken[[1, 2]] = broken[[2, 1]]
+            assert not oracles.is_automorphism(group, broken)
+            with pytest.raises(og4.OG4Error, match="not a homomorphism"):
+                GroupAutomorphism(group, broken)
+            with pytest.raises(og4.OG4Error, match="not a bijection"):
+                GroupAutomorphism(group, np.zeros(group.order, dtype=np.int64))
 
 
 class TestAutomorphisms:
@@ -418,6 +474,14 @@ class TestAutomorphisms:
         a = z5.generators[0]
         b = compose(a, a)
         assert GroupAutomorphism.from_generator_images(z5, [a, b], [b, a]) is None
+
+    def test_from_generator_images_inconsistent(self):
+        # g -> g, g^2 -> g^4 in Z6 assigns a bijection along a spanning tree
+        # of the Cayley graph, but g * g = g^2 would have to map to g^2
+        z6 = og4.cyclic_group(6)
+        gens, images = [z6.element(1), z6.element(2)], [z6.element(1), z6.element(4)]
+        assert oracles.from_generator_images(z6, gens, images) is None
+        assert GroupAutomorphism.from_generator_images(z6, gens, images) is None
 
     def test_from_generator_images_success(self):
         z5 = og4.cyclic_group(5)

@@ -4,6 +4,7 @@ import pytest
 import og4
 from og4 import OG4Error, enumerate_group, parse_permutation, perm, quotient
 from og4.perm import BlockPartition, induced_block_action
+import oracles
 from og4.quotient import (
     _basic_type_from_kinds,
     basic_chain,
@@ -77,6 +78,30 @@ class TestClassification:
         assert out.kind == "K2"
 
 
+class TestCycleGroups:
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_dihedral_matches_oracle(self, r):
+        rotation = parse_permutation(f"({' '.join(map(str, range(1, r + 1)))})")
+        flip = og4.Permutation(np.asarray([(-i) % r for i in range(r)]))
+        groups = [
+            enumerate_group([rotation, flip]),
+            og4.cyclic_group(2 * r),
+            enumerate_group([parse_permutation(f"({' '.join(map(str, range(1, r + 1)))})", r + 2),
+                             parse_permutation(f"({r + 1} {r + 2})", r + 2)]),
+        ]
+        got = [quotient._is_dihedral_of_order(g, 2 * r) for g in groups]
+        assert got == [oracles.is_dihedral_of_order(g, 2 * r) for g in groups]
+        assert got == [True, False, False]
+
+    def test_quaternion_is_not_dihedral(self):
+        # an element of order 4 inverts the rotation, but no involution does
+        q8 = enumerate_group([parse_permutation("(1 2 3 4)(5 6 7 8)"),
+                              parse_permutation("(1 5 3 7)(2 8 4 6)")])
+        assert q8.order == 8
+        assert not quotient._is_dihedral_of_order(q8, 8)
+        assert not oracles.is_dihedral_of_order(q8, 8)
+
+
 class TestBasic:
     def test_lex_is_cycle_type(self, lex_pairs):
         for pair in lex_pairs.values():
@@ -102,6 +127,17 @@ class TestBasic:
         assert chain[0][0].order == 2
         assert terminal.graph.n_vertices == 30
         assert basic_type(terminal) == "Quasiprimitive"
+
+    def test_lattice_order_is_row_order(self, narrow_groups):
+        """basic_chain takes the first largest cover in the order of
+        classify_all_quotients, which is (order, element indices); on a
+        sorted table that is (order, row tuples), the order it used before."""
+        for name, group in narrow_groups:
+            if group.order > 2048:
+                continue
+            subs = og4.all_normal_subgroups(group)
+            by_rows = sorted(subs, key=lambda n: (n.order, tuple(map(tuple, n.table.tolist()))))
+            assert [id(n) for n in by_rows] == [id(n) for n in subs], name
 
     def test_basic_quotients_consistent(self, sc_pair):
         bq = basic_quotients(sc_pair)
