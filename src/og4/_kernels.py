@@ -1,4 +1,5 @@
-"""Hot array kernels: group closure, orbit partitions, arc-orbit search.
+"""Hot array kernels: group closure, orbit partitions, connected components
+of index maps, and arc orbits.
 
 All kernels work on ``int32`` image rows: a permutation of degree ``n`` is a
 row ``r`` with ``r[x]`` the image of ``x``, and the product "apply ``p`` then
@@ -47,48 +48,41 @@ def point_orbit_labels(table: np.ndarray) -> np.ndarray:
     return table.min(axis=0)
 
 
-# ---------------------------------------------------------------------------
-# orbit labels of arcs under the induced pair action
-#
-# Arcs are encoded as x * n + y (int64) and must be passed sorted ascending;
-# the group action must preserve the arc set.
+def component_labels(maps, size: int) -> np.ndarray:
+    """Label each of ``range(size)`` by the least member of its connected
+    component under the index permutations ``maps``.
+
+    Labels are pulled back along every map and then shortcut
+    (``labels[labels]``) until nothing changes.  At that point no label
+    exceeds the one it is pulled from, so labels are constant along each
+    cycle of each map, hence on each component.
+    """
+    labels = np.arange(size)
+    while True:
+        new = labels
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def arc_orbit_labels(gen_rows, arcs_enc, n):
-    m = arcs_enc.shape[0]
-    labels = np.full(m, -1, dtype=np.int32)
-    stack = np.empty(m, dtype=np.int64)
-    label = 0
-    for a in range(m):
-        if labels[a] >= 0:
-            continue
-        labels[a] = label
-        stack[0] = a
-        top = 1
-        while top > 0:
-            top -= 1
-            enc = arcs_enc[stack[top]]
-            x = enc // n
-            y = enc % n
-            for gi in range(gen_rows.shape[0]):
-                enc2 = np.int64(gen_rows[gi, x]) * n + np.int64(gen_rows[gi, y])
-                lo = 0
-                hi = m - 1
-                pos = -1
-                while lo <= hi:
-                    mid = (lo + hi) // 2
-                    if arcs_enc[mid] == enc2:
-                        pos = mid
-                        break
-                    if arcs_enc[mid] < enc2:
-                        lo = mid + 1
-                    else:
-                        hi = mid - 1
-                if pos < 0:
-                    return labels[:0]  # action does not preserve the arc set
-                if labels[pos] < 0:
-                    labels[pos] = label
-                    stack[top] = pos
-                    top += 1
-        label += 1
-    return labels
+    """Orbit labels 0, 1, ... of arcs, in order of each orbit's first arc.
+
+    Arcs are encoded as ``x * n + y`` (int64) and passed sorted ascending.
+    Each generator maps the arcs by one ``searchsorted`` of the encoded
+    images; if some image is not an arc, the action does not preserve the
+    arc set and an empty array is returned.
+    """
+    maps = []
+    for g in gen_rows:
+        image = g[arcs_enc // n] * np.int64(n) + g[arcs_enc % n]
+        pos = np.minimum(np.searchsorted(arcs_enc, image), arcs_enc.size - 1)
+        if not np.array_equal(arcs_enc[pos], image):
+            return np.zeros(0, dtype=np.int32)
+        maps.append(pos)
+    labels = component_labels(maps, arcs_enc.size)
+    first = labels == np.arange(arcs_enc.size)
+    return (np.cumsum(first) - 1)[labels].astype(np.int32)

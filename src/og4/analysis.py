@@ -1,13 +1,20 @@
 """Structural invariants of certified OG(4) pairs: alternating cycles and
-attachment, s-arc transitivity and regularity, and stabilizer structure."""
+attachment, s-arc transitivity and regularity, and stabilizer structure.
+
+The orbit of an s-arc has |G| / |G_walk| members, with G_walk the rows of
+the table that fix the walk.  The stabilizer's element orders and lower
+central series are gathers and index arithmetic in its own table.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graph import OGPair
-from .perm import PermGroup, Permutation, compose, enumerate_group, point_stabilizer
+from .perm import PermGroup, _element_orders, _is_abelian, _normal_closure_mask, point_stabilizer
 from .quotient import InvariantViolation
 
 DEFAULT_SARC_CAP = 10_000_000
@@ -156,56 +163,36 @@ class SArcReport:
     lower_bound: bool  # cap reached before transitivity failed
 
 
-def _count_s_arcs(n: int, s: int, cap: int) -> Optional[int]:
-    """Number of directed s-step walks; None once it exceeds the cap."""
-    total = n * (2 ** s)
-    return None if total > cap else total
-
-
 def s_arc_report(pair: OGPair, max_sarcs: int = DEFAULT_SARC_CAP) -> SArcReport:
     """Largest s with the group transitive on s-arcs, with counts and a
     regularity flag for the action on the max_s-arcs."""
     graph, group = pair.graph, pair.group
     n = graph.n_vertices
     outs = graph.out_neighbors()
-    gen_rows = [g.images for g in group.generators]
-
-    def least_s_arc(s: int) -> tuple[int, ...]:
-        walk = [0]
-        for _ in range(s):
-            walk.append(min(outs[walk[-1]]))
-        return tuple(walk)
-
-    def orbit_size(seed: tuple[int, ...], cap: int) -> int:
-        seen = {seed}
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for row in gen_rows:
-                img = tuple(int(row[v]) for v in t)
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-            if len(seen) > cap:
-                break
-        return len(seen)
-
     counts = [n]
+    walk = [0]  # the least s-arc: each step goes to the least out-neighbour
     s = 0
     lower_bound = False
     while True:
-        nxt = _count_s_arcs(n, s + 1, max_sarcs)
-        if nxt is None:
+        nxt = n * 2 ** (s + 1)  # directed (s+1)-step walks
+        if nxt > max_sarcs:
             lower_bound = True
             break
-        if orbit_size(least_s_arc(s + 1), nxt) != nxt:
-            counts.append(nxt)
-            break
+        walk.append(min(outs[walk[-1]]))
         counts.append(nxt)
+        if _walk_orbit_size(group, walk) != nxt:
+            break
         s += 1
     max_s = s
     regular = (not lower_bound) and group.order == counts[max_s]
     return SArcReport(max_s, tuple(counts), regular, lower_bound)
+
+
+def _walk_orbit_size(group: PermGroup, walk: list[int]) -> int:
+    """Size of the orbit of a vertex tuple: |G| over the order of its
+    pointwise stabiliser, the rows fixing every entry (orbit-stabiliser)."""
+    fixers = (group.table[:, walk] == walk).all(axis=1)
+    return group.order // int(np.count_nonzero(fixers))
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +208,33 @@ class StabilizerReport:
 
 
 def _commutator_subgroup(
-    group: PermGroup, left: list[Permutation], right: list[Permutation]
-) -> PermGroup:
-    comms = []
-    for g in left:
-        ginv = g.inverse()
-        for x in right:
-            comms.append(compose(compose(ginv, x.inverse()), compose(g, x)))
-    return enumerate_group(comms, group.order + 1)
+    group: PermGroup, left: list[int], right: list[int]
+) -> tuple[np.ndarray, list[int]]:
+    """[<left>, <right>] for element indices with <right> the whole group,
+    as a mask and its kept generators: the normal closure of the commutators
+    of the given elements, since [<X>, <Y>] is the normal closure in <X, Y>
+    of the [x, y] (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory)."""
+    t = group.table
+    inv = {i: np.argsort(t[i]) for i in {*left, *right}}
+    # apply a^-1, then g^-1, a and g
+    comm = np.stack([t[g][t[a][inv[g][inv[a]]]] for a in left for g in right])
+    keys = group.index
+    return _normal_closure_mask(group, keys.lookup(comm[:, keys.base]))
 
 
 def nilpotency_class(group: PermGroup) -> int:
-    """Length of the lower central series; raises as soon as a term fails
-    to shrink, i.e. the group is not nilpotent."""
-    elems = group.elements()
-    layer = group
+    """Length of the lower central series G = γ1 > γ2 > ... > 1, with
+    γ(i+1) = [γi, G] read in G's table; raises as soon as a term fails to
+    shrink, i.e. the group is not nilpotent."""
+    gens = sorted({group.index_of(g) for g in group.generators})
+    layer, order = gens, group.order
     c = 0
-    while layer.order > 1:
-        prev, layer = layer.order, _commutator_subgroup(group, elems, layer.elements())
+    while order > 1:
+        mask, layer = _commutator_subgroup(group, layer, gens)
+        prev, order = order, int(np.count_nonzero(mask))
         c += 1
-        if layer.order == prev:
+        if order == prev:
             raise InvariantViolation("lower central series does not terminate")
     return c
 
@@ -257,7 +251,5 @@ def _is_elementary_abelian(group: PermGroup) -> bool:
     if group.order == 1:
         return True
     p = next(d for d in range(2, group.order + 1) if group.order % d == 0)
-    elems = group.elements()
-    if any(x.order() not in (1, p) for x in elems):
-        return False
-    return all(compose(x, y) == compose(y, x) for x in group.generators for y in group.generators)
+    orders = _element_orders(group.table)
+    return bool(((orders == 1) | (orders == p)).all()) and _is_abelian(group)

@@ -22,6 +22,7 @@ from .perm import (
     PermGroup,
     Permutation,
     _conjugation_maps,
+    _element_orders,
     compose,
     conjugate,
     enumerate_group,
@@ -483,9 +484,7 @@ def pa_construction(
     g_gens = [embed_pair(t, identity(d)) for t in t_grp.generators] + [iota]
     group = enumerate_group(g_gens, cap)
     subgroup = enumerate_group([embed_pair(a, a), iota], cap)
-    if subgroup.order != 4 or any(
-        not compose(p, p).is_identity() for p in subgroup.elements()
-    ):
+    if subgroup.order != 4 or (_element_orders(subgroup.table) > 2).any():
         raise ConstructionRefuted("pa:klein_subgroup", "H is not Z2 x Z2")
     s = embed_pair(b, ba)
     return build_coset_graph(CosetSpec(group, subgroup, s), cap)

@@ -1,4 +1,9 @@
-"""Oriented graphs, orbital graphs, and OG(m) certification."""
+"""Oriented graphs, orbital graphs, and OG(m) certification.
+
+Orbits of pairs and arcs are read from the acting group's table: the orbit
+of (x, y) is the distinct pairs in columns x and y.  Invariance and
+antisymmetry compare sorted arc codes ``x * n + y``.
+"""
 
 from __future__ import annotations
 
@@ -110,51 +115,65 @@ def orbital_graph(
     if seed is None:
         seed = _canonical_seed(group)
     x, y = seed
+    n = group.degree
+    if not (0 <= x < n and 0 <= y < n):
+        raise OG4Error(f"seed point out of range for degree {n}")
     if x == y:
         raise OG4Error("diagonal seed pair")
-    arcs = _pair_orbit(group, x, y)
-    return OrientedGraph(group.degree, arcs)
+    codes = _pair_orbit(group, x, y)
+    return OrientedGraph(n, np.stack([codes // n, codes % n], axis=1))
 
 
-def _pair_orbit(group: PermGroup, x: int, y: int) -> list[tuple[int, int]]:
-    gen_rows = group.gen_rows()
-    seen = {(x, y)}
-    stack = [(x, y)]
-    while stack:
-        a, b = stack.pop()
-        for g in gen_rows:
-            p = (int(g[a]), int(g[b]))
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return sorted(seen)
+def _distinct_codes(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct int64 codes ``x * n + y`` of the pairs (x[i], y[i])."""
+    codes = np.sort(x * np.int64(n) + y)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _pair_orbit(group: PermGroup, x: int, y: int) -> np.ndarray:
+    """The orbit of (x, y) as sorted codes: the pairs (g(x), g(y)) over
+    every row g of the table."""
+    return _distinct_codes(group.table[:, x], group.table[:, y], group.degree)
 
 
 def _canonical_seed(group: PermGroup) -> tuple[int, int]:
-    n = group.degree
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            orbit = set(_pair_orbit(group, x, y))
-            if (y, x) not in orbit:
-                return (x, y)
-    raise OG4Error("every orbital of this group is self-paired")
+    """The least pair whose orbital is not self-paired, for a transitive
+    group.  Every orbital meets the pairs (0, y), and the orbital of (0, y)
+    is self-paired iff some g has g(0) = y and g(y) = 0; if every (0, y)
+    is, so is every orbital.  The rows with g(g(0)) = 0 give those y."""
+    first = group.table[:, 0]
+    paired = first[group.table[np.arange(group.order), first] == 0]  # 0 among them
+    free = np.flatnonzero(np.bincount(paired, minlength=group.degree) == 0)
+    if free.size == 0:
+        raise OG4Error("every orbital of this group is self-paired")
+    return (0, int(free[0]))
+
+
+def _orientation(graph: OrientedGraph, group: PermGroup) -> str:
+    """How the group and the arc set meet, by comparing sorted arc codes:
+    "not_invariant" if some generator moves the arc set, else "oriented" if
+    no arc's reverse is an arc, "symmetric" if every arc's reverse is, and
+    "mixed" otherwise."""
+    n = graph.n_vertices
+    x, y = graph.arcs[:, 0], graph.arcs[:, 1]
+    enc = graph.encoded_arcs()
+    if any(not np.array_equal(np.sort(g[x] * np.int64(n) + g[y]), enc)
+           for g in group.gen_rows()):
+        return "not_invariant"
+    shared = np.intersect1d(enc, y * n + x, assume_unique=True).size
+    return "oriented" if shared == 0 else "symmetric" if shared == enc.size else "mixed"
 
 
 def orientation_status(graph: OrientedGraph, group: PermGroup) -> str:
     """"g_oriented", "arc_transitive", or "not_invariant"."""
     if group.degree != graph.n_vertices:
         raise OG4Error("group degree does not match the vertex count")
-    arcs = {(int(x), int(y)) for x, y in graph.arcs}
-    for g in group.generators:
-        img = {(int(g.images[x]), int(g.images[y])) for x, y in arcs}
-        if img != arcs:
-            return "not_invariant"
-    reversed_arcs = {(y, x) for x, y in arcs}
-    if not (arcs & reversed_arcs):
+    status = _orientation(graph, group)
+    if status == "oriented":
         return "g_oriented"
-    if arcs == reversed_arcs and arc_orbit_count(graph, group) == 1:
+    if status == "symmetric" and arc_orbit_count(graph, group) == 1:
         return "arc_transitive"
     return "not_invariant"
 
@@ -193,9 +212,8 @@ def connectivity(graph: OrientedGraph) -> Connectivity:
 def arc_orbit_count(graph: OrientedGraph, group: PermGroup) -> int:
     """Orbits of the group on arcs plus reversed arcs."""
     n = graph.n_vertices
-    both = {(int(x), int(y)) for x, y in graph.arcs}
-    both |= {(y, x) for x, y in both}
-    enc = np.asarray(sorted(x * n + y for x, y in both), dtype=np.int64)
+    x, y = graph.arcs[:, 0], graph.arcs[:, 1]
+    enc = _distinct_codes(np.concatenate([x, y]), np.concatenate([y, x]), n)
     labels = _kernels.arc_orbit_labels(group.gen_rows(), enc, n)
     if labels.size == 0 and enc.size:
         raise OG4Error("group does not preserve the arc set union its reverse")
@@ -246,13 +264,11 @@ def verify_og(graph: OrientedGraph, group: PermGroup, m: int) -> VerifyOutcome:
     if graph.n_vertices < 2:
         return VerifyOutcome(False, None, "og:nontrivial", "need at least two vertices")
 
-    arcs = {(int(x), int(y)) for x, y in graph.arcs}
-    for g in group.generators:
-        img = {(int(g.images[x]), int(g.images[y])) for x, y in arcs}
-        if img != arcs:
-            return VerifyOutcome(False, None, "og:orientation_invariant",
-                                 "orientation not G-invariant")
-    if arcs & {(y, x) for x, y in arcs}:
+    status = _orientation(graph, group)
+    if status == "not_invariant":
+        return VerifyOutcome(False, None, "og:orientation_invariant",
+                             "orientation not G-invariant")
+    if status != "oriented":
         return VerifyOutcome(False, None, "og:antisymmetric",
                              "some arc appears in both directions")
 
@@ -261,9 +277,7 @@ def verify_og(graph: OrientedGraph, group: PermGroup, m: int) -> VerifyOutcome:
 
     if graph.n_arcs == 0:
         return VerifyOutcome(False, None, "og:connected", "no arcs")
-    seed = (int(graph.arcs[0, 0]), int(graph.arcs[0, 1]))
-    orbit = set(_pair_orbit(group, *seed))
-    if orbit != arcs:
+    if not np.array_equal(_pair_orbit(group, *graph.arcs[0].tolist()), graph.encoded_arcs()):
         return VerifyOutcome(False, None, "og:edge_transitive", "group not transitive on arcs")
 
     conn = connectivity(graph)

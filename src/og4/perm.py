@@ -1,11 +1,13 @@
 """Finite permutation groups by exhaustive enumeration.
 
 Everything here works at "desk scale": a group is its complete element table
-(int32 image rows, sorted lexicographically), and structural questions
-(orbits, stabilizers, normal subgroups, quasiprimitivity) are answered by
-direct search over that table.  No stabilizer-chain machinery: a greedy base
-is derived only to look elements up by their base images, and there is no
-Schreier-Sims.
+(int32 image rows, sorted lexicographically), and structural questions are
+answered from that table.  Orbits of points (and, in ``og4.graph`` and
+``og4.analysis``, of pairs, arcs and s-arcs), point stabilisers and element
+orders are all read from it: a tuple's orbit is the rows of its columns, its
+stabiliser is the rows that fix it, and an element's powers are gathers of
+its row.  No stabilizer-chain machinery: a greedy base is derived only to
+look elements up by their base images, and there is no Schreier-Sims.
 
 Each group has one element index, ``PermGroup.index``: the base images of
 every row, folded into sorted keys (``BaseKeys``).  Membership tests,
@@ -97,12 +99,7 @@ class Permutation:
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
     def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity():
-            p = compose(p, self)
-            k += 1
-        return k
+        return int(_element_orders(self.images[None, :])[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
@@ -438,17 +435,40 @@ class TransitivityProfile:
 
 
 def transitivity_profile(group: PermGroup) -> TransitivityProfile:
-    part = orbits(group)
-    transitive = part.n_blocks == 1
-    fixes = (group.table == np.arange(group.degree)).any(axis=1)
-    # semiregular: only the identity fixes any point
-    semiregular = int(fixes.sum()) <= 1
+    labels = _kernels.point_orbit_labels(group.table)
+    reps = np.flatnonzero(labels == np.arange(group.degree))  # least point of each orbit
+    transitive = reps.size == 1
+    # semiregular: every point stabiliser is trivial.  Stabilisers of points
+    # in one orbit are conjugate, so it is enough that only the identity
+    # fixes the least point of each orbit.
+    semiregular = bool((np.count_nonzero(group.table[:, reps] == reps, axis=0) == 1).all())
     return TransitivityProfile(
         transitive=transitive,
         semiregular=semiregular,
         regular=transitive and semiregular,
-        orbit_count=part.n_blocks,
+        orbit_count=reps.size,
     )
+
+
+def _element_orders(table: np.ndarray) -> np.ndarray:
+    """Order of each row of a group table: every row not yet the identity
+    is raised to its next power by one gather, ``p^(k+1) = p[p^k]``."""
+    orders = np.zeros(table.shape[0], dtype=np.int64)
+    rows, power, k = np.arange(table.shape[0]), table, 1
+    while rows.size:
+        done = (power == np.arange(table.shape[1])).all(axis=1)
+        orders[rows[done]] = k
+        rows, power, k = rows[~done], power[~done], k + 1
+        power = np.take_along_axis(table[rows], power, axis=1)
+    return orders
+
+
+def _is_abelian(group: PermGroup) -> bool:
+    """Whether the generators commute: ``rows[:, rows][i, j]`` applies
+    generator j, then i."""
+    rows = group.gen_rows()
+    products = rows[:, rows]
+    return bool((products == products.transpose(1, 0, 2)).all())
 
 
 def point_stabilizer(group: PermGroup, x: int) -> PermGroup:
@@ -534,12 +554,13 @@ def _generate_in_parent(
 def normal_closure(group: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     """Least normal subgroup of ``group`` containing the seeds."""
     seed_idx = sorted({group.index_of(s) for s in seeds})
-    return _subgroup(group, _normal_closure_mask(group, seed_idx))
+    return _subgroup(group, _normal_closure_mask(group, seed_idx)[0])
 
 
-def _normal_closure_mask(group: PermGroup, seed_idx: Sequence[int]) -> np.ndarray:
+def _normal_closure_mask(group: PermGroup, seed_idx: Iterable[int]) -> tuple[np.ndarray, list[int]]:
     """Grow <seeds> by the conjugates of each kept generator until they all
-    lie inside: then every generator's conjugates do, so it is normal."""
+    lie inside: then every generator's conjugates do, so it is normal.
+    Returns the mask and the kept seeds, which generate it."""
     mask, gens = _generate_in_parent(group, seed_idx)
     conj = _conjugation_maps(group)
     checked = 0
@@ -547,30 +568,18 @@ def _normal_closure_mask(group: PermGroup, seed_idx: Sequence[int]) -> np.ndarra
         new = np.asarray(gens[checked:])
         checked = len(gens)
         _grow(group, mask, gens, np.concatenate([c[new] for c in conj]))
-    return mask
+    return mask, gens
 
 
 def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
     """Classes as sorted index arrays, ordered by least element index.
 
     The classes are the connected components of the generators' conjugation
-    maps.  Each index is labelled by the least index of its component:
-    labels are pulled back along every map and then shortcut
-    (``labels[labels]``) until nothing changes.  At that point no label
-    exceeds the one it is pulled from, so labels are constant along each
-    cycle of each map, hence on each component.
+    maps, each labelled by its least index (``_kernels.component_labels``).
     """
     if group._classes is not None:
         return group._classes
-    labels = np.arange(group.order)
-    while True:
-        new = labels
-        for m in _conjugation_maps(group):
-            new = np.minimum(new, new[m])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
+    labels = _kernels.component_labels(_conjugation_maps(group), group.order)
     by_label = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
     group._classes = np.split(by_label, cuts)
@@ -688,17 +697,8 @@ def quasiprimitivity_type(group: PermGroup) -> str:
 
 def is_nonabelian_simple(group: PermGroup) -> bool:
     """Exhaustive check: nontrivial, nonabelian, no proper nontrivial normals."""
-    if group.order == 1:
+    if group.order == 1 or _is_abelian(group):
         return False
-    for g in group.generators:
-        for h in group.generators:
-            if compose(g, h) != compose(h, g):
-                break
-        else:
-            continue
-        break
-    else:
-        return False  # abelian
     return all(mask.all() for mask, _ in _class_closures(group))
 
 
@@ -713,13 +713,12 @@ def induced_block_action(
     pb = partition.point_block
     if pb.size != group.degree:
         raise OG4Error("partition does not cover the group's points")
-    for g in group.generators:
-        mapped = pb[g.images]
-        for block in partition.blocks:
-            vals = mapped[list(block)]
-            if not (vals == vals[0]).all():
-                raise OG4Error("partition is not invariant under the group")
     reps = np.asarray([b[0] for b in partition.blocks], dtype=np.int64)
+    # invariant: each generator maps every point into the block that its
+    # block's representative goes to
+    rows = group.gen_rows()
+    if not (pb[rows] == pb[rows[:, reps]][:, pb]).all():
+        raise OG4Error("partition is not invariant under the group")
     induced = pb[group.table[:, reps]]  # (order, n_blocks)
     uniq = np.unique(induced, axis=0)
     gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
@@ -821,10 +820,8 @@ def all_automorphisms(group: PermGroup, max_candidates: int = 2_000_000) -> list
     the same element order; each candidate is extended by closure.
     """
     gens = list(group.generators)
-    orders = {}
-    for i in range(group.order):
-        orders.setdefault(group.element(i).order(), []).append(i)
-    pools = [orders[g.order()] for g in gens]
+    orders = _element_orders(group.table)
+    pools = [np.flatnonzero(orders == orders[group.index_of(g)]).tolist() for g in gens]
     total = 1
     for p in pools:
         total *= len(p)

@@ -25,6 +25,7 @@ from .perm import (
     BlockPartition,
     OG4Error,
     PermGroup,
+    _element_orders,
     all_normal_subgroups,
     induced_block_action,
     is_normal_in,
@@ -113,23 +114,22 @@ def normal_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
 
 
 def _is_cyclic_of_order(group: PermGroup, r: int) -> bool:
-    if group.order != r:
-        return False
-    return any(group.element(i).order() == r for i in range(group.order))
+    return group.order == r and bool((_element_orders(group.table) == r).any())
 
 
 def _is_dihedral_of_order(group: PermGroup, two_r: int) -> bool:
     r = two_r // 2
     if group.order != two_r or two_r % 2 != 0 or r < 3:
         return False
-    rotations = [i for i in range(group.order) if group.element(i).order() == r]
-    if not rotations:
+    orders = _element_orders(group.table)
+    rotations = np.flatnonzero(orders == r)
+    if not rotations.size:
         return False
-    rot = group.element(rotations[0])
-    rot_inv = rot.inverse()
-    # an element inverting rot (r >= 3) commutes with no power of rot, so it
-    # lies outside the rotations
-    return any(t.order() == 2 and t.inverse() * rot * t == rot_inv for t in group.elements())
+    rot = group.table[rotations[0]]
+    # t inverts rot iff t(rot(x)) = rot^-1(t(x)) for every x; such t (r >= 3)
+    # commutes with no power of rot, so it lies outside the rotations
+    inverts = (group.table[:, rot] == np.argsort(rot)[group.table]).all(axis=1)
+    return bool((inverts & (orders == 2)).any())
 
 
 def classify_og4_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:

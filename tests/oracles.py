@@ -1,5 +1,6 @@
 """Slow exhaustive oracles: the byte-keyed, per-element code that og4's
-base-image index arithmetic replaced.
+base-image index arithmetic replaced, and the searches over generator images
+and ``Permutation`` objects that its table reads replaced.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -9,7 +10,8 @@ with what they check.  Index maps are returned as int64 arrays.
 import numpy as np
 
 import og4
-from og4 import OG4Error, Permutation
+from og4 import OG4Error, Permutation, compose
+from og4.quotient import InvariantViolation
 
 
 def byte_index(group):
@@ -229,13 +231,27 @@ def double_coset_arcs(group, subgroup, s, ops=None):
 # og4.quotient
 
 
+def element_order(p):
+    """Least k with p^k the identity, by repeated composition."""
+    k, power = 1, p
+    while not power.is_identity():
+        power, k = compose(power, p), k + 1
+    return k
+
+
+def is_cyclic_of_order(group, r):
+    if group.order != r:
+        return False
+    return any(element_order(group.element(i)) == r for i in range(group.order))
+
+
 def is_dihedral_of_order(group, two_r):
     """A rotation of order r, and an involution outside <rotation> that
     inverts it; <rotation> kept as a set of row bytes."""
     r = two_r // 2
     if group.order != two_r or two_r % 2 != 0 or r < 3:
         return False
-    rotations = [i for i in range(group.order) if group.element(i).order() == r]
+    rotations = [i for i in range(group.order) if element_order(group.element(i)) == r]
     if not rotations:
         return False
     rot = group.element(rotations[0])
@@ -249,6 +265,122 @@ def is_dihedral_of_order(group, two_r):
         t = group.element(i)
         if t.images.tobytes() in cyc:
             continue
-        if t.order() == 2 and (t.inverse() * rot * t) == rot_inv:
+        if element_order(t) == 2 and (t.inverse() * rot * t) == rot_inv:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# og4.graph and og4._kernels
+
+
+def pair_orbit(group, x, y):
+    """Sorted pairs reached from (x, y) by a search along the generators."""
+    gen_rows = group.gen_rows()
+    seen = {(x, y)}
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        for g in gen_rows:
+            p = (int(g[a]), int(g[b]))
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen)
+
+
+def canonical_seed(group):
+    """The first pair (x, y), in lexicographic order, whose orbit misses
+    (y, x)."""
+    n = group.degree
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if (y, x) not in set(pair_orbit(group, x, y)):
+                return (x, y)
+    raise OG4Error("every orbital of this group is self-paired")
+
+
+def arc_orbit_labels(gen_rows, arcs_enc, n):
+    """Depth-first search of each arc orbit with a hand-written binary
+    search; labels in order of each orbit's first arc, empty if some image
+    is not an arc."""
+    m = arcs_enc.shape[0]
+    labels = np.full(m, -1, dtype=np.int32)
+    label = 0
+    for a in range(m):
+        if labels[a] >= 0:
+            continue
+        labels[a] = label
+        stack = [a]
+        while stack:
+            enc = int(arcs_enc[stack.pop()])
+            x, y = enc // n, enc % n
+            for g in gen_rows:
+                enc2 = int(g[x]) * n + int(g[y])
+                lo, hi, pos = 0, m - 1, -1
+                while lo <= hi:
+                    mid = (lo + hi) // 2
+                    if arcs_enc[mid] == enc2:
+                        pos = mid
+                        break
+                    if arcs_enc[mid] < enc2:
+                        lo = mid + 1
+                    else:
+                        hi = mid - 1
+                if pos < 0:
+                    return labels[:0]
+                if labels[pos] < 0:
+                    labels[pos] = label
+                    stack.append(pos)
+        label += 1
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# og4.analysis
+
+
+def walk_orbit_size(group, walk, cap):
+    """Search of the orbit of a vertex tuple along the generators; stops
+    once more than ``cap`` tuples are seen."""
+    gen_rows = [g.images for g in group.generators]
+    seed = tuple(walk)
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        t = stack.pop()
+        for row in gen_rows:
+            img = tuple(int(row[v]) for v in t)
+            if img not in seen:
+                seen.add(img)
+                stack.append(img)
+        if len(seen) > cap:
+            break
+    return len(seen)
+
+
+def nilpotency_class(group):
+    """Lower central series by enumerating the group generated by every
+    commutator of an element of the group with one of the current term."""
+    elems = group.elements()
+    layer = group
+    c = 0
+    while layer.order > 1:
+        comms = [compose(compose(g.inverse(), x.inverse()), compose(g, x))
+                 for g in elems for x in layer.elements()]
+        prev, layer = layer.order, og4.enumerate_group(comms, group.order + 1)
+        c += 1
+        if layer.order == prev:
+            raise InvariantViolation("lower central series does not terminate")
+    return c
+
+
+def is_elementary_abelian(group):
+    if group.order == 1:
+        return True
+    p = next(d for d in range(2, group.order + 1) if group.order % d == 0)
+    if any(element_order(x) not in (1, p) for x in group.elements()):
+        return False
+    return all(compose(x, y) == compose(y, x) for x in group.generators for y in group.generators)

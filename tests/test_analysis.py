@@ -9,6 +9,9 @@ from og4.analysis import (
     s_arc_report,
     stabilizer_report,
 )
+from og4.analysis import _is_elementary_abelian, _walk_orbit_size
+
+import oracles
 
 
 class TestAlternatingStructure:
@@ -167,3 +170,51 @@ class TestStabilizers:
         with pytest.raises(InvariantViolation):
             nilpotency_class(og4.alternating_group(5))
         assert len(calls) <= 2
+
+
+def dihedral(r):
+    """The dihedral group of order 2r on r points."""
+    rotation = og4.parse_permutation(f"({' '.join(map(str, range(1, r + 1)))})")
+    return og4.enumerate_group([rotation, og4.Permutation([(-i) % r for i in range(r)])])
+
+
+class TestTableReadsMatchSearches:
+    """Orbit sizes, lower central series and the elementary-abelian test
+    read from the table agree with the searches in oracles.py."""
+
+    def test_walk_orbit_sizes(self, all_pairs):
+        for name, pair in all_pairs:
+            outs = pair.graph.out_neighbors()
+            rep = s_arc_report(pair)
+            stab = og4.point_stabilizer(pair.group, 0)
+            walk = [0]
+            for s in range(1, rep.max_s + 2):
+                walk.append(min(outs[walk[-1]]))
+                cap = rep.counts[s]
+                for group in (pair.group, stab):
+                    want = oracles.walk_orbit_size(group, walk, cap)
+                    assert _walk_orbit_size(group, walk) == want, (name, s)
+
+    def test_stabilizers(self, all_pairs):
+        for name, pair in all_pairs:
+            stab = og4.point_stabilizer(pair.group, 0)
+            assert nilpotency_class(stab) == oracles.nilpotency_class(stab), name
+            assert _is_elementary_abelian(stab) == oracles.is_elementary_abelian(stab), name
+
+    def test_elementary_abelian_acting_groups(self, narrow_groups):
+        for name, group in narrow_groups:
+            assert _is_elementary_abelian(group) == oracles.is_elementary_abelian(group), name
+
+    def test_nilpotency_classes(self):
+        q8 = og4.enumerate_group([og4.parse_permutation("(1 2 3 4)(5 6 7 8)"),
+                                  og4.parse_permutation("(1 5 3 7)(2 8 4 6)")])
+        for group, c in ((dihedral(4), 2), (q8, 2), (dihedral(8), 3)):
+            assert nilpotency_class(group) == oracles.nilpotency_class(group) == c
+            assert not _is_elementary_abelian(group)
+            assert not oracles.is_elementary_abelian(group)
+
+    def test_not_nilpotent(self):
+        for group in (og4.alternating_group(4), og4.symmetric_group(4)):
+            for search in (nilpotency_class, oracles.nilpotency_class):
+                with pytest.raises(InvariantViolation):
+                    search(group)

@@ -367,3 +367,11 @@ class TestUsage:
         status, out, _ = run(capsys, "construct", path)
         assert status == 0
         assert json.loads(out)["pair"]["n_vertices"] == 30
+
+    @pytest.mark.parametrize("seed", [("100", "1"), ("0", "1"), ("1", "7")])
+    def test_seed_arc_out_of_range(self, capsys, tmp_path, seed):
+        doc = {"degree": 6, "generators": ["(1 2 3 4 5 6)"]}
+        status, out, err = run(capsys, "verify", write_doc(tmp_path, "orb.json", doc),
+                               "--seed-arc", *seed)
+        assert (status, out) == (2, "")
+        assert err == "error: seed point out of range for degree 6\n"

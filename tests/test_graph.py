@@ -16,6 +16,9 @@ from og4 import (
     reverse_arcs,
     verify_og,
 )
+from og4.graph import _canonical_seed, _pair_orbit
+
+import oracles
 
 
 def directed_cycle(n):
@@ -84,6 +87,53 @@ class TestOrbital:
         z5 = og4.cyclic_group(5)
         g = orbital_graph(z5, (0, 1))
         assert arc_orbit_count(g, z5) == 2  # the orbital and its reverse
+
+
+def groups_and_stabilizers(all_pairs):
+    """(name, group, graph): each corpus pair's acting group and the
+    stabiliser of vertex 0, with the pair's graph."""
+    for name, pair in all_pairs:
+        yield name, pair.group, pair.graph
+        yield f"{name} G_0", og4.point_stabilizer(pair.group, 0), pair.graph
+
+
+class TestTableOrbits:
+    """Pair orbits and canonical seeds read from the table agree with the
+    generator searches in oracles.py."""
+
+    def test_pair_orbits(self, all_pairs):
+        for name, group, graph in groups_and_stabilizers(all_pairs):
+            n = group.degree
+            seeds = [(0, 1), (0, n - 1), (n - 1, 1), tuple(graph.arcs[0].tolist())]
+            for x, y in seeds:
+                want = [a * n + b for a, b in oracles.pair_orbit(group, x, y)]
+                assert _pair_orbit(group, x, y).tolist() == want, (name, x, y)
+
+    def test_canonical_seed(self, all_pairs):
+        for name, group, _ in groups_and_stabilizers(all_pairs):
+            assert _canonical_seed(group) == oracles.canonical_seed(group), name
+
+    def test_canonical_seed_all_self_paired(self):
+        d5 = enumerate_group(
+            [parse_permutation("(1 2 3 4 5)"), parse_permutation("(2 5)(3 4)", 5)]
+        )
+        for search in (_canonical_seed, oracles.canonical_seed):
+            with pytest.raises(OG4Error, match="self-paired"):
+                search(d5)
+
+    @pytest.mark.parametrize("seed", [(5, 0), (0, -1), (-1, 0)])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(OG4Error, match="out of range"):
+            orbital_graph(og4.cyclic_group(5), seed)
+
+    def test_arc_orbit_count_matches_search(self, all_pairs):
+        for name, group, graph in groups_and_stabilizers(all_pairs):
+            n = graph.n_vertices
+            both = {(x, y) for x, y in graph.arcs.tolist()}
+            both |= {(y, x) for x, y in both}
+            enc = np.asarray(sorted(x * n + y for x, y in both), dtype=np.int64)
+            labels = oracles.arc_orbit_labels(group.gen_rows(), enc, n)
+            assert arc_orbit_count(graph, group) == int(labels.max()) + 1, name
 
 
 class TestConnectivity:

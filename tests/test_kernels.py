@@ -5,6 +5,8 @@ import og4
 from og4 import _kernels
 from og4.perm import BlockPartition
 
+import oracles
+
 
 def random_gen_rows(rng, n, k):
     return np.stack([rng.permutation(n).astype(np.int32) for _ in range(k)])
@@ -74,16 +76,30 @@ class TestArcOrbits:
         gens = random_gen_rows(rng, n, int(rng.integers(1, 3)))
         labels = _kernels.arc_orbit_labels(gens, arcs, n)
         assert labels.shape == arcs.shape
+        assert labels.tolist() == oracles.arc_orbit_labels(gens, arcs, n).tolist()
         for a, lab in zip(arcs.tolist(), labels.tolist()):
             for g in gens:
                 image = int(g[a // n]) * n + int(g[a % n])
                 assert labels[np.searchsorted(arcs, image)] == lab
+
+    def test_corpus_labels_match_search(self, all_pairs):
+        """On each corpus graph's arcs and their reverses, under the acting
+        group and under the stabiliser of vertex 0."""
+        for name, pair in all_pairs:
+            n = pair.graph.n_vertices
+            x, y = pair.graph.arcs[:, 0], pair.graph.arcs[:, 1]
+            arcs = np.sort(np.concatenate([x * n + y, y * n + x]))
+            for group in (pair.group, og4.point_stabilizer(pair.group, 0)):
+                gens = group.gen_rows()
+                got = _kernels.arc_orbit_labels(gens, arcs, n)
+                assert got.tolist() == oracles.arc_orbit_labels(gens, arcs, n).tolist(), name
 
     def test_rejects_unpreserved(self):
         n = 4
         gens = np.array([[1, 2, 3, 0]], dtype=np.int32)
         arcs = np.array([0 * n + 1], dtype=np.int64)  # orbit leaves the set
         assert _kernels.arc_orbit_labels(gens, arcs, n).shape[0] == 0
+        assert oracles.arc_orbit_labels(gens, arcs, n).shape[0] == 0
 
 
 CORPUS = [f"lex_cycle({r})" for r in range(3, 9)] + [

@@ -172,6 +172,25 @@ class TestStructure:
         prof2 = og4.transitivity_profile(og4.symmetric_group(4))
         assert prof2.transitive and not prof2.semiregular
 
+    def test_semiregular_from_orbit_representatives(self, corpus_groups):
+        """Against "only the identity fixes any point", over the whole table."""
+        for name, group in corpus_groups:
+            for sub in [group] + og4.all_normal_subgroups(group):
+                fixes = (sub.table == np.arange(sub.degree)).any(axis=1)
+                want = int(fixes.sum()) <= 1
+                assert og4.transitivity_profile(sub).semiregular == want, (name, sub.order)
+
+    def test_element_orders(self, corpus_groups):
+        """Against repeated composition: every element of the groups of
+        order at most 1000, and 50 rows of each larger one."""
+        rng = np.random.default_rng(7)
+        for name, group in corpus_groups:
+            rows = np.arange(group.order)
+            if group.order > 1000:
+                rows = rng.choice(rows, 50, replace=False)
+            got = og4.perm._element_orders(group.table[rows])
+            assert got.tolist() == [oracles.element_order(group.element(int(i))) for i in rows], name
+
     def test_orbits(self):
         g = enumerate_group([parse_permutation("(1 2)", 4)])
         parts = og4.orbits(g)

@@ -101,6 +101,21 @@ class TestCycleGroups:
         assert not quotient._is_dihedral_of_order(q8, 8)
         assert not oracles.is_dihedral_of_order(q8, 8)
 
+    def test_cyclic_matches_oracle(self, all_pairs, narrow_groups):
+        """On every vertex stabiliser, the acting groups of order at most
+        1000 and every lex_cycle quotient's induced group, at its own order
+        and at order 2."""
+        groups = [(name, og4.point_stabilizer(pair.group, 0)) for name, pair in all_pairs]
+        groups += [(name, g) for name, g in narrow_groups if g.order <= 1000]
+        groups += [(name, out.induced_group) for name, pair in all_pairs[:6]
+                   for _, out in classify_all_quotients(pair)]
+        for name, group in groups:
+            for r in {group.order, 2}:
+                want = oracles.is_cyclic_of_order(group, r)
+                assert quotient._is_cyclic_of_order(group, r) == want, (name, r)
+        assert quotient._is_cyclic_of_order(og4.cyclic_group(7), 7)
+        assert not quotient._is_cyclic_of_order(og4.symmetric_group(3), 6)
+
 
 class TestBasic:
     def test_lex_is_cycle_type(self, lex_pairs):
