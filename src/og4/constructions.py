@@ -23,6 +23,7 @@ from .perm import (
     Permutation,
     _conjugation_maps,
     _element_orders,
+    _is_regular,
     compose,
     conjugate,
     enumerate_group,
@@ -31,7 +32,6 @@ from .perm import (
     is_nonabelian_simple,
     left_mult_map,
     right_mult_map,
-    transitivity_profile,
 )
 
 AutLike = Union[GroupAutomorphism, Permutation]
@@ -259,8 +259,7 @@ def tw_cayley(
                                   f"<S0> has order {n_grp.order}, expected {t_grp.order ** 2}")
     h = GroupAutomorphism.from_conjugation(n_grp, block_swap(t_grp.degree))
     pair = build_cayley(CayleySpec(n_grp, s0, s1, h), cap)
-    n_vertex_action = _right_regular_image(n_grp, pair.group)
-    if not transitivity_profile(n_vertex_action).regular:
+    if not _is_regular(_right_regular_generators(n_grp)):
         raise ConstructionRefuted("tw:n_regular", "N is not regular on vertices")
     return pair
 

@@ -6,14 +6,21 @@ answered from that table.  Orbits of points (and, in ``og4.graph`` and
 ``og4.analysis``, of pairs, arcs and s-arcs), point stabilisers and element
 orders are all read from it: a tuple's orbit is the rows of its columns, its
 stabiliser is the rows that fix it, and an element's powers are gathers of
-its row.  No stabilizer-chain machinery: a greedy base is derived only to
-look elements up by their base images, and there is no Schreier-Sims.
+its row.
 
-Each group has one element index, ``PermGroup.index``: the base images of
-every row, folded into sorted keys (``BaseKeys``).  Membership tests,
-products, cosets, automorphisms and generating sets all go through it.
-Only the closure that builds a table from generators keys rows by their
-bytes, since no table exists yet while it runs.
+A table is built from generators by a stabiliser chain
+(``_kernels.stabiliser_chain``) on the group's ascending base: b1 is the
+least point the group moves, and each next base point is the least point
+moved by the pointwise stabiliser of the ones before.  Two distinct
+elements first differ at a base point, so sorting by the few base columns
+is sorting lexicographically, and the chain gathers its rows in that order
+directly.  The byte-keyed breadth-first closure and full-width lexsort this
+replaced are kept in ``tests/oracles.py`` and compared with it.
+
+Each group has one element index, ``PermGroup.index``: the images of the
+ascending base of every row, folded into keys that come out sorted
+(``BaseKeys``).  Membership tests, products, cosets, automorphisms and
+generating sets all go through it.
 
 A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
 is the slice of the parent's sorted table at its element indices, so it is
@@ -203,11 +210,12 @@ def format_cycles(p: Permutation) -> str:
 class PermGroup:
     """A fully enumerated permutation group.
 
-    ``table`` holds every element as an image row, sorted lexicographically;
-    that ordering is the canonical element indexing used for all tie-breaks.
-    With ``generators=None`` a greedy generating set is derived from the
-    table on first read.  ``index`` (a ``BaseKeys``) is the group's one
-    element index, built on first use.
+    ``table`` holds every element as an image row, sorted lexicographically
+    (equivalently, by the columns of the ascending base); that ordering is
+    the canonical element indexing used for all tie-breaks.  With
+    ``generators=None`` a greedy generating set is derived from the table on
+    first read.  ``index`` (a ``BaseKeys``) is the group's one element
+    index, built on first use.
     """
 
     def __init__(
@@ -272,15 +280,13 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-_KEY_LIMIT = 1 << 62
+class BaseKeys(_kernels.SortedKeys):
+    """Batch element lookup in a sorted table by images of its base.
 
-
-class BaseKeys:
-    """Batch element lookup in a sorted table by images of a base.
-
-    An element is fixed by its images of a base (see ``_base_of``).  Those
-    images are folded into one int64 key per element, re-ranked densely
-    whenever the next fold could overflow, and the keys are sorted once.
+    An element is fixed by its images of a base.  With the ascending base
+    (``_kernels.ascending_base``, read off a few rows of the sorted table)
+    the table is sorted by those images, so the folded keys of its rows
+    come out ascending and an element's index is the position of its key.
 
     ``lookup`` is exact only for rows known to lie in the group (products
     and conjugates of members); ``indices_of`` also checks the full rows.
@@ -288,35 +294,13 @@ class BaseKeys:
 
     def __init__(self, table: np.ndarray):
         self.table = table
-        self.degree = table.shape[1]
-        self.base = _base_of(table)
+        self.base = _kernels.ascending_base(table)
         self.images = table[:, self.base]  # (order, len(base))
-        # ranks[j]: the sorted distinct keys before column j is folded in,
-        # or None where folding needs no re-ranking
-        self.ranks: list[Optional[np.ndarray]] = []
-        key = np.zeros(table.shape[0], dtype=np.int64)
-        bound = 1
-        for j in range(len(self.base)):
-            ranks = None
-            if bound > _KEY_LIMIT // self.degree:
-                ranks = np.unique(key)
-                key = np.searchsorted(ranks, key)
-                bound = ranks.size
-            self.ranks.append(ranks)
-            key = key * self.degree + self.images[:, j]
-            bound *= self.degree
-        self.by_key = np.argsort(key).astype(np.int32)
-        self.sorted_keys = key[self.by_key]
+        super().__init__(self.images, table.shape[1])
 
     def lookup(self, base_images: np.ndarray) -> np.ndarray:
         """Element indices of rows with the given (m, len(base)) base images."""
-        key = np.zeros(base_images.shape[0], dtype=np.int64)
-        for j, ranks in enumerate(self.ranks):
-            if ranks is not None:
-                key = np.searchsorted(ranks, key)
-            key = key * self.degree + base_images[:, j]
-        pos = np.searchsorted(self.sorted_keys, key)
-        return self.by_key[np.minimum(pos, self.by_key.size - 1)]
+        return self.positions(base_images)
 
     def indices_of(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """Element indices of arbitrary rows, or None if one is not a member.
@@ -325,20 +309,6 @@ class BaseKeys:
             return None
         idx = self.lookup(rows[:, self.base])
         return idx if _rows_equal(self.table, idx, rows) else None
-
-
-def _base_of(table: np.ndarray) -> list[int]:
-    """Greedy base of the group at a sorted ``table``: the first point moved
-    by the least nonidentity member of the pointwise stabiliser of the points
-    so far, until that stabiliser is trivial.  A stabiliser's rows are a
-    sorted slice, so its identity comes first and that member second."""
-    rows = np.arange(table.shape[0])
-    base: list[int] = []
-    while rows.size > 1:
-        b = int(np.argmax(table[rows[1]] != np.arange(table.shape[1])))
-        base.append(b)
-        rows = rows[table[rows, b] == b]
-    return base
 
 
 def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
@@ -350,20 +320,10 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
     )
 
 
-def _sorted_table(rows: np.ndarray) -> np.ndarray:
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
-
-
-def _closure_rows(gen_rows: np.ndarray, cap: int) -> np.ndarray:
-    out = _kernels.close_under_products(np.asarray(gen_rows, dtype=np.int32), cap)
-    if out is None:
-        raise EnumerationCapExceeded(cap)
-    return out
-
-
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators; raises if the cap is hit."""
+    """The group the generators generate, from its stabiliser chain; raises
+    if its orbits show more than ``cap`` elements, before the table is
+    gathered."""
     gens = list(generators)
     if not gens:
         raise OG4Error("generator list must be nonempty")
@@ -371,13 +331,15 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generators have mixed degrees")
-    rows = _closure_rows(np.asarray([g.images for g in gens]), cap)
-    return PermGroup(degree, gens, _sorted_table(rows))
+    rows = _kernels.close_under_products(np.asarray([g.images for g in gens]), cap)
+    if rows is None:
+        raise EnumerationCapExceeded(cap)
+    return PermGroup(degree, gens, rows)
 
 
 def group_from_table(table: np.ndarray) -> PermGroup:
     """Wrap an element table (must already be closed) as a PermGroup."""
-    table = _sorted_table(np.asarray(table, dtype=np.int32))
+    table = _kernels.sort_group_rows(np.asarray(table, dtype=np.int32))
     return PermGroup(table.shape[1], None, table)
 
 
@@ -448,6 +410,19 @@ def transitivity_profile(group: PermGroup) -> TransitivityProfile:
         regular=transitive and semiregular,
         orbit_count=reps.size,
     )
+
+
+def _is_regular(generators: Sequence[Permutation]) -> bool:
+    """Whether the generated group is regular: its order equals the degree
+    and its first basic orbit is every point.  Both are read from its
+    stabiliser chain, which stops as soon as its orbits promise more
+    elements than points, so no element table is gathered."""
+    degree = generators[0].degree
+    chain = _kernels.stabiliser_chain(np.asarray([g.images for g in generators]), degree)
+    if chain is None:
+        return False
+    first_orbit = chain.orbits[0].size if chain.orbits else 1
+    return chain.order == degree and first_orbit == degree
 
 
 def _element_orders(table: np.ndarray) -> np.ndarray:
@@ -720,9 +695,9 @@ def induced_block_action(
     if not (pb[rows] == pb[rows[:, reps]][:, pb]).all():
         raise OG4Error("partition is not invariant under the group")
     induced = pb[group.table[:, reps]]  # (order, n_blocks)
-    uniq = np.unique(induced, axis=0)
     gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
-    image = PermGroup(partition.n_blocks, list(dict.fromkeys(gen_images)), uniq)
+    image = PermGroup(partition.n_blocks, list(dict.fromkeys(gen_images)),
+                      _kernels.sort_group_rows(induced))
     kernel_mask = (induced == np.arange(partition.n_blocks)).all(axis=1)
     kernel = _subgroup(group, kernel_mask)
     return image, kernel

@@ -1,6 +1,8 @@
 """Slow exhaustive oracles: the byte-keyed, per-element code that og4's
-base-image index arithmetic replaced, and the searches over generator images
-and ``Permutation`` objects that its table reads replaced.
+base-image index arithmetic replaced, the searches over generator images
+and ``Permutation`` objects that its table reads replaced, and the
+breadth-first closure and full-width lexsort that its stabiliser chain
+replaced.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -20,7 +22,43 @@ def byte_index(group):
 
 
 # ---------------------------------------------------------------------------
-# og4.perm
+# og4._kernels and og4.perm
+
+
+def close_under_products(gen_rows, cap):
+    """Breadth-first closure of the generator rows, keyed by row bytes: the
+    identity and every product of generators in discovery order, or None
+    once more than ``cap`` elements are found."""
+    n = gen_rows.shape[1]
+    ident = np.arange(n, dtype=np.int32)
+    rows = [ident]
+    seen = {ident.tobytes()}
+    head = 0
+    while head < len(rows):
+        base = rows[head]
+        head += 1
+        for g in gen_rows:
+            prod = g[base]
+            key = prod.tobytes()
+            if key not in seen:
+                if len(rows) >= cap:
+                    return None
+                seen.add(key)
+                rows.append(prod)
+    return np.asarray(rows, dtype=np.int32)
+
+
+def sorted_table(rows):
+    """Rows in lexicographic order, by a lexsort over every column."""
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def closure_rows(gen_rows, cap):
+    """The closure of the generator rows, or OG4Error past ``cap``."""
+    rows = close_under_products(np.asarray(gen_rows, dtype=np.int32), cap)
+    if rows is None:
+        raise OG4Error(f"closure exceeds {cap} elements")
+    return rows
 
 
 def generate_in_parent(parent, seed_indices, idx=None):
@@ -32,7 +70,7 @@ def generate_in_parent(parent, seed_indices, idx=None):
         if s in members:
             continue
         gens.append(s)
-        rows = og4.perm._closure_rows(parent.table[gens], parent.order + 1)
+        rows = closure_rows(parent.table[gens], parent.order + 1)
         members = {idx[r.tobytes()] for r in rows}
     return members
 
@@ -91,7 +129,7 @@ def small_generating_set(table):
         if row.tobytes() in generated:
             continue
         gens.append(row)
-        rows = og4.perm._closure_rows(np.asarray(gens), table.shape[0] + 1)
+        rows = closure_rows(np.asarray(gens), table.shape[0] + 1)
         generated = {r.tobytes() for r in rows}
         if len(generated) == table.shape[0]:
             break

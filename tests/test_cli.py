@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -251,6 +254,20 @@ class TestClassifyQuotientChain:
         kinds = {q["normal_subgroup_order"]: q["kind"] for q in report["quotients"]}
         assert kinds[2] == "Cover"
         assert kinds[120] == "K1"
+
+    def test_classify_leaves_numpy_ma_unimported(self, tmp_path):
+        """``np.unique`` imports ``numpy.ma``, about 1 MB of resident memory
+        in every command that calls it; no command path should."""
+        doc = write_doc(tmp_path, "lex8.json", {"family": "lex_cycle", "r": 8})
+        script = ("import sys, og4.cli\n"
+                  "status = og4.cli.main(['classify', sys.argv[1]])\n"
+                  "sys.exit(status or 3 * ('numpy.ma' in sys.modules))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script, doc],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["basic_type"] == "Cycle"
 
     def test_quotient_subset_of_classify(self, capsys, lex3_doc):
         _, out_c, _ = run(capsys, "classify", lex3_doc)

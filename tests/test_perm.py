@@ -269,9 +269,13 @@ class TestIndexSpace:
     WIDE = ("tw_cayley", "pa")
 
     def test_base_lengths(self, lex_pairs, sym7_pair, pa_pair):
-        assert len(pa_pair.group.index.base) == 2
-        assert len(sym7_pair.group.index.base) == 2
-        assert len(lex_pairs[8].group.index.base) == 8
+        """The ascending base: each point is the least one moved by the
+        stabiliser of the points before it.  sym_bigstab(7)'s stabiliser of
+        point 0 has order 8 and moves 1 first, so its base has 4 points
+        where a greedy choice needed 2."""
+        assert pa_pair.group.index.base == [0, 1]
+        assert sym7_pair.group.index.base == [0, 1, 2, 6]
+        assert lex_pairs[8].group.index.base == list(range(0, 16, 2))
 
     def test_lookup_of_every_member(self, all_pairs):
         for name, pair in all_pairs:
