@@ -73,7 +73,6 @@ from .perm import (
     conjugate,
     enumerate_group,
     format_cycles,
-    group_from_table,
     identity,
     induced_block_action,
     inverse,

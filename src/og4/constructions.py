@@ -23,7 +23,8 @@ from .perm import (
     Permutation,
     _conjugation_maps,
     _element_orders,
-    _is_regular,
+    _generate_in_parent,
+    _subgroup,
     compose,
     conjugate,
     enumerate_group,
@@ -32,6 +33,7 @@ from .perm import (
     is_nonabelian_simple,
     left_mult_map,
     right_mult_map,
+    transitivity_profile,
 )
 
 AutLike = Union[GroupAutomorphism, Permutation]
@@ -159,11 +161,9 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
         raise ConstructionRefuted("cayley:ab_ne_1", "b = a^-1")
     if len({ai, bi, n_grp.index_of(a.inverse()), n_grp.index_of(b.inverse())}) != 4:
         raise ConstructionRefuted("cayley:halfset_disjoint", "S0 meets its inverse set")
-    span = enumerate_group([a, b], cap)
-    if span.order != n_grp.order:
-        raise ConstructionRefuted(
-            "cayley:generates", f"<a, b> has order {span.order} < {n_grp.order}"
-        )
+    span = _span_order(n_grp, [a, b], "cayley:generates")
+    if span != n_grp.order:
+        raise ConstructionRefuted("cayley:generates", f"<a, b> has order {span} < {n_grp.order}")
     if h.group is not n_grp and not h.group.same_elements(n_grp):
         raise ConstructionRefuted("cayley:h_on_group", "h is not an automorphism of N")
     if not h.is_involution() or h.is_identity():
@@ -219,10 +219,9 @@ def simple_cayley(
     if a not in t_grp:
         raise ConstructionRefuted("simple_cayley:a_in_group")
     b = aut.apply(a)
-    span = enumerate_group([a, b], cap)
-    if span.order != t_grp.order:
-        raise ConstructionRefuted("simple_cayley:generates",
-                                  f"<a, a^sigma> has order {span.order}")
+    span = _span_order(t_grp, [a, b], "simple_cayley:generates")
+    if span != t_grp.order:
+        raise ConstructionRefuted("simple_cayley:generates", f"<a, a^sigma> has order {span}")
     return build_cayley(CayleySpec(t_grp, a, b, aut), cap)
 
 
@@ -241,9 +240,9 @@ def tw_cayley(
     """
     if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("tw:nonabelian_simple")
-    span = enumerate_group([a, b], cap)
-    if span.order != t_grp.order:
-        raise ConstructionRefuted("tw:generates", f"<a, b> has order {span.order}")
+    span = _span_order(t_grp, [a, b], "tw:generates")
+    if span != t_grp.order:
+        raise ConstructionRefuted("tw:generates", f"<a, b> has order {span}")
     swapper = find_swapping_automorphism(t_grp, a, b, aut_list)
     if swapper is not None:
         raise ConstructionRefuted(
@@ -259,9 +258,21 @@ def tw_cayley(
                                   f"<S0> has order {n_grp.order}, expected {t_grp.order ** 2}")
     h = GroupAutomorphism.from_conjugation(n_grp, block_swap(t_grp.degree))
     pair = build_cayley(CayleySpec(n_grp, s0, s1, h), cap)
-    if not _is_regular(_right_regular_generators(n_grp)):
+    if not transitivity_profile(_right_regular_image(n_grp, pair.group)).regular:
         raise ConstructionRefuted("tw:n_regular", "N is not regular on vertices")
     return pair
+
+
+def _span_order(group: PermGroup, members: Sequence[Permutation], clause: str) -> int:
+    """Order of the subgroup the members generate, grown as a mask in the
+    group's table; refutes with ``clause`` if one of them is not in the group."""
+    idx = None
+    if all(m.degree == group.degree for m in members):
+        idx = group.index.indices_of(np.stack([m.images for m in members]))
+    if idx is None:
+        outside = next(m for m in members if m not in group)
+        raise ConstructionRefuted(clause, f"{format_cycles(outside)} is not in the group")
+    return int(_generate_in_parent(group, idx)[0].sum())
 
 
 def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
@@ -270,8 +281,11 @@ def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
 
 
 def _right_regular_image(n_grp: PermGroup, vertex_group: PermGroup) -> PermGroup:
-    """Image of N inside the Cayley vertex action (right multiplications)."""
-    return enumerate_group(_right_regular_generators(n_grp), vertex_group.order + 1)
+    """Image of N inside the Cayley vertex action (right multiplications),
+    as a subgroup grown in the vertex group's table."""
+    rows = np.stack([g.images for g in _right_regular_generators(n_grp)])
+    mask, _ = _generate_in_parent(vertex_group, vertex_group.index.indices_of(rows))
+    return _subgroup(vertex_group, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +417,9 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
             f"|H : H meet H^s| = {h_idx.size // max(meet, 1)}, need 2",
         )
 
-    span = enumerate_group(list(subgroup.generators) + [s], cap)
-    if span.order != group.order:
-        raise ConstructionRefuted("coset:generates",
-                                  f"<H, s> has order {span.order} < {group.order}")
+    span = _span_order(group, list(subgroup.generators) + [s], "coset:generates")
+    if span != group.order:
+        raise ConstructionRefuted("coset:generates", f"<H, s> has order {span} < {group.order}")
 
     graph, vertex_group, space = double_coset_graph(spec, cap)
     if vertex_group.order != group.order:
@@ -426,10 +439,9 @@ def coset_simple(
     gh = conjugate(g, h)
     if gh == g:
         raise ConstructionRefuted("coset_simple:gh_ne_g")
-    span = enumerate_group([g, gh], cap)
-    if span.order != g_grp.order:
-        raise ConstructionRefuted("coset_simple:generates",
-                                  f"<g, g^h> has order {span.order}")
+    span = _span_order(g_grp, [g, gh], "coset_simple:generates")
+    if span != g_grp.order:
+        raise ConstructionRefuted("coset_simple:generates", f"<g, g^h> has order {span}")
     subgroup = enumerate_group([h], cap)
     return build_coset_graph(CosetSpec(g_grp, subgroup, g), cap)
 
@@ -465,9 +477,9 @@ def pa_construction(
         raise ConstructionRefuted("pa:nonabelian_simple")
     if a.is_identity() or not compose(a, a).is_identity():
         raise ConstructionRefuted("pa:a_involution")
-    span = enumerate_group([a, b], cap)
-    if span.order != t_grp.order:
-        raise ConstructionRefuted("pa:generates", f"<a, b> has order {span.order}")
+    span = _span_order(t_grp, [a, b], "pa:generates")
+    if span != t_grp.order:
+        raise ConstructionRefuted("pa:generates", f"<a, b> has order {span}")
     ba = compose(b, a)
     for cand in centralizer_witness:
         aut = _as_automorphism(t_grp, cand)

@@ -127,9 +127,7 @@ def orbital_graph(
 def _distinct_codes(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """Sorted distinct int64 codes ``x * n + y`` of the pairs (x[i], y[i])."""
     codes = np.sort(x * np.int64(n) + y)
-    keep = np.ones(codes.size, dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
+    return codes[_kernels.run_starts(codes)]
 
 
 def _pair_orbit(group: PermGroup, x: int, y: int) -> np.ndarray:

@@ -337,12 +337,6 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     return PermGroup(degree, gens, rows)
 
 
-def group_from_table(table: np.ndarray) -> PermGroup:
-    """Wrap an element table (must already be closed) as a PermGroup."""
-    table = _kernels.sort_group_rows(np.asarray(table, dtype=np.int32))
-    return PermGroup(table.shape[1], None, table)
-
-
 def _subgroup(parent: PermGroup, mask: np.ndarray) -> PermGroup:
     """The subgroup at a boolean mask over ``parent``'s table; a sorted
     selection of a sorted table needs no re-sort, and the whole group shares
@@ -410,19 +404,6 @@ def transitivity_profile(group: PermGroup) -> TransitivityProfile:
         regular=transitive and semiregular,
         orbit_count=reps.size,
     )
-
-
-def _is_regular(generators: Sequence[Permutation]) -> bool:
-    """Whether the generated group is regular: its order equals the degree
-    and its first basic orbit is every point.  Both are read from its
-    stabiliser chain, which stops as soon as its orbits promise more
-    elements than points, so no element table is gathered."""
-    degree = generators[0].degree
-    chain = _kernels.stabiliser_chain(np.asarray([g.images for g in generators]), degree)
-    if chain is None:
-        return False
-    first_orbit = chain.orbits[0].size if chain.orbits else 1
-    return chain.order == degree and first_orbit == degree
 
 
 def _element_orders(table: np.ndarray) -> np.ndarray:

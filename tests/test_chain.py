@@ -1,9 +1,12 @@
 """Element tables from the stabiliser chain (``_kernels.stabiliser_chain``)
 agree byte for byte with the breadth-first closure plus full-width lexsort
 kept in oracles.py; the chain's base is the ascending base read back from
-the table; the element cap is checked before the table is gathered."""
+the table; the element cap is checked before the table is gathered; a
+construction builds a chain only for the groups it does not already hold."""
 
+import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import og4
+import og4.cli
 from og4 import EnumerationCapExceeded, Permutation, enumerate_group
 from og4 import _kernels
 from og4.constructions import _right_regular_generators, block_swap
-from og4.perm import _is_regular
 
 import oracles
 
@@ -139,25 +142,32 @@ class TestResources:
 
 
 class TestRegular:
+    """Regularity as ``transitivity_profile`` reads it from the table."""
+
+    @staticmethod
+    def regular(gens):
+        return og4.transitivity_profile(enumerate_group(gens)).regular
+
     def test_regular_groups(self, alt5, tw_n_groups):
-        n_grp = tw_n_groups[0][1]
-        assert _is_regular(_right_regular_generators(alt5))
-        assert _is_regular(_right_regular_generators(n_grp))
-        assert _is_regular([Permutation(np.roll(np.arange(7), 1))])
-        assert _is_regular([og4.identity(1)])
+        assert self.regular(_right_regular_generators(alt5))
+        assert og4.transitivity_profile(tw_n_groups[2][1]).regular  # N right-regular
+        assert self.regular([Permutation(np.roll(np.arange(7), 1))])
+        assert self.regular([og4.identity(1)])
 
     def test_nonregular_groups(self, alt5):
         p = og4.parse_permutation
-        assert not _is_regular(list(alt5.generators))  # transitive, order 60 > 5
-        assert not _is_regular([p("(1 2 3)"), p("(1 2)", 3)])  # Sym(3) on 3 points
-        assert not _is_regular([p("(1 2)(3 4)")])  # semiregular, not transitive
-        assert not _is_regular([og4.identity(2)])
+        assert not self.regular(list(alt5.generators))  # transitive, order 60 > 5
+        assert not self.regular([p("(1 2 3)"), p("(1 2)", 3)])  # Sym(3) on 3 points
+        assert not self.regular([p("(1 2)(3 4)")])  # semiregular, not transitive
+        assert not self.regular([og4.identity(2)])
         # order 4 on 4 points, but the orbit of point 0 is {0, 1}
-        assert not _is_regular([p("(1 2)", 4), p("(3 4)", 4)])
+        assert not self.regular([p("(1 2)", 4), p("(3 4)", 4)])
 
     def test_tw_refutes_nonregular_n(self, monkeypatch):
         """The tw:n_regular clause still refutes when the check fails."""
-        monkeypatch.setattr(og4.constructions, "_is_regular", lambda gens: False)
+        nonregular = og4.TransitivityProfile(transitive=True, semiregular=False,
+                                             regular=False, orbit_count=1)
+        monkeypatch.setattr(og4.constructions, "transitivity_profile", lambda g: nonregular)
         alt5 = og4.alternating_group(5)
         sym5 = og4.symmetric_group(5)
         p = og4.parse_permutation
@@ -165,3 +175,28 @@ class TestRegular:
             og4.tw_cayley(alt5, p("(1 2 3)", 5), p("(1 2 3 4 5)", 5),
                           og4.conjugation_inventory(sym5))
         assert exc.value.clause == "tw:n_regular"
+
+
+class TestChainsPerConstruction:
+    def test_tw_cayley_builds_one_chain_at_degree_3600(self, monkeypatch, tmp_path, capsys):
+        """Alt(5) and the Aut supergroup Sym(5) arrive from the document, N
+        is new at degree 10 and the vertex group at degree 3600; <a, b> in
+        T, <s0, s1> in N and N's regularity are masks in tables already
+        held."""
+        degrees = Counter()
+        real = _kernels.stabiliser_chain
+
+        def counting(gen_rows, cap):
+            degrees[gen_rows.shape[1]] += 1
+            return real(gen_rows, cap)
+
+        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
+        doc = tmp_path / "tw.json"
+        doc.write_text(json.dumps({
+            "family": "tw_cayley", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "a": "(1 2 3)", "b": "(1 2 3 4 5)",
+            "aut_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"],
+        }))
+        assert og4.cli.main(["construct", str(doc)]) == 0
+        capsys.readouterr()
+        assert degrees == {5: 2, 10: 1, 3600: 1}

@@ -372,6 +372,27 @@ class TestUsage:
         assert (status, err) == (1, "")
         assert json.loads(out)["clause"] == "simple_cayley:a_in_group"
 
+    # T = Alt(5) on {1..5} at degree 6; (2 3 4 5 6) moves point 6, so it lies
+    # outside T, though with the other element it generates a group of order
+    # |T| (Alt(5) on {2..6}) for tw and pa.
+    OUTSIDE_T = {
+        "tw:generates": {"family": "tw_cayley", "a": "(2 3 4)", "b": "(2 3 4 5 6)",
+                         "aut_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"]},
+        "pa:generates": {"family": "pa", "a": "(2 3)(4 5)", "b": "(2 3 4 5 6)",
+                         "centralizer_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"]},
+        "coset_simple:generates": {"family": "coset_simple", "h": "(1 4)(2 5)",
+                                   "g": "(2 3 4 5 6)"},
+    }
+
+    @pytest.mark.parametrize("clause", sorted(OUTSIDE_T))
+    def test_element_outside_group_refuted(self, capsys, tmp_path, clause):
+        doc = {"degree": 6, "generators": ["(1 2 3)", "(1 2 3 4 5)"], **self.OUTSIDE_T[clause]}
+        status, out, err = run(capsys, "construct", write_doc(tmp_path, "out.json", doc))
+        assert (status, err) == (1, "")
+        report = json.loads(out)
+        assert report["clause"] == clause
+        assert report["detail"] == "(2 3 4 5 6) is not in the group"
+
     def test_raw_coset_document(self, capsys, tmp_path):
         doc = {
             "family": "raw_coset",
