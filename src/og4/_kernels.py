@@ -287,8 +287,9 @@ class StabiliserChain:
     under them and is the whole group.
 
     ``orbits`` are the basic orbits, in breadth-first order, and ``order``
-    is the product of their sizes.  ``table()`` gathers the top candidate's
-    rows once, already in sorted order.
+    (also ``len``) is the product of their sizes.  ``table()`` gathers the
+    top candidate's rows, already in sorted order, and ``first_stabiliser()``
+    is the verified table below the top level.
     """
 
     def __init__(self, levels: list[_Level], top: Optional[_Candidate], degree: int):
@@ -298,10 +299,18 @@ class StabiliserChain:
         self.orbits = [lv.orbit for lv in levels]
         self.order = math.prod(o.size for o in self.orbits)
 
+    def __len__(self) -> int:
+        return self.order
+
     def table(self) -> np.ndarray:
         if self.top is None:
             return np.arange(self.degree, dtype=np.int32)[None, :]
         return self.top.table()
+
+    def first_stabiliser(self) -> np.ndarray:
+        """The sorted table of the stabiliser of ``base[0]``, for a chain
+        with at least one level."""
+        return self.top.below
 
 
 def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
@@ -336,12 +345,12 @@ def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain
     return StabiliserChain(levels, top, gen_rows.shape[1])
 
 
-def close_under_products(gen_rows: np.ndarray, cap: int):
-    """Every element of the group the rows generate, as an ``(m, n)`` int32
-    array of distinct rows in lexicographic order (the identity first), or
-    ``None`` if the group has more than ``cap`` elements."""
-    chain = stabiliser_chain(gen_rows, cap)
-    return None if chain is None else chain.table()
+def close_under_products(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
+    """The group the rows generate, as its verified stabiliser chain, or
+    ``None`` if it has more than ``cap`` elements.  ``table()`` gathers its
+    elements as an ``(m, n)`` int32 array of distinct rows in lexicographic
+    order, the identity first."""
+    return stabiliser_chain(gen_rows, cap)
 
 
 def point_orbit_labels(table: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 attachment, s-arc transitivity and regularity, and stabilizer structure.
 
 The orbit of an s-arc has |G| / |G_walk| members, with G_walk the rows of
-the table that fix the walk.  The stabilizer's element orders and lower
-central series are gathers and index arithmetic in its own table.
+the first vertex's stabiliser that fix the rest of the walk.  The
+stabilizer's element orders and lower central series are gathers and index
+arithmetic in its own table.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def s_arc_report(pair: OGPair, max_sarcs: int = DEFAULT_SARC_CAP) -> SArcReport:
 
 def _walk_orbit_size(group: PermGroup, walk: list[int]) -> int:
     """Size of the orbit of a vertex tuple: |G| over the order of its
-    pointwise stabiliser, the rows fixing every entry (orbit-stabiliser)."""
-    fixers = (group.table[:, walk] == walk).all(axis=1)
+    pointwise stabiliser (orbit-stabiliser), the rows of the first entry's
+    stabiliser that fix the others."""
+    fixers = (point_stabilizer(group, walk[0]).table[:, walk] == walk).all(axis=1)
     return group.order // int(np.count_nonzero(fixers))
 
 

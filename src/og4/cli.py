@@ -35,6 +35,7 @@ from .graph import (
 from .perm import (
     DEFAULT_CAP,
     OG4Error,
+    Permutation,
     enumerate_group,
     format_cycles,
     parse_permutation,
@@ -79,7 +80,10 @@ def _doc_group(doc: dict, cap: int, key: str = "generators"):
     degree = _doc_degree(doc)
     gens = _parse_gens(doc, key, degree)
     degree = degree or max(g.degree for g in gens)
-    gens = [parse_permutation(format_cycles(g), degree) for g in gens]
+    # a generator parsed short of the final degree fixes the points above it
+    gens = [g if g.degree == degree
+            else Permutation(g.images.tolist() + list(range(g.degree, degree)))
+            for g in gens]
     return enumerate_group(gens, cap)
 
 

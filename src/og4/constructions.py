@@ -14,7 +14,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import ConstructionRefuted, OGPair, OrientedGraph, certify_og
+from ._kernels import component_labels
+from .graph import ConstructionRefuted, LazyLabels, OGPair, OrientedGraph, certify_og
 from .perm import (
     DEFAULT_CAP,
     GroupAutomorphism,
@@ -33,7 +34,6 @@ from .perm import (
     is_nonabelian_simple,
     left_mult_map,
     right_mult_map,
-    transitivity_profile,
 )
 
 AutLike = Union[GroupAutomorphism, Permutation]
@@ -177,7 +177,7 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
     gens = _right_regular_generators(n_grp)
     gens.append(h.as_point_permutation())
     vertex_group = enumerate_group(gens, cap)
-    labels = [format_cycles(n_grp.element(i)) for i in range(n_grp.order)]
+    labels = LazyLabels(n_grp.order, lambda i: format_cycles(n_grp.element(i)))
     return certify_og(graph, vertex_group, 4, labels)
 
 
@@ -258,21 +258,26 @@ def tw_cayley(
                                   f"<S0> has order {n_grp.order}, expected {t_grp.order ** 2}")
     h = GroupAutomorphism.from_conjugation(n_grp, block_swap(t_grp.degree))
     pair = build_cayley(CayleySpec(n_grp, s0, s1, h), cap)
-    if not transitivity_profile(_right_regular_image(n_grp, pair.group)).regular:
+    right = [g.images for g in _right_regular_generators(n_grp)]
+    if not _regular(right, _left_regular_maps(n_grp)):
         raise ConstructionRefuted("tw:n_regular", "N is not regular on vertices")
     return pair
 
 
-def _span_order(group: PermGroup, members: Sequence[Permutation], clause: str) -> int:
-    """Order of the subgroup the members generate, grown as a mask in the
-    group's table; refutes with ``clause`` if one of them is not in the group."""
+def _span(group: PermGroup, members: Sequence[Permutation], clause: str) -> np.ndarray:
+    """Mask of the subgroup the members generate, grown in the group's
+    table; refutes with ``clause`` if one of them is not in the group."""
     idx = None
     if all(m.degree == group.degree for m in members):
         idx = group.index.indices_of(np.stack([m.images for m in members]))
     if idx is None:
         outside = next(m for m in members if m not in group)
         raise ConstructionRefuted(clause, f"{format_cycles(outside)} is not in the group")
-    return int(_generate_in_parent(group, idx)[0].sum())
+    return _generate_in_parent(group, idx)[0]
+
+
+def _span_order(group: PermGroup, members: Sequence[Permutation], clause: str) -> int:
+    return int(_span(group, members, clause).sum())
 
 
 def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
@@ -280,12 +285,24 @@ def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
     return [Permutation(right_mult_map(n_grp, n_grp.index_of(g))) for g in n_grp.generators]
 
 
-def _right_regular_image(n_grp: PermGroup, vertex_group: PermGroup) -> PermGroup:
-    """Image of N inside the Cayley vertex action (right multiplications),
-    as a subgroup grown in the vertex group's table."""
-    rows = np.stack([g.images for g in _right_regular_generators(n_grp)])
-    mask, _ = _generate_in_parent(vertex_group, vertex_group.index.indices_of(rows))
-    return _subgroup(vertex_group, mask)
+def _left_regular_maps(n_grp: PermGroup) -> list[np.ndarray]:
+    """N's generators as left multiplications of its element indices."""
+    return [left_mult_map(n_grp, n_grp.index_of(g)) for g in n_grp.generators]
+
+
+def _regular(gens: Sequence[np.ndarray], centralising: Sequence[np.ndarray]) -> bool:
+    """Whether the group of index maps ``gens`` is regular, shown by a
+    transitive group ``centralising`` that commutes with it: a transitive
+    group with a transitive centraliser is regular (Dixon and Mortimer,
+    *Permutation Groups*, Thm 4.2A).  False if either is intransitive or
+    some pair of maps does not commute."""
+    size = gens[0].size
+
+    def transitive(maps):
+        return not component_labels(maps, size).any()
+
+    return (transitive(gens) and transitive(centralising)
+            and all(np.array_equal(g[c], c[g]) for g in gens for c in centralising))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +334,12 @@ class CosetSpace:
         row = self.group.table[self.group.index_of(p)]
         return Permutation(self.coset_id[keys.lookup(row[keys.images[self.reps]])])
 
-    def labels(self) -> list[str]:
-        return [
-            "H" + (format_cycles(self.group.element(int(r))) if
-                   int(r) != self.group.identity_index else "")
-            for r in self.reps
-        ]
+    def labels(self) -> LazyLabels:
+        def label(c: int) -> str:
+            r = int(self.reps[c])
+            return "H" + (format_cycles(self.group.element(r))
+                          if r != self.group.identity_index else "")
+        return LazyLabels(self.n_cosets, label)
 
 
 def coset_space(group: PermGroup, subgroup: PermGroup) -> CosetSpace:
@@ -442,7 +459,7 @@ def coset_simple(
     span = _span_order(g_grp, [g, gh], "coset_simple:generates")
     if span != g_grp.order:
         raise ConstructionRefuted("coset_simple:generates", f"<g, g^h> has order {span}")
-    subgroup = enumerate_group([h], cap)
+    subgroup = _subgroup(g_grp, _span(g_grp, [h], "coset:subgroup_in_group"))
     return build_coset_graph(CosetSpec(g_grp, subgroup, g), cap)
 
 
@@ -454,7 +471,7 @@ def sym_bigstab(n: int, cap: int = DEFAULT_CAP) -> OGPair:
     group = symmetric_group(n, cap)
     m = (n - 1) // 2
     gens = [parse_cycle_pair(i, i + m, n) for i in range(m)]
-    subgroup = enumerate_group(gens, cap)
+    subgroup = _subgroup(group, _span(group, gens, "coset:subgroup_in_group"))
     s = Permutation(np.roll(np.arange(n), -1))
     return build_coset_graph(CosetSpec(group, subgroup, s), cap)
 
@@ -494,7 +511,8 @@ def pa_construction(
     iota = block_swap(d)
     g_gens = [embed_pair(t, identity(d)) for t in t_grp.generators] + [iota]
     group = enumerate_group(g_gens, cap)
-    subgroup = enumerate_group([embed_pair(a, a), iota], cap)
+    klein = _span(group, [embed_pair(a, a), iota], "coset:subgroup_in_group")
+    subgroup = _subgroup(group, klein)
     if subgroup.order != 4 or (_element_orders(subgroup.table) > 2).any():
         raise ConstructionRefuted("pa:klein_subgroup", "H is not Z2 x Z2")
     s = embed_pair(b, ba)

@@ -1,14 +1,16 @@
 """Oriented graphs, orbital graphs, and OG(m) certification.
 
-Orbits of pairs and arcs are read from the acting group's table: the orbit
-of (x, y) is the distinct pairs in columns x and y.  Invariance and
-antisymmetry compare sorted arc codes ``x * n + y``.
+Orbits of pairs are read from the acting group's table: the orbit of (x, y)
+is the distinct pairs in columns x and y.  Orbits of arcs are the connected
+components of the generators' maps on the sorted arc codes ``x * n + y``
+(``_kernels.arc_orbit_labels``), and invariance and antisymmetry compare
+those codes, so certification reads no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -240,12 +242,26 @@ class VerifyOutcome:
     detail: str = ""
 
 
+class LazyLabels(Sequence[str]):
+    """Vertex labels, each formatted by ``label(v)`` when it is read; only
+    the commands that print a pair read them all."""
+
+    def __init__(self, n: int, label: Callable[[int], str]):
+        self._n, self._label = n, label
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, v: int) -> str:
+        return self._label(range(self._n)[v])
+
+
 @dataclass(frozen=True)
 class OGPair:
     graph: OrientedGraph
     group: PermGroup
     certificate: Certificate
-    labels: tuple[str, ...]
+    labels: Sequence[str]
 
     @property
     def valency(self) -> int:
@@ -275,7 +291,8 @@ def verify_og(graph: OrientedGraph, group: PermGroup, m: int) -> VerifyOutcome:
 
     if graph.n_arcs == 0:
         return VerifyOutcome(False, None, "og:connected", "no arcs")
-    if not np.array_equal(_pair_orbit(group, *graph.arcs[0].tolist()), graph.encoded_arcs()):
+    # the arc set is invariant, so every generator maps it onto itself
+    if _kernels.arc_orbit_labels(group.gen_rows(), graph.encoded_arcs(), graph.n_vertices).any():
         return VerifyOutcome(False, None, "og:edge_transitive", "group not transitive on arcs")
 
     conn = connectivity(graph)
@@ -313,7 +330,9 @@ def certify_og(
         labels = [str(v) for v in range(graph.n_vertices)]
     if len(labels) != graph.n_vertices:
         raise OG4Error("label count does not match the vertex count")
-    return OGPair(graph, group, outcome.certificate, tuple(labels))
+    if not isinstance(labels, LazyLabels):
+        labels = tuple(labels)
+    return OGPair(graph, group, outcome.certificate, labels)
 
 
 def reverify(pair: OGPair) -> VerifyOutcome:

@@ -1,21 +1,25 @@
 """Finite permutation groups by exhaustive enumeration.
 
-Everything here works at "desk scale": a group is its complete element table
-(int32 image rows, sorted lexicographically), and structural questions are
-answered from that table.  Orbits of points (and, in ``og4.graph`` and
-``og4.analysis``, of pairs, arcs and s-arcs), point stabilisers and element
-orders are all read from it: a tuple's orbit is the rows of its columns, its
+Everything here works at "desk scale": structural questions are answered
+from a group's complete element table (int32 image rows, sorted
+lexicographically).  Orbits of points (and, in ``og4.graph`` and
+``og4.analysis``, of pairs and s-arcs), point stabilisers and element orders
+are all read from it: a tuple's orbit is the rows of its columns, its
 stabiliser is the rows that fix it, and an element's powers are gathers of
 its row.
 
-A table is built from generators by a stabiliser chain
-(``_kernels.stabiliser_chain``) on the group's ascending base: b1 is the
-least point the group moves, and each next base point is the least point
-moved by the pointwise stabiliser of the ones before.  Two distinct
-elements first differ at a base point, so sorting by the few base columns
-is sorting lexicographically, and the chain gathers its rows in that order
-directly.  The byte-keyed breadth-first closure and full-width lexsort this
-replaced are kept in ``tests/oracles.py`` and compared with it.
+A group is built from generators by a stabiliser chain
+(``_kernels.stabiliser_chain``) on its ascending base: b1 is the least point
+the group moves, and each next base point is the least point moved by the
+pointwise stabiliser of the ones before.  Two distinct elements first differ
+at a base point, so sorting by the few base columns is sorting
+lexicographically, and the chain gathers its rows in that order directly.
+The table is gathered on demand, the first time something reads it; until
+then the chain answers the order, transitivity and the stabiliser of the
+first base point, which is all that certifying and analysing a pair needs.
+The byte-keyed breadth-first closure and full-width lexsort the chain
+replaced, and the table reads it answers instead, are kept in
+``tests/oracles.py`` and compared with it.
 
 Each group has one element index, ``PermGroup.index``: the images of the
 ascending base of every row, folded into keys that come out sorted
@@ -208,25 +212,34 @@ def format_cycles(p: Permutation) -> str:
 
 
 class PermGroup:
-    """A fully enumerated permutation group.
+    """A permutation group, given by its element table or by a verified
+    stabiliser chain that gathers the table on demand.
 
     ``table`` holds every element as an image row, sorted lexicographically
     (equivalently, by the columns of the ascending base); that ordering is
-    the canonical element indexing used for all tie-breaks.  With
-    ``generators=None`` a greedy generating set is derived from the table on
-    first read.  ``index`` (a ``BaseKeys``) is the group's one element
-    index, built on first use.
+    the canonical element indexing used for all tie-breaks.  A group made
+    with a ``chain`` gathers the table the first time it is read and then
+    drops the chain; until then ``order``, ``transitivity_profile`` of a
+    transitive group and ``point_stabilizer`` of the first base point come
+    from the chain.  With ``generators=None`` a greedy generating set is
+    derived from the table on first read.  ``index`` (a ``BaseKeys``) is
+    the group's one element index, built on first use.
     """
 
     def __init__(
-        self, degree: int, generators: Optional[Sequence[Permutation]], table: np.ndarray
+        self,
+        degree: int,
+        generators: Optional[Sequence[Permutation]],
+        table: Optional[np.ndarray] = None,
+        chain: Optional[_kernels.StabiliserChain] = None,
     ):
         self.degree = degree
         self._generators = None if generators is None else tuple(generators)
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        table.setflags(write=False)
-        self.table = table
-        self.order = table.shape[0]
+        self._chain = chain
+        self._table: Optional[np.ndarray] = None
+        if table is not None:
+            self._table = _read_only(table)
+        self.order = chain.order if table is None else table.shape[0]
         self._index: Optional[BaseKeys] = None
         self._right_mult: dict[int, np.ndarray] = {}
         self._conjugation: Optional[list[np.ndarray]] = None
@@ -241,6 +254,13 @@ class PermGroup:
             _, kept = _generate_in_parent(self, range(self.order))
             self._generators = tuple(self.element(i) for i in kept) or (identity(self.degree),)
         return self._generators
+
+    @property
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            self._table = _read_only(self._chain.table())
+            self._chain = None  # frees the top level's transversal rows
+        return self._table
 
     # -- element access ----------------------------------------------------
 
@@ -278,6 +298,12 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    table.setflags(write=False)
+    return table
 
 
 class BaseKeys(_kernels.SortedKeys):
@@ -321,9 +347,9 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
 
 
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
-    """The group the generators generate, from its stabiliser chain; raises
-    if its orbits show more than ``cap`` elements, before the table is
-    gathered."""
+    """The group the generators generate, held as its stabiliser chain until
+    its table is read; raises if the chain's orbits show more than ``cap``
+    elements, before any transversal row is gathered."""
     gens = list(generators)
     if not gens:
         raise OG4Error("generator list must be nonempty")
@@ -331,10 +357,10 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generators have mixed degrees")
-    rows = _kernels.close_under_products(np.asarray([g.images for g in gens]), cap)
-    if rows is None:
+    chain = _kernels.close_under_products(np.asarray([g.images for g in gens]), cap)
+    if chain is None:
         raise EnumerationCapExceeded(cap)
-    return PermGroup(degree, gens, rows)
+    return PermGroup(degree, gens, chain=chain)
 
 
 def _subgroup(parent: PermGroup, mask: np.ndarray) -> PermGroup:
@@ -391,6 +417,13 @@ class TransitivityProfile:
 
 
 def transitivity_profile(group: PermGroup) -> TransitivityProfile:
+    """Orbits and regularity.  A group held as a chain is transitive when its
+    first basic orbit is the orbit of point 0 and covers every point; its
+    point stabilisers then have order |G| / degree, so no table is read."""
+    chain = group._chain
+    if chain is not None and chain.base[:1] == [0] and chain.orbits[0].size == group.degree:
+        regular = group.order == group.degree
+        return TransitivityProfile(True, regular, regular, 1)
     labels = _kernels.point_orbit_labels(group.table)
     reps = np.flatnonzero(labels == np.arange(group.degree))  # least point of each orbit
     transitive = reps.size == 1
@@ -428,8 +461,14 @@ def _is_abelian(group: PermGroup) -> bool:
 
 
 def point_stabilizer(group: PermGroup, x: int) -> PermGroup:
+    """The rows fixing x.  For the first base point of a group held as a
+    chain, that is the verified table below the chain's top level, already
+    sorted."""
     if not 0 <= x < group.degree:
         raise OG4Error(f"point {x} out of range for degree {group.degree}")
+    chain = group._chain
+    if chain is not None and chain.base[:1] == [x]:
+        return PermGroup(group.degree, None, chain.first_stabiliser())
     return _subgroup(group, group.table[:, x] == x)
 
 

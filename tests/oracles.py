@@ -1,8 +1,9 @@
 """Slow exhaustive oracles: the byte-keyed, per-element code that og4's
 base-image index arithmetic replaced, the searches over generator images
-and ``Permutation`` objects that its table reads replaced, and the
+and ``Permutation`` objects that its table reads replaced, the
 breadth-first closure and full-width lexsort that its stabiliser chain
-replaced.
+replaced, and the table reads (transitivity, point stabilisers, the orbit
+of an arc) that the chain and the arc-orbit kernel now answer.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -59,6 +60,17 @@ def closure_rows(gen_rows, cap):
     if rows is None:
         raise OG4Error(f"closure exceeds {cap} elements")
     return rows
+
+
+def transitive(group):
+    """Whether every point's least orbit point is 0: column x of the table
+    is the orbit of x."""
+    return not group.table.min(axis=0).any()
+
+
+def point_stabilizer_table(group, x):
+    """The rows of the table that fix x."""
+    return group.table[group.table[:, x] == x]
 
 
 def generate_in_parent(parent, seed_indices, idx=None):
@@ -218,6 +230,17 @@ class IndexOps:
                            dtype=np.int64, count=self.group.order)
 
 
+def right_regular_image(n_grp, vertex_group):
+    """N's right multiplications in a Cayley pair's vertex group, as the
+    subgroup of the vertex group's table they generate."""
+    ops = IndexOps(n_grp)
+    idx = byte_index(vertex_group)
+    seeds = [idx[ops.right_mult_perm(ops.of(g)).astype(np.int32).tobytes()]
+             for g in n_grp.generators]
+    members = generate_in_parent(vertex_group, seeds, idx)
+    return og4.PermGroup(vertex_group.degree, None, vertex_group.table[sorted(members)])
+
+
 def coset_space(group, subgroup, ops=None):
     """(coset_id, reps): right cosets Hx numbered in order of their least
     element, by a scan of the table."""
@@ -325,6 +348,15 @@ def pair_orbit(group, x, y):
                 seen.add(p)
                 stack.append(p)
     return sorted(seen)
+
+
+def edge_transitive(graph, group):
+    """Whether the orbit of the first arc, the distinct pairs in its two
+    columns of the table, is the whole arc set."""
+    n = graph.n_vertices
+    x, y = graph.arcs[0].tolist()
+    codes = np.unique(group.table[:, x] * np.int64(n) + group.table[:, y])
+    return np.array_equal(codes, graph.encoded_arcs())
 
 
 def canonical_seed(group):

@@ -2,11 +2,16 @@
 agree byte for byte with the breadth-first closure plus full-width lexsort
 kept in oracles.py; the chain's base is the ascending base read back from
 the table; the element cap is checked before the table is gathered; a
-construction builds a chain only for the groups it does not already hold."""
+construction builds a chain only for the groups it does not already hold;
+a group held as its chain answers order, transitivity, the stabiliser of
+vertex 0, walk orbits and edge transitivity as the table reads in
+oracles.py do, so construct, verify and analyze gather no wide table."""
 
+import io
 import json
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -17,7 +22,13 @@ import og4
 import og4.cli
 from og4 import EnumerationCapExceeded, Permutation, enumerate_group
 from og4 import _kernels
-from og4.constructions import _right_regular_generators, block_swap
+from og4.analysis import _walk_orbit_size
+from og4.constructions import (
+    _left_regular_maps,
+    _regular,
+    _right_regular_generators,
+    block_swap,
+)
 
 import oracles
 
@@ -25,16 +36,15 @@ import oracles
 def assert_matches_oracle(gen_rows, cap, name=""):
     gen_rows = np.asarray(gen_rows, dtype=np.int32)
     want = oracles.close_under_products(gen_rows, cap)
-    got = _kernels.close_under_products(gen_rows, cap)
+    chain = _kernels.close_under_products(gen_rows, cap)
     if want is None:
-        assert got is None, name
-        assert _kernels.stabiliser_chain(gen_rows, cap) is None, name
+        assert chain is None, name
         return
     want = oracles.sorted_table(want)
-    assert got is not None and got.dtype == np.int32, name
+    got = chain.table()
+    assert got.dtype == np.int32, name
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    chain = _kernels.stabiliser_chain(gen_rows, cap)
-    assert chain.order == got.shape[0], name
+    assert chain.order == len(chain) == got.shape[0], name
     assert chain.base == _kernels.ascending_base(got), name
     assert chain.base == sorted(chain.base), name
 
@@ -128,8 +138,21 @@ class TestResources:
     def test_table_peak(self, tw_pair):
         gens = list(tw_pair.group.generators)
         table_bytes = tw_pair.group.table.nbytes
-        peak = self._peak(lambda: enumerate_group(gens, 7200))
+        peak = self._peak(lambda: enumerate_group(gens, 7200).table)
         assert peak <= 2 * table_bytes, peak / 2**20
+
+    def test_construct_below_one_table(self, tw_pair, tmp_path):
+        """``construct tw_cayley`` holds the vertex group as its chain and
+        never gathers the table, so it stays below one table (measured
+        79 MB for the 99 MB table)."""
+        doc = tmp_path / "tw.json"
+        doc.write_text(json.dumps(TW_DOC))
+
+        def construct():
+            with redirect_stdout(io.StringIO()):
+                assert og4.cli.main(["construct", str(doc)]) == 0
+
+        assert self._peak(construct) < tw_pair.group.table.nbytes
 
     def test_cap_refused_before_gathering(self, tw_pair):
         gens = list(tw_pair.group.generators)
@@ -142,7 +165,9 @@ class TestResources:
 
 
 class TestRegular:
-    """Regularity as ``transitivity_profile`` reads it from the table."""
+    """Regularity as ``transitivity_profile`` reads it from the chain (the
+    transitive groups) or the table, and as ``constructions._regular``
+    shows it by a transitive centralising group."""
 
     @staticmethod
     def regular(gens):
@@ -163,26 +188,70 @@ class TestRegular:
         # order 4 on 4 points, but the orbit of point 0 is {0, 1}
         assert not self.regular([p("(1 2)", 4), p("(3 4)", 4)])
 
+    def test_regular_by_centraliser(self, alt5, tw_n_groups):
+        def right(group):
+            return [g.images for g in _right_regular_generators(group)]
+
+        n_grp = tw_n_groups[0][1]
+        assert _regular(right(alt5), _left_regular_maps(alt5))
+        assert _regular(right(n_grp), _left_regular_maps(n_grp))
+        cycle = np.roll(np.arange(7), 1)
+        assert _regular([cycle], [cycle])  # Z7 is its own centraliser
+
+    def test_nonregular_by_centraliser(self, alt5):
+        """Alt(5) on 5 points is transitive and not regular: the 5-cycle is
+        transitive and fails to commute with (1 2 3), and the identity
+        commutes with everything but is not transitive."""
+        natural = alt5.gen_rows()
+        five_cycle = og4.parse_permutation("(1 2 3 4 5)").images
+        assert not _regular(natural, [five_cycle])
+        assert not _regular(natural, [np.arange(5)])
+        # regular gens with a centraliser that is not transitive
+        assert not _regular([five_cycle], [np.arange(5)])
+        # intransitive gens with a transitive centraliser
+        halves = og4.parse_permutation("(1 2)(3 4)").images
+        assert not _regular([halves], [halves])
+
     def test_tw_refutes_nonregular_n(self, monkeypatch):
-        """The tw:n_regular clause still refutes when the check fails."""
-        nonregular = og4.TransitivityProfile(transitive=True, semiregular=False,
-                                             regular=False, orbit_count=1)
-        monkeypatch.setattr(og4.constructions, "transitivity_profile", lambda g: nonregular)
+        """tw:n_regular refutes when the left multiplications do not show
+        N regular: right multiplications in their place are transitive but
+        do not commute with N's (N is nonabelian), and identity maps
+        commute but are not transitive."""
         alt5 = og4.alternating_group(5)
         sym5 = og4.symmetric_group(5)
         p = og4.parse_permutation
-        with pytest.raises(og4.ConstructionRefuted) as exc:
-            og4.tw_cayley(alt5, p("(1 2 3)", 5), p("(1 2 3 4 5)", 5),
-                          og4.conjugation_inventory(sym5))
-        assert exc.value.clause == "tw:n_regular"
+        substitutes = {
+            "transitive, not commuting": lambda n: [g.images for g in _right_regular_generators(n)],
+            "commuting, not transitive": lambda n: [np.arange(n.order)] * 2,
+        }
+        for name, substitute in substitutes.items():
+            monkeypatch.setattr(og4.constructions, "_left_regular_maps", substitute)
+            with pytest.raises(og4.ConstructionRefuted) as exc:
+                og4.tw_cayley(alt5, p("(1 2 3)", 5), p("(1 2 3 4 5)", 5),
+                              og4.conjugation_inventory(sym5))
+            assert exc.value.clause == "tw:n_regular", name
+
+
+ALT5 = ["(1 2 3)", "(1 2 3 4 5)"]
+SYM5 = ["(1 2)", "(1 2 3 4 5)"]
+TW_DOC = {"family": "tw_cayley", "degree": 5, "generators": ALT5, "a": "(1 2 3)",
+          "b": "(1 2 3 4 5)", "aut_supergroup_generators": SYM5}
+PA_DOC = {"family": "pa", "degree": 5, "generators": ALT5, "a": "(1 2)(3 4)",
+          "b": "(1 5 4 3 2)", "centralizer_supergroup_generators": SYM5}
+
+
+def run_cli(tmp_path, command, doc, *extra):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        status = og4.cli.main([command, str(path), *extra])
+    return status, out.getvalue()
 
 
 class TestChainsPerConstruction:
-    def test_tw_cayley_builds_one_chain_at_degree_3600(self, monkeypatch, tmp_path, capsys):
-        """Alt(5) and the Aut supergroup Sym(5) arrive from the document, N
-        is new at degree 10 and the vertex group at degree 3600; <a, b> in
-        T, <s0, s1> in N and N's regularity are masks in tables already
-        held."""
+    @staticmethod
+    def chain_degrees(monkeypatch, tmp_path, doc):
         degrees = Counter()
         real = _kernels.stabiliser_chain
 
@@ -191,12 +260,110 @@ class TestChainsPerConstruction:
             return real(gen_rows, cap)
 
         monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
-        doc = tmp_path / "tw.json"
-        doc.write_text(json.dumps({
-            "family": "tw_cayley", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
-            "a": "(1 2 3)", "b": "(1 2 3 4 5)",
-            "aut_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"],
-        }))
-        assert og4.cli.main(["construct", str(doc)]) == 0
-        capsys.readouterr()
-        assert degrees == {5: 2, 10: 1, 3600: 1}
+        assert run_cli(tmp_path, "construct", doc)[0] == 0
+        return degrees
+
+    def test_tw_cayley_builds_one_chain_at_degree_3600(self, monkeypatch, tmp_path):
+        """Alt(5) and the Aut supergroup Sym(5) arrive from the document, N
+        is new at degree 10 and the vertex group at degree 3600; <a, b> in
+        T, <s0, s1> in N and N's regularity are masks in tables already
+        held."""
+        assert self.chain_degrees(monkeypatch, tmp_path, TW_DOC) == {5: 2, 10: 1, 3600: 1}
+
+    def test_coset_builders_hold_h_as_a_mask(self, monkeypatch, tmp_path):
+        """H is a mask in the group already held: <h> in T for coset_simple,
+        the transpositions in Sym(7) for sym_bigstab, <(a, a), iota> in G
+        for pa.  The chains left are the document's groups, pa's G and the
+        vertex group."""
+        coset_simple = {"family": "coset_simple", "degree": 5, "generators": ALT5,
+                        "h": "(1 4)(2 5)", "g": "(1 2 3)"}
+        assert self.chain_degrees(monkeypatch, tmp_path, coset_simple) == {5: 1, 30: 1}
+        monkeypatch.undo()
+        sym7 = {"family": "sym_bigstab", "n": 7}
+        assert self.chain_degrees(monkeypatch, tmp_path, sym7) == {7: 1, 630: 1}
+        monkeypatch.undo()
+        assert self.chain_degrees(monkeypatch, tmp_path, PA_DOC) == {5: 2, 10: 1, 1800: 1}
+
+
+class TestChainServed:
+    """A group held as its chain gives the order, transitivity, the
+    stabiliser of vertex 0, walk-orbit sizes and the edge-transitivity
+    verdict that the table reads in oracles.py give, without gathering its
+    table."""
+
+    def test_corpus_pairs(self, all_pairs):
+        for name, pair in all_pairs:
+            held = enumerate_group(pair.group.generators)
+            assert held.order == pair.group.table.shape[0], name
+            prof = og4.transitivity_profile(held)
+            assert prof.transitive == oracles.transitive(pair.group), name
+            assert prof.regular == (held.order == held.degree), name
+            stab = og4.point_stabilizer(held, 0)
+            assert stab.table.tobytes() == oracles.point_stabilizer_table(pair.group, 0).tobytes()
+            outs = pair.graph.out_neighbors()
+            rep = og4.s_arc_report(pair)
+            walk = [0]
+            for s in range(1, rep.max_s + 2):
+                walk.append(min(outs[walk[-1]]))
+                want = oracles.walk_orbit_size(pair.group, walk, rep.counts[s])
+                assert _walk_orbit_size(held, walk) == want, (name, s)
+            outcome = og4.verify_og(pair.graph, held, 4)
+            assert outcome.ok == oracles.edge_transitive(pair.graph, pair.group), name
+            assert held._table is None, name
+
+    def test_edge_transitivity_refuted(self, sc_pair, alt5):
+        """Alt(5) acting on simple_cayley's 60 vertices by right
+        multiplication is vertex-transitive and keeps the orientation, but
+        has two orbits on the 120 arcs."""
+        n_image = enumerate_group(_right_regular_generators(alt5))
+        outcome = og4.verify_og(sc_pair.graph, n_image, 4)
+        assert outcome.failed_clause == "og:edge_transitive"
+        assert outcome.detail == "group not transitive on arcs"
+        assert not oracles.edge_transitive(sc_pair.graph, n_image)
+
+
+class TestNoWideTable:
+    """``construct``, ``verify`` and ``analyze`` on tw_cayley and pa gather
+    no table at degree 3600 or 1800; ``classify`` still does."""
+
+    @staticmethod
+    def gathered(monkeypatch):
+        degrees = Counter()
+        real = _kernels.StabiliserChain.table
+
+        def counting(chain):
+            degrees[chain.degree] += 1
+            return real(chain)
+
+        monkeypatch.setattr(_kernels.StabiliserChain, "table", counting)
+        return degrees
+
+    @pytest.mark.parametrize("doc", [TW_DOC, PA_DOC], ids=["tw_cayley", "pa"])
+    def test_build_commands(self, monkeypatch, tmp_path, doc):
+        degrees = self.gathered(monkeypatch)
+        status, out = run_cli(tmp_path, "construct", doc)
+        assert status == 0
+        pair_doc = json.loads(out)["pair"]
+        assert run_cli(tmp_path, "verify", pair_doc)[0] == 0
+        assert run_cli(tmp_path, "analyze", doc)[0] == 0
+        assert not degrees.keys() & {3600, 1800}, degrees
+
+    def test_classify_gathers(self, monkeypatch, tmp_path):
+        degrees = self.gathered(monkeypatch)
+        assert run_cli(tmp_path, "classify", PA_DOC)[0] == 0
+        assert degrees[1800] == 1
+
+    def test_max_order_refused_before_rows(self, monkeypatch, tmp_path, capsys):
+        """One below |G| is refused (exit 2) with no transversal row
+        gathered at degree 3600."""
+        degrees = Counter()
+        real = _kernels._Level.rows
+
+        def counting(level):
+            degrees[level.gens.shape[1]] += 1
+            return real(level)
+
+        monkeypatch.setattr(_kernels._Level, "rows", counting)
+        assert run_cli(tmp_path, "construct", TW_DOC, "--max-order", "7199")[0] == 2
+        assert "exceeded the element cap of 7199" in capsys.readouterr().err
+        assert degrees[3600] == 0

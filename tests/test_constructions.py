@@ -8,7 +8,6 @@ from og4.constructions import (
     CosetSpec,
     block_swap,
     _core_mask,
-    _right_regular_image,
     build_cayley,
     build_coset_graph,
     double_coset_graph,
@@ -49,7 +48,7 @@ class TestBuildCayley:
         assert names == {"(1 2 3)", "(3 4 5)"}
 
     def test_n_regular_and_stabilizer_swaps(self, sc_pair, alt5):
-        rn = _right_regular_image(alt5, sc_pair.group)
+        rn = oracles.right_regular_image(alt5, sc_pair.group)
         assert og4.transitivity_profile(rn).regular
         stab = og4.point_stabilizer(sc_pair.group, alt5.identity_index)
         assert stab.order == 2

@@ -45,7 +45,7 @@ class TestClosure:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 7))
         gens = random_gen_rows(rng, n, int(rng.integers(1, 3)))
-        rows = _kernels.close_under_products(gens, 10_000)
+        rows = _kernels.close_under_products(gens, 10_000).table()
         keys = {r.tobytes() for r in rows}
         assert len(keys) == len(rows)
         assert np.arange(n, dtype=np.int32).tobytes() in keys
@@ -60,7 +60,7 @@ class TestClosure:
 
     def test_identity_only(self):
         gens = np.arange(5, dtype=np.int32)[None, :]
-        assert _kernels.close_under_products(gens, 10).shape == (1, 5)
+        assert _kernels.close_under_products(gens, 10).table().shape == (1, 5)
 
 
 class TestArcOrbits:
