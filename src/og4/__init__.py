@@ -65,6 +65,7 @@ from .perm import (
     ParseError,
     PermGroup,
     Permutation,
+    TableBudgetExceeded,
     TransitivityProfile,
     all_automorphisms,
     all_normal_subgroups,

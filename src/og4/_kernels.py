@@ -15,6 +15,12 @@ whose least moved point b(i+1) is then at most p, and is not below p: so p
 is a base point.  Sorting by the base columns therefore gives the
 lexicographic order, and in a sorted table the base is read off a few rows
 (``ascending_base``).
+
+Memory is bounded before it is allocated.  A stabiliser chain keeps only
+its Schreier trees and level tables; it reads a level's transversal rows in
+column blocks of about ``_BLOCK`` entries, never whole.  So an element table
+(order x degree) is the only large array a chain allocates, and each one,
+level tables included, is checked against ``TABLE_BYTES`` first.
 """
 
 from __future__ import annotations
@@ -27,7 +33,27 @@ import numpy as np
 BACKEND = "python"
 
 _KEY_LIMIT = 1 << 62
-_BLOCK = 1 << 18  # entries per block of gathered rows
+_BLOCK = 1 << 18  # entries per block of gathered columns or rows
+TABLE_BYTES = 1 << 30  # the most one gathered element table may take
+
+
+class OG4Error(Exception):
+    """Base class for library errors."""
+
+
+class TableBudgetExceeded(OG4Error):
+    def __init__(self, rows: int, degree: int):
+        super().__init__(
+            f"an element table of {rows} rows at degree {degree} needs "
+            f"{rows * degree * 4 / 2**20:.0f} MB, over the budget of {TABLE_BYTES / 2**20:.0f} MB")
+        self.rows, self.degree = rows, degree
+
+
+def check_table_bytes(rows: int, degree: int) -> None:
+    """Refuse an int32 table of ``rows`` rows at ``degree`` before it is
+    allocated, if it would take more than ``TABLE_BYTES``."""
+    if rows * degree * 4 > TABLE_BYTES:
+        raise TableBudgetExceeded(rows, degree)
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -130,51 +156,103 @@ class SortedKeys:
 
 class _Level:
     """One level of a stabiliser chain: a base point, generators of the
-    level's group, and the Schreier tree of the point's orbit under them.
+    level's group, and a Schreier tree of the point's orbit.
 
-    The orbit is found by breadth-first search over points.  Its transversal
-    rows (``rows``: row y maps the base point to ``orbit[y]``) are gathered
-    on first use, one search layer at a time: each new point's row is its
-    tree parent's row followed by the generator of the tree edge.
+    The orbit is found by breadth-first search over points.  Each new point
+    gets its tree parent (``parent``) and the generator of the tree edge
+    (``via``, a row of ``tree``), and ``segments`` lists the runs of points
+    one generator found in one search layer.  Transversal row y maps the
+    base point to ``orbit[y]``: it is its parent's row followed by
+    ``tree[via[y]]``.  No row is kept; ``columns`` gathers every row on a
+    few points, and ``row`` one whole row by walking up the tree.
+
+    ``tree`` is ``gens`` followed by any jumps: while the tree is deeper
+    than twice the bit length of the orbit size, the rows of the points at
+    depth d, d/2, d/4, ... on the path to the deepest point join ``tree``
+    and the search is redone, so a long cycle's tree is shallow (Seress,
+    *Permutation Group Algorithms*, ch. 4, on shallow Schreier trees).  The
+    Schreier check still multiplies by ``gens`` alone.
     """
 
     def __init__(self, point: int, gens: np.ndarray, key):
         self.point = point
         self.gens = gens
         self.key = key
-        self.where = np.full(gens.shape[1], -1, dtype=np.int64)  # point -> orbit index
-        self.where[point] = 0
-        orbit, parent, via = [np.array([point])], [np.array([-1])], [np.array([-1])]
-        self.segments: list[tuple[int, int, int]] = []  # (lo, hi, generator)
-        size, frontier = 1, np.array([point])
+        self.tree = gens
+        while self._search() > 2 * self.orbit.size.bit_length():
+            self.tree = np.vstack([self.tree, self._jumps(self.orbit.size - 1)])
+
+    def _search(self) -> int:
+        """Build the tree by breadth-first search; its depth."""
+        tree = self.tree
+        where = np.full(tree.shape[1], -1, dtype=np.int64)  # point -> orbit index
+        where[self.point] = 0
+        orbit, parent, via = [np.array([self.point])], [np.array([-1])], [np.array([-1])]
+        segments = []  # (lo, hi, generator)
+        size, depth, frontier = 1, 0, np.array([self.point])
         while frontier.size:
             found = []
-            for s in range(gens.shape[0]):
-                image = gens[s][frontier]
-                fresh = self.where[image] < 0
+            for s in range(tree.shape[0]):
+                image = tree[s][frontier]
+                fresh = where[image] < 0
                 pts = image[fresh]
                 if pts.size:
-                    self.where[pts] = np.arange(size, size + pts.size)
-                    self.segments.append((size, size + pts.size, s))
+                    where[pts] = np.arange(size, size + pts.size)
+                    segments.append((size, size + pts.size, s))
                     orbit.append(pts)
-                    parent.append(self.where[frontier[fresh]])
+                    parent.append(where[frontier[fresh]])
                     via.append(np.full(pts.size, s))
                     found.append(pts)
                     size += pts.size
             frontier = np.concatenate(found) if found else frontier[:0]
+            depth += bool(found)
+        self.where, self.segments = where, segments
         self.orbit = np.concatenate(orbit)
         self.parent = np.concatenate(parent)
         self.via = np.concatenate(via)
-        self._rows: Optional[np.ndarray] = None
+        return depth
 
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            rows = np.empty((self.orbit.size, self.gens.shape[1]), dtype=np.int32)
-            rows[0] = np.arange(self.gens.shape[1])
-            for lo, hi, s in self.segments:
-                np.take(self.gens[s], rows[self.parent[lo:hi]], out=rows[lo:hi])
-            self._rows = rows
-        return self._rows
+    def columns(self, points: np.ndarray, cols: Optional[np.ndarray] = None,
+                rows: Optional[int] = None) -> np.ndarray:
+        """The transversal rows on the given points, (orbit size, len(points)),
+        one search segment at a time; into ``cols`` if given.  With ``rows``,
+        only the segments that start below it are written."""
+        if cols is None:
+            cols = np.empty((self.orbit.size, points.size), dtype=np.int32)
+        cols[0] = points
+        tree, parent = self.tree, self.parent
+        for lo, hi, s in self.segments:
+            if rows is not None and lo >= rows:
+                break
+            np.take(tree[s], cols[parent[lo:hi]], out=cols[lo:hi])
+        return cols
+
+    def _path(self, y: int) -> list[int]:
+        """The generators on the tree path to orbit point y, from the root."""
+        path = []
+        while y > 0:
+            path.append(self.via[y])
+            y = self.parent[y]
+        return path[::-1]
+
+    def row(self, y: int) -> np.ndarray:
+        """Transversal row y, from the generators on its tree path."""
+        row = np.arange(self.tree.shape[1], dtype=np.int32)
+        for s in self._path(y):
+            row = self.tree[s][row]
+        return row
+
+    def _jumps(self, y: int) -> np.ndarray:
+        """The transversal rows of the points on the tree path to y at depth
+        d (y's own), d/2, d/4, ... down to 2."""
+        path = self._path(y)
+        keep = {len(path) >> k for k in range(len(path).bit_length() - 1)}
+        row, rows = np.arange(self.tree.shape[1], dtype=np.int32), []
+        for depth, s in enumerate(path, 1):
+            row = self.tree[s][row]
+            if depth in keep:
+                rows.append(row)
+        return np.array(rows)
 
 
 class _Candidate:
@@ -183,54 +261,144 @@ class _Candidate:
 
     Element (y, t) is the row t followed by transversal row y.  Its image of
     the level's base point is ``orbit[y]``, and of a deeper base point b it
-    is ``U[y][T[t][b]]``; the candidate is sorted by these images.
+    is ``U[y][T[t][b]]``; the candidate is sorted by these images, which read
+    U only on the points T maps the deeper base points to.  ``deeper`` are
+    the levels below, whose first level generates T.
+
+    When U fits one block (orbit size * degree <= ``_BLOCK``) it is gathered
+    whole, once, as ``u``, and read by the sort, the check and the table;
+    ``StabiliserChain`` drops it from its top candidate.  Otherwise ``u`` is
+    None and only blocks of U's columns are ever gathered.
     """
 
-    def __init__(self, level: _Level, below: np.ndarray, deeper: list[int]):
-        self.level, self.below = level, below
-        u = level.rows()
-        n_t = below.shape[0]
-        images = np.empty((level.orbit.size, n_t, 1 + len(deeper)), dtype=np.int32)
+    def __init__(self, level: _Level, below: np.ndarray, deeper: list[_Level]):
+        self.level, self.below, self.deeper = level, below, deeper
+        self.base = [level.point] + [lv.point for lv in deeper]
+        n_t, n = below.shape
+        deeper_images = below[:, self.base[1:]]
+        whole = level.orbit.size * n <= _BLOCK
+        if whole:
+            points = col = np.arange(n)
+        else:
+            seen = np.zeros(n, dtype=bool)
+            seen[self.base] = True
+            seen[deeper_images] = True
+            points = np.flatnonzero(seen)
+            col = np.empty(n, dtype=np.int64)
+            col[points] = np.arange(points.size)
+        u = level.columns(points)
+        self.u = u if whole else None
+        self.u_base = u[:, col[self.base]]  # U on the base points
+        images = np.empty((level.orbit.size, n_t, len(self.base)), dtype=np.int32)
         images[:, :, 0] = level.orbit[:, None]
-        images[:, :, 1:] = u[:, below[:, deeper]]
-        images = images.reshape(-1, 1 + len(deeper))
+        images[:, :, 1:] = u[:, col[deeper_images]]
+        images = images.reshape(-1, len(self.base))
         order = np.lexsort(images.T[::-1])
         self.ys, self.ts = np.divmod(order, n_t)
-        self.keys = SortedKeys(images[order], u.shape[1])
-        self.base = [level.point] + deeper
+        self.keys = SortedKeys(images[order], n)
 
-    def rows_at(self, pos, out=None) -> np.ndarray:
-        """The candidate's rows at the given sorted positions."""
-        u = self.level.rows()
-        return np.take(u, self.ys[pos, None] * u.shape[1] + self.below[self.ts[pos]], out=out)
+    def _blocks(self) -> list[np.ndarray]:
+        """The points in blocks of about ``_BLOCK / |orbit|``, each a union of
+        orbits of T, so every row of T maps a block's points into it."""
+        n = self.below.shape[1]
+        width = max(1, _BLOCK // self.level.orbit.size)
+        labels = component_labels(self.deeper[0].gens, n) if self.deeper else np.arange(n)
+        points = np.argsort(labels, kind="stable")
+        starts = np.where(run_starts(labels[points]), np.arange(n), 0)
+        block = np.maximum.accumulate(starts) // width  # by where its orbit starts
+        cuts = np.append(np.flatnonzero(run_starts(block)), n)
+        return [points[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def first_failure(self) -> Optional[np.ndarray]:
         """The first product of a transversal row and a level generator,
-        other than a tree edge, that is not a member; None if every one is."""
-        lv = self.level
-        u, gens = lv.rows(), lv.gens
-        nontree = np.ones((gens.shape[0], lv.orbit.size), dtype=bool)
-        nontree[lv.via[1:], lv.parent[1:]] = False
+        other than a tree edge, that is not a member; None if every one is.
+
+        Each product s[U[x]] is looked up by its base images and matches
+        element (y, t) there.  The two are compared on one block P of points
+        at a time, as s[U[x][P]] against U[y][T[t][P]], in the order of the
+        products; a later block checks only the products before the first
+        failure found, and gathers only the rows of U they read (rows come in
+        search order, so those are a prefix).  Every block's arrays are
+        written into buffers made once.  When U is whole and the products
+        fit one block too, they are compared in one go.
+        """
+        lv, below = self.level, self.below
+        gens = lv.gens
+        n_s, (n_t, n), n_u = gens.shape[0], below.shape, lv.orbit.size
+        nontree = np.ones((n_s, n_u), dtype=bool)
+        edge = lv.via < n_s
+        edge[0] = False
+        nontree[lv.via[edge], lv.parent[edge]] = False
         ss, xs = np.nonzero(nontree)
-        pos = self.keys.positions(gens[ss[:, None], u[:, self.base][xs]])
-        step = max(1, _BLOCK // u.shape[1])
-        cuts = np.searchsorted(ss, np.arange(gens.shape[0] + 1))
-        for s in range(gens.shape[0]):
-            for lo in range(cuts[s], cuts[s + 1], step):
-                hi = min(lo + step, cuts[s + 1])
-                products = np.take(gens[s], u[xs[lo:hi]])
-                bad = np.flatnonzero((products != self.rows_at(pos[lo:hi])).any(axis=1))
-                if bad.size:
-                    return products[bad[0]]
-        return None
+        pos = self.keys.positions(gens[ss[:, None], self.u_base[xs]])
+        ys, ts = self.ys[pos], self.ts[pos]
+        s_at = (ss * n)[:, None]  # generator s starts at s * n in ``gens``
+        if self.u is not None and ss.size * n <= _BLOCK:  # U and the products in one block
+            products = np.take(gens, self.u[xs] + s_at)
+            members = np.take(self.u, below[ts] + (ys * n)[:, None])
+            bad = np.flatnonzero((products != members).any(axis=1))
+            return products[bad[0]] if bad.size else None
+        reach = np.maximum.accumulate(np.maximum(xs, ys)) + 1  # rows products up to j read
+        blocks = self._blocks()
+        width = max(b.size for b in blocks)
+        step = max(1, min(_BLOCK // width, ss.size))  # products compared at once
+        u_buf = np.empty(n_u * width, dtype=np.int32)
+        at_buf = np.empty(step * width, dtype=np.int64)
+        products, members = np.empty((2, step * width), dtype=np.int32)
+        col = np.empty(n, dtype=np.int32)
+        first, size = ss.size, min(64, step)  # a failing candidate tends to fail early
+        for points in blocks:
+            if not first:
+                break
+            p = points.size
+            u = lv.columns(points, u_buf[:n_u * p].reshape(n_u, p), reach[first - 1])
+            col[points] = np.arange(p)
+            t_cols = col[np.take(below, points, axis=1)]  # T[t][P] as columns of u
+            y_at = (ys * p)[:, None]
+            c = 0
+            while c < first:
+                m = min(size, first - c)
+                j = slice(c, c + m)
+                at = at_buf[:m * p].reshape(m, p)
+                a, b = products[:m * p].reshape(m, p), members[:m * p].reshape(m, p)
+                np.add(np.take(u, xs[j], axis=0, out=a), s_at[j], out=at)
+                np.take(gens, at, out=a, mode="clip")
+                np.add(np.take(t_cols, ts[j], axis=0, out=b), y_at[j], out=at)
+                np.take(u, at, out=b, mode="clip")
+                if not np.array_equal(a, b):
+                    first = c + int(np.argmax((a != b).any(axis=1)))
+                c, size = c + m, min(2 * size, step)
+        if first == ss.size:
+            return None
+        return gens[ss[first]][lv.row(xs[first])]
 
     def table(self) -> np.ndarray:
-        n = self.below.shape[1]
+        """The candidate's rows in sorted order.  Row (y, t) is U[y][T[t]],
+        read from U when it fits one block; otherwise each row is written by
+        the search, as ``tree[via[y]]`` applied to row (parent(y), t)."""
+        lv, below = self.level, self.below
+        n_t, n = below.shape
+        check_table_bytes(self.ys.size, n)
         out = np.empty((self.ys.size, n), dtype=np.int32)
         step = max(1, _BLOCK // n)
-        for lo in range(0, out.shape[0], step):
-            hi = min(lo + step, out.shape[0])
-            self.rows_at(slice(lo, hi), out=out[lo:hi])
+        if lv.orbit.size * n <= _BLOCK:
+            u = self.u if self.u is not None else lv.columns(np.arange(n))
+            for lo in range(0, out.shape[0], step):
+                index = self.ys[lo:lo + step, None] * n + below[self.ts[lo:lo + step]]
+                np.take(u, index, out=out[lo:lo + step])
+            return out
+        at = np.empty(self.ys.size, dtype=np.int64)  # (y, t) -> sorted position
+        at[self.ys * n_t + self.ts] = np.arange(self.ys.size)
+        at = at.reshape(-1, n_t)
+        out[at[0]] = below
+        parent_rows, rows = np.empty((2, step, n), dtype=np.int32)
+        for lo, hi, s in lv.segments:
+            dest, src = at[lo:hi].ravel(), at[lv.parent[lo:hi]].ravel()
+            for a in range(0, dest.size, step):
+                m = min(step, dest.size - a)
+                np.take(out, src[a:a + m], axis=0, out=parent_rows[:m])
+                np.take(lv.tree[s], parent_rows[:m], out=rows[:m], mode="clip")
+                out[dest[a:a + m]] = rows[:m]
         return out
 
 
@@ -241,7 +409,7 @@ def _sift(h: np.ndarray, levels: list[_Level]) -> np.ndarray:
         y = lv.where[h[lv.point]]
         if y < 0:
             break
-        u = lv.rows()[y]
+        u = lv.row(y)
         inv = np.empty_like(u)
         inv[u] = np.arange(u.size, dtype=u.dtype)
         h = inv[h]
@@ -253,7 +421,7 @@ def _levels(strong: np.ndarray, n_given: int, old: list[_Level]) -> list[_Level]
     point is the least point moved by the generators fixing the ones before
     it.  The top level's tree uses only the given generators, which generate
     the same group.  An old level with the same point and generators is
-    kept, with its gathered rows."""
+    kept, with its tree."""
     first = np.argmax(strong != np.arange(strong.shape[1]), axis=1)
     active = np.arange(strong.shape[0])
     levels: list[_Level] = []
@@ -279,20 +447,24 @@ class StabiliserChain:
     transversal.  By Schreier's lemma it is the level's group exactly when
     every product u_x * s of a transversal row and a level generator lies in
     it; a tree edge u_x * s = u_y always does.  Each product is looked up by
-    its base images and compared in full.  A product outside is divided down
-    the chain (``_sift``), and its residue becomes a new strong generator;
-    the base is recomputed from the strong generators, and the levels it
-    changed are verified again.  The top level checks only the given
+    its base images and compared with its match on every point, one column
+    block at a time (``_Candidate.first_failure``).  A product outside is
+    divided down the chain (``_sift``), and its residue becomes a new strong
+    generator; the base is recomputed from the strong generators, and the
+    levels it changed are verified again.  The top level checks only the given
     generators: once T(1) * s lies in T(1) for each of them, T(1) is closed
     under them and is the whole group.
 
     ``orbits`` are the basic orbits, in breadth-first order, and ``order``
     (also ``len``) is the product of their sizes.  ``table()`` gathers the
     top candidate's rows, already in sorted order, and ``first_stabiliser()``
-    is the verified table below the top level.
+    is the verified table below the top level.  The chain holds the levels'
+    trees and the table below the top, and no transversal rows.
     """
 
     def __init__(self, levels: list[_Level], top: Optional[_Candidate], degree: int):
+        if top is not None:
+            top.u = None
         self.top = top
         self.degree = degree
         self.base = [lv.point for lv in levels]
@@ -316,7 +488,9 @@ class StabiliserChain:
 def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
     """The verified chain of the group the rows generate, or None once the
     orbit sizes show it has more than ``cap`` elements; that is checked
-    before any level's transversal rows are gathered."""
+    before any column of a level's transversal is gathered.  Raises
+    ``TableBudgetExceeded`` before gathering a level table over
+    ``TABLE_BYTES``."""
     gen_rows = np.asarray(gen_rows, dtype=np.int32)
     ident = np.arange(gen_rows.shape[1], dtype=np.int32)
     strong = gen_rows[(gen_rows != ident).any(axis=1)]
@@ -327,7 +501,7 @@ def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain
     while i >= 0:
         if math.prod(lv.orbit.size for lv in levels) > cap:
             return None
-        cand = _Candidate(levels[i], below[i + 1], [lv.point for lv in levels[i + 1:]])
+        cand = _Candidate(levels[i], below[i + 1], levels[i + 1:])
         failed = cand.first_failure()
         if failed is None:
             if i:

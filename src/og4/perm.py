@@ -17,6 +17,8 @@ lexicographically, and the chain gathers its rows in that order directly.
 The table is gathered on demand, the first time something reads it; until
 then the chain answers the order, transitivity and the stabiliser of the
 first base point, which is all that certifying and analysing a pair needs.
+A table over the byte budget ``_kernels.TABLE_BYTES`` is refused
+(``TableBudgetExceeded``) before it is allocated.
 The byte-keyed breadth-first closure and full-width lexsort the chain
 replaced, and the table reads it answers instead, are kept in
 ``tests/oracles.py`` and compared with it.
@@ -47,13 +49,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import OG4Error, TableBudgetExceeded
 
 DEFAULT_CAP = 1_000_000
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10_000
-
-
-class OG4Error(Exception):
-    """Base class for library errors."""
 
 
 class DegreeMismatch(OG4Error):
@@ -259,7 +258,7 @@ class PermGroup:
     def table(self) -> np.ndarray:
         if self._table is None:
             self._table = _read_only(self._chain.table())
-            self._chain = None  # frees the top level's transversal rows
+            self._chain = None  # frees the chain's trees, keys and level table
         return self._table
 
     # -- element access ----------------------------------------------------
@@ -349,7 +348,7 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
     """The group the generators generate, held as its stabiliser chain until
     its table is read; raises if the chain's orbits show more than ``cap``
-    elements, before any transversal row is gathered."""
+    elements, before any of its transversal is gathered."""
     gens = list(generators)
     if not gens:
         raise OG4Error("generator list must be nonempty")

@@ -2,8 +2,10 @@
 base-image index arithmetic replaced, the searches over generator images
 and ``Permutation`` objects that its table reads replaced, the
 breadth-first closure and full-width lexsort that its stabiliser chain
-replaced, and the table reads (transitivity, point stabilisers, the orbit
-of an arc) that the chain and the arc-orbit kernel now answer.
+replaced, the chain's Schreier check and table gather over whole
+transversal rows that its column blocks replaced, and the table reads
+(transitivity, point stabilisers, the orbit of an arc) that the chain and
+the arc-orbit kernel now answer.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -60,6 +62,42 @@ def closure_rows(gen_rows, cap):
     if rows is None:
         raise OG4Error(f"closure exceeds {cap} elements")
     return rows
+
+
+def transversal_rows(level):
+    """Every transversal row of a stabiliser-chain level, gathered whole:
+    row y is its tree parent's row followed by the tree edge's generator."""
+    rows = np.empty((level.orbit.size, level.tree.shape[1]), dtype=np.int32)
+    rows[0] = np.arange(rows.shape[1])
+    for lo, hi, s in level.segments:
+        rows[lo:hi] = level.tree[s][rows[level.parent[lo:hi]]]
+    return rows
+
+
+def candidate_rows(level, below):
+    """The candidate T * U of a level over the rows ``below`` of T, unsorted:
+    row (y, t) is transversal row y applied after row t."""
+    u = transversal_rows(level)
+    return u[:, below].reshape(-1, u.shape[1])
+
+
+def first_failure(level, below):
+    """The first product u_x * s (row x, then generator s), generators in
+    order and then rows, that is not one of the candidate's rows; None if
+    every one is.  Members are found by the bytes of their full rows."""
+    u = transversal_rows(level)
+    members = {row.tobytes() for row in candidate_rows(level, below)}
+    for g in level.gens:
+        for x in range(u.shape[0]):
+            product = g[u[x]]
+            if product.tobytes() not in members:
+                return product
+    return None
+
+
+def candidate_table(level, below):
+    """The candidate's rows, sorted by a lexsort over every column."""
+    return sorted_table(candidate_rows(level, below))
 
 
 def transitive(group):

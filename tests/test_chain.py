@@ -5,7 +5,10 @@ the table; the element cap is checked before the table is gathered; a
 construction builds a chain only for the groups it does not already hold;
 a group held as its chain answers order, transitivity, the stabiliser of
 vertex 0, walk orbits and edge transitivity as the table reads in
-oracles.py do, so construct, verify and analyze gather no wide table."""
+oracles.py do, so construct, verify and analyze gather no wide table; the
+Schreier check over column blocks and the table written by the search
+agree with the row-based check and gather in oracles.py; and no chain
+holds more than a few MB while it is built."""
 
 import io
 import json
@@ -31,6 +34,18 @@ from og4.constructions import (
 )
 
 import oracles
+
+
+def draw_generators(data):
+    """Generators on at most 12 points, each moving at most 5 of them."""
+    degree = data.draw(st.integers(1, 12), label="degree")
+    points = st.lists(st.integers(0, degree - 1), unique=True, max_size=min(5, degree))
+    gens = []
+    for support in data.draw(st.lists(points, min_size=1, max_size=4), label="supports"):
+        images = np.arange(degree, dtype=np.int32)
+        images[support] = data.draw(st.permutations(support))
+        gens.append(images)
+    return gens
 
 
 def assert_matches_oracle(gen_rows, cap, name=""):
@@ -94,18 +109,121 @@ class TestMatchesOracle:
         """Generators on at most 12 points, each moving at most 5 of them,
         so the groups are often intransitive; with repeats and the identity
         mixed in.  Past the cap both sides give None."""
-        degree = data.draw(st.integers(1, 12), label="degree")
-        points = st.lists(st.integers(0, degree - 1), unique=True, max_size=min(5, degree))
-        gens = []
-        for support in data.draw(st.lists(points, min_size=1, max_size=4), label="supports"):
-            images = np.arange(degree, dtype=np.int32)
-            images[support] = data.draw(st.permutations(support))
-            gens.append(images)
+        gens = draw_generators(data)
         if data.draw(st.booleans(), label="repeat a generator"):
             gens.append(gens[0])
         if data.draw(st.booleans(), label="add the identity"):
-            gens.insert(data.draw(st.integers(0, len(gens))), np.arange(degree, dtype=np.int32))
+            ident = np.arange(gens[0].size, dtype=np.int32)
+            gens.insert(data.draw(st.integers(0, len(gens))), ident)
         assert_matches_oracle(np.asarray(gens), 3000)
+
+
+def without_a_schreier_generator(level, below):
+    """``below`` without the first element t, other than the identity, with
+    u_x * s = t * u_y for a transversal row u_x and a level generator s: a
+    candidate over the rest must be rejected."""
+    u = oracles.transversal_rows(level)
+    for g in level.gens:
+        for x in range(u.shape[0]):
+            product = g[u[x]]
+            inv = np.argsort(u[level.where[product[level.point]]])
+            t = inv[product]
+            if (t != np.arange(t.size)).any():
+                keep = (below != t).any(axis=1)
+                assert not keep.all()
+                return below[keep]
+    return None
+
+
+class TestRowOracle:
+    """Every candidate a chain builds gives the verdict, the failing product
+    and the sorted table that the row-based check and gather in oracles.py
+    give; a candidate whose level table lacks a Schreier generator is
+    rejected by both, with the same product."""
+
+    @staticmethod
+    def compare(cand, failed):
+        """The outcome of ``cand``: rejected, verified, or verified with a
+        rejected copy lacking a Schreier generator."""
+        want = oracles.first_failure(cand.level, cand.below)
+        assert (failed is None) == (want is None)
+        if failed is not None:
+            assert np.array_equal(failed, want)
+            return "rejected"
+        assert np.array_equal(cand.table(), oracles.candidate_table(cand.level, cand.below))
+        lacking = without_a_schreier_generator(cand.level, cand.below)
+        if lacking is None:
+            return "verified"
+        failed = _kernels._Candidate(cand.level, lacking, cand.deeper).first_failure()
+        assert failed is not None
+        assert np.array_equal(failed, oracles.first_failure(cand.level, lacking))
+        return "verified, partial copy rejected"
+
+    def checked_chain(self, monkeypatch, gen_rows, cap):
+        real = _kernels._Candidate.first_failure
+        count = Counter()
+
+        def checked(cand):
+            failed = real(cand)
+            count[self.compare(cand, failed)] += 1
+            return failed
+
+        monkeypatch.setattr(_kernels._Candidate, "first_failure", checked)
+        try:
+            _kernels.stabiliser_chain(np.asarray(gen_rows, dtype=np.int32), cap)
+        finally:
+            monkeypatch.undo()
+        return count
+
+    def test_corpus_chains(self, monkeypatch, corpus_groups, tw_n_groups):
+        """Every level candidate of every corpus chain, the degree-3600 and
+        1800 vertex groups included (their top levels are checked in 50 and
+        13 column blocks)."""
+        total = Counter()
+        for name, group in corpus_groups + tw_n_groups:
+            count = self.checked_chain(monkeypatch, group.gen_rows(), group.order)
+            assert count["verified"] + count["verified, partial copy rejected"], name
+            total += count
+        assert total["rejected"] and total["verified, partial copy rejected"], total
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_generator_sets(self, data):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.checked_chain(monkeypatch, draw_generators(data), 3000)
+
+    def test_difference_in_one_block(self, pa_pair):
+        """pa's top level is checked in 13 column blocks.  Swapping the
+        images of two points of one block that a row t of T fixes keeps t
+        mapping every block into itself and keeps the base images, so each
+        product matched to t differs from it on that block alone; the first,
+        a middle and the last block each reject, with the oracle's product."""
+        chain = _kernels.stabiliser_chain(pa_pair.group.gen_rows(), 7200)
+        top = chain.top
+        blocks = top._blocks()
+        assert len(blocks) == 13
+        t = top.below.shape[0] - 1
+        for points in (blocks[0], blocks[6], blocks[-1]):
+            fixed = points[(top.below[t, points] == points) & ~np.isin(points, chain.base)]
+            q1, q2 = fixed[:2]
+            below = top.below.copy()
+            below[t, [q1, q2]] = q2, q1
+            cand = _kernels._Candidate(top.level, below, top.deeper)
+            failed = cand.first_failure()
+            assert failed is not None
+            assert np.array_equal(failed, oracles.first_failure(top.level, below))
+
+    def test_blocks_are_unions_of_orbits(self, tw_pair):
+        """tw's top level: 50 blocks of 72 or so points covering every point
+        once, each mapped into itself by the stabiliser below."""
+        chain = _kernels.stabiliser_chain(tw_pair.group.gen_rows(), 7200)
+        blocks = chain.top._blocks()
+        assert len(blocks) == 50
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(3600))
+        for points in blocks:
+            inside = np.zeros(3600, dtype=bool)
+            inside[points] = True
+            assert inside[chain.top.below[:, points]].all()
 
 
 class TestSortedRows:
@@ -123,9 +241,10 @@ class TestSortedRows:
 
 
 class TestResources:
-    """Building tw_cayley's vertex group (7200 rows of degree 3600, a
-    99 MB table) stays within twice the table under tracemalloc, and a cap
-    one below its order is refused before a table of that size exists."""
+    """Under tracemalloc: gathering tw_cayley's vertex-group table (7200
+    rows of degree 3600, 99 MB) stays within 1.25 tables, building its
+    chain or a 6000-cycle's stays below 16 MB, and a cap one below its order
+    is refused before the table exists."""
 
     def _peak(self, fn):
         tracemalloc.start()
@@ -139,12 +258,28 @@ class TestResources:
         gens = list(tw_pair.group.generators)
         table_bytes = tw_pair.group.table.nbytes
         peak = self._peak(lambda: enumerate_group(gens, 7200).table)
-        assert peak <= 2 * table_bytes, peak / 2**20
+        assert peak <= 1.25 * table_bytes, peak / 2**20
+
+    def test_chain_peak(self, tw_pair):
+        """The check reads U = 3600 transversal rows of degree 3600 in
+        column blocks; the rows whole would take 52 MB."""
+        gens = list(tw_pair.group.generators)
+        peak = self._peak(lambda: enumerate_group(gens, 7200))
+        assert peak < 16 * 2**20, peak / 2**20
+
+    def test_cycle_chain_peak(self):
+        """A 6000-cycle's transversal is 6000 rows of degree 6000 (144 MB)."""
+        cycle = np.roll(np.arange(6000, dtype=np.int32), 1)[None, :]
+        chain = _kernels.stabiliser_chain(cycle, 6000)
+        assert chain.order == 6000 and chain.base == [0]
+        peak = self._peak(lambda: _kernels.stabiliser_chain(cycle, 6000))
+        assert peak < 16 * 2**20, peak / 2**20
 
     def test_construct_below_one_table(self, tw_pair, tmp_path):
         """``construct tw_cayley`` holds the vertex group as its chain and
-        never gathers the table, so it stays below one table (measured
-        79 MB for the 99 MB table)."""
+        never gathers the table or the transversal rows, so it stays below
+        a quarter of the 99 MB table (measured 7.8 MB;
+        79 MB when the check gathered the transversal rows whole)."""
         doc = tmp_path / "tw.json"
         doc.write_text(json.dumps(TW_DOC))
 
@@ -152,7 +287,7 @@ class TestResources:
             with redirect_stdout(io.StringIO()):
                 assert og4.cli.main(["construct", str(doc)]) == 0
 
-        assert self._peak(construct) < tw_pair.group.table.nbytes
+        assert self._peak(construct) < tw_pair.group.table.nbytes / 4
 
     def test_cap_refused_before_gathering(self, tw_pair):
         gens = list(tw_pair.group.generators)
@@ -354,16 +489,54 @@ class TestNoWideTable:
         assert degrees[1800] == 1
 
     def test_max_order_refused_before_rows(self, monkeypatch, tmp_path, capsys):
-        """One below |G| is refused (exit 2) with no transversal row
-        gathered at degree 3600."""
+        """One below |G| is refused (exit 2) with nothing of the transversal
+        gathered at degree 3600: no column block and no single row."""
         degrees = Counter()
-        real = _kernels._Level.rows
+        for name in ("columns", "row"):
+            real = getattr(_kernels._Level, name)
 
-        def counting(level):
-            degrees[level.gens.shape[1]] += 1
-            return real(level)
+            def counting(level, *args, real=real):
+                degrees[level.gens.shape[1]] += 1
+                return real(level, *args)
 
-        monkeypatch.setattr(_kernels._Level, "rows", counting)
+            monkeypatch.setattr(_kernels._Level, name, counting)
         assert run_cli(tmp_path, "construct", TW_DOC, "--max-order", "7199")[0] == 2
         assert "exceeded the element cap of 7199" in capsys.readouterr().err
         assert degrees[3600] == 0
+        assert run_cli(tmp_path, "construct", TW_DOC)[0] == 0
+        assert degrees[3600] > 0
+
+
+class TestTableBudget:
+    """Every table a chain gathers, level tables included, is checked
+    against ``_kernels.TABLE_BYTES`` before it is allocated; a refusal is
+    one ``error:`` line and exit 2."""
+
+    def test_classify_pa_refused(self, monkeypatch, tmp_path, capsys):
+        """pa's vertex-group table is 7200 rows of degree 1800 (49 MB):
+        ``classify`` needs it and is refused under a 10 MB budget, with
+        little allocated; ``construct`` never gathers it and succeeds."""
+        monkeypatch.setattr(_kernels, "TABLE_BYTES", 10 * 2**20)
+        tracemalloc.start()
+        try:
+            status = run_cli(tmp_path, "classify", PA_DOC)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert peak < 16 * 2**20, peak / 2**20
+        err = capsys.readouterr().err
+        assert err == ("error: an element table of 7200 rows at degree 1800 needs 49 MB, "
+                       "over the budget of 10 MB\n")
+        assert run_cli(tmp_path, "construct", PA_DOC)[0] == 0
+
+    def test_level_tables(self, monkeypatch):
+        """Sym(7) on 7 points has level tables of 720, 120, ... rows below
+        its top; a budget of 2 KB refuses the first one over it while the
+        chain is built."""
+        gens = og4.symmetric_group(7).gen_rows()
+        monkeypatch.setattr(_kernels, "TABLE_BYTES", 2048)
+        with pytest.raises(og4.TableBudgetExceeded) as exc:
+            _kernels.stabiliser_chain(gens, 5040)
+        assert exc.value.rows * exc.value.degree * 4 > 2048
+        assert exc.value.rows < 5040
