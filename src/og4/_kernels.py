@@ -16,6 +16,14 @@ is a base point.  Sorting by the base columns therefore gives the
 lexicographic order, and in a sorted table the base is read off a few rows
 (``ascending_base``).
 
+A caller that has proved an upper bound on the group's order passes it as
+``order`` to ``close_under_products``.  Random elements are then sifted down
+the chain until the product of its orbit sizes reaches the bound, which
+proves the chain complete with no Schreier check (``known_order_chain``).
+If ``RANDOM_ELEMENTS`` elements do not reach it, or the bound exceeds the
+element cap, the Schreier-checked ``stabiliser_chain`` builds the chain
+instead; a product past the bound raises ``InvariantViolation``.
+
 Memory is bounded before it is allocated.  A stabiliser chain keeps only
 its Schreier trees and level tables; it reads a level's transversal rows in
 column blocks of about ``_BLOCK`` entries, never whole.  So an element table
@@ -25,7 +33,10 @@ level tables included, is checked against ``TABLE_BYTES`` first.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
+import zlib
 from typing import Optional
 
 import numpy as np
@@ -35,10 +46,17 @@ BACKEND = "python"
 _KEY_LIMIT = 1 << 62
 _BLOCK = 1 << 18  # entries per block of gathered columns or rows
 TABLE_BYTES = 1 << 30  # the most one gathered element table may take
+RANDOM_ELEMENTS = 64  # random elements a known-order chain sifts before it falls back
+_CONFIRMATIONS = 8  # further elements it sifts once its bound is met
 
 
 class OG4Error(Exception):
     """Base class for library errors."""
+
+
+class InvariantViolation(OG4Error):
+    """An internal structural invariant failed; must never happen on valid
+    certified input."""
 
 
 class TableBudgetExceeded(OG4Error):
@@ -519,11 +537,97 @@ def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain
     return StabiliserChain(levels, top, gen_rows.shape[1])
 
 
-def close_under_products(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
+def _random_elements(gen_rows: np.ndarray):
+    """Endless random elements of the group the rows generate, by product
+    replacement with an accumulator (Celler, Leedham-Green, Murray, Niemeyer
+    and O'Brien, *Comm. Algebra* 23, 1995): ten slots (or one per row, if
+    more) start as the rows, and each step replaces one slot by its product
+    with another and multiplies the accumulator by it.  The rows' bytes seed
+    the random choices, so the same rows give the same elements in every
+    run."""
+    rng = random.Random(zlib.crc32(gen_rows.tobytes()))
+    slots = [gen_rows[i % len(gen_rows)] for i in range(max(10, len(gen_rows)))]
+    acc = np.arange(gen_rows.shape[1], dtype=np.int32)
+    for step in itertools.count():
+        i, j = rng.sample(range(len(slots)), 2)
+        first, then = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+        slots[i] = np.take(then, first)
+        acc = np.take(slots[i], acc)
+        if step >= 20:  # the first steps only scramble the slots
+            yield acc
+
+
+def known_order_chain(gen_rows: np.ndarray, order: int) -> Optional[StabiliserChain]:
+    """The chain of the group G the rows generate, closed by an order proof,
+    or None if ``RANDOM_ELEMENTS`` random elements do not close it.
+
+    ``order`` must be an upper bound on |G| that the caller has proved.
+    Random elements are sifted down the levels (``_sift``), and each
+    residue that is not the identity becomes a strong generator, as in the
+    deterministic chain.  Level i's group is generated by the strong
+    generators fixing the base points before it, and level i + 1's lies in
+    its stabiliser of the level's point, so the product of the orbit sizes
+    is at most |G| (Seress, *Permutation Group Algorithms*, ch. 4).  Once it
+    equals ``order`` every one of those inequalities is an equality: |G| is
+    ``order`` and each level's group is the full stabiliser, so no Schreier
+    check is needed.  The tables below the top are then gathered as the
+    deterministic chain gathers them.  Randomness decides only how soon the
+    product reaches ``order``, never the chain.
+
+    A product above ``order`` refutes the bound and raises
+    ``InvariantViolation``.  A bound below |G| can also be met early, so
+    ``_CONFIRMATIONS`` more elements are sifted once it is met.  Under a
+    true bound the chain is then complete and every element sifts to the
+    identity, so a residue among them refutes the bound too and raises.
+    """
+    gen_rows = np.asarray(gen_rows, dtype=np.int32)
+    ident = np.arange(gen_rows.shape[1], dtype=np.int32)
+    strong = gen_rows[(gen_rows != ident).any(axis=1)]
+    if not strong.size:
+        return None
+    n_given = strong.shape[0]
+    levels = _levels(strong, n_given, [])
+    elements = _random_elements(strong)
+    confirmed = drawn = 0
+    while confirmed < _CONFIRMATIONS:
+        product = math.prod(lv.orbit.size for lv in levels)
+        if product > order:
+            raise InvariantViolation(
+                f"a group proved to have at most {order} elements has at least {product}")
+        if product < order and drawn == RANDOM_ELEMENTS:
+            return None
+        residue = _sift(next(elements), levels)
+        drawn += 1
+        if not (residue != ident).any():
+            confirmed += product == order
+        elif product == order:
+            raise InvariantViolation(
+                f"a group proved to have at most {order} elements has an element "
+                f"outside its chain of {order}")
+        else:
+            strong = np.vstack([strong, residue])
+            levels = _levels(strong, n_given, levels)
+    below = ident[None, :]
+    for i in range(len(levels) - 1, 0, -1):
+        below = _Candidate(levels[i], below, levels[i + 1:]).table()
+    return StabiliserChain(levels, _Candidate(levels[0], below, levels[1:]), gen_rows.shape[1])
+
+
+def close_under_products(gen_rows: np.ndarray, cap: int,
+                         order: Optional[int] = None) -> Optional[StabiliserChain]:
     """The group the rows generate, as its verified stabiliser chain, or
     ``None`` if it has more than ``cap`` elements.  ``table()`` gathers its
     elements as an ``(m, n)`` int32 array of distinct rows in lexicographic
-    order, the identity first."""
+    order, the identity first.
+
+    With ``order``, a proved upper bound on the group's order no greater
+    than ``cap``, the chain is first closed by that bound
+    (``known_order_chain``); if it does not close, or ``order`` exceeds
+    ``cap``, the Schreier-checked ``stabiliser_chain`` builds it."""
+    if order is not None and order <= cap:
+        chain = known_order_chain(gen_rows, order)
+        if chain is not None:
+            return chain
     return stabiliser_chain(gen_rows, cap)
 
 

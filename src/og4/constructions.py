@@ -176,7 +176,9 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
                                            np.concatenate([by_a, by_b]).tolist()))
     gens = _right_regular_generators(n_grp)
     gens.append(h.as_point_permutation())
-    vertex_group = enumerate_group(gens, cap)
+    # h is an automorphism of N, so it normalises the right multiplications:
+    # the vertex group is rho(N) extended by <h>, of order at most 2|N|
+    vertex_group = enumerate_group(gens, cap, 2 * n_grp.order)
     labels = LazyLabels(n_grp.order, lambda i: format_cycles(n_grp.element(i)))
     return certify_og(graph, vertex_group, 4, labels)
 
@@ -395,8 +397,9 @@ def double_coset_graph(
         for c, t in enumerate(space.coset_id[left_mult_map(group, d)[space.reps]].tolist())
     }
     graph = OrientedGraph(space.n_cosets, arcs)
+    # the coset action is a homomorphic image of the group
     vertex_group = enumerate_group(
-        [space.vertex_perm(g) for g in group.generators], cap
+        [space.vertex_perm(g) for g in group.generators], cap, group.order
     )
     return graph, vertex_group, space
 
@@ -440,8 +443,9 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
 
     graph, vertex_group, space = double_coset_graph(spec, cap)
     if vertex_group.order != group.order:
-        raise ConstructionRefuted("coset:faithful",
-                                  "coset action is not faithful despite core-freeness")
+        raise ConstructionRefuted(
+            "coset:faithful",
+            f"the coset action has order {vertex_group.order}, |G| = {group.order}")
     return certify_og(graph, vertex_group, 4, space.labels())
 
 

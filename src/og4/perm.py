@@ -18,7 +18,11 @@ The table is gathered on demand, the first time something reads it; until
 then the chain answers the order, transitivity and the stabiliser of the
 first base point, which is all that certifying and analysing a pair needs.
 A table over the byte budget ``_kernels.TABLE_BYTES`` is refused
-(``TableBudgetExceeded``) before it is allocated.
+(``TableBudgetExceeded``) before it is allocated.  A caller that has proved
+an upper bound on the order passes it to ``enumerate_group``: the chain is
+then closed when the product of its orbit sizes reaches the bound, with no
+Schreier check, and built with the check as before if it does not reach it
+within ``_kernels.RANDOM_ELEMENTS`` random elements.
 The byte-keyed breadth-first closure and full-width lexsort the chain
 replaced, and the table reads it answers instead, are kept in
 ``tests/oracles.py`` and compared with it.
@@ -345,10 +349,18 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
     )
 
 
-def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
+def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
+                    order: Optional[int] = None) -> PermGroup:
     """The group the generators generate, held as its stabiliser chain until
     its table is read; raises if the chain's orbits show more than ``cap``
-    elements, before any of its transversal is gathered."""
+    elements, before any of its transversal is gathered.
+
+    ``order`` is an upper bound on the group's order that the caller has
+    proved.  The chain is then closed once the product of its orbit sizes
+    reaches it, with no Schreier check; if ``_kernels.RANDOM_ELEMENTS``
+    random elements do not reach it, or it exceeds ``cap``, the chain is
+    built and checked as without it.  A product above it raises
+    ``InvariantViolation``."""
     gens = list(generators)
     if not gens:
         raise OG4Error("generator list must be nonempty")
@@ -356,7 +368,7 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generators have mixed degrees")
-    chain = _kernels.close_under_products(np.asarray([g.images for g in gens]), cap)
+    chain = _kernels.close_under_products(np.asarray([g.images for g in gens]), cap, order)
     if chain is None:
         raise EnumerationCapExceeded(cap)
     return PermGroup(degree, gens, chain=chain)

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import InvariantViolation
 from .graph import (
     ConstructionRefuted,
     OGPair,
@@ -34,11 +35,6 @@ from .perm import (
     quasiprimitivity_type,
     transitivity_profile,
 )
-
-
-class InvariantViolation(OG4Error):
-    """An internal structural invariant failed; must never happen on valid
-    certified input."""
 
 
 @dataclass(frozen=True)

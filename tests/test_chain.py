@@ -7,8 +7,9 @@ a group held as its chain answers order, transitivity, the stabiliser of
 vertex 0, walk orbits and edge transitivity as the table reads in
 oracles.py do, so construct, verify and analyze gather no wide table; the
 Schreier check over column blocks and the table written by the search
-agree with the row-based check and gather in oracles.py; and no chain
-holds more than a few MB while it is built."""
+agree with the row-based check and gather in oracles.py; no chain holds
+more than a few MB while it is built; and a chain closed by a proved order
+bound is the checked chain."""
 
 import io
 import json
@@ -388,13 +389,13 @@ class TestChainsPerConstruction:
     @staticmethod
     def chain_degrees(monkeypatch, tmp_path, doc):
         degrees = Counter()
-        real = _kernels.stabiliser_chain
+        real = _kernels.close_under_products
 
-        def counting(gen_rows, cap):
+        def counting(gen_rows, cap, order=None):
             degrees[gen_rows.shape[1]] += 1
-            return real(gen_rows, cap)
+            return real(gen_rows, cap, order)
 
-        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
+        monkeypatch.setattr(_kernels, "close_under_products", counting)
         assert run_cli(tmp_path, "construct", doc)[0] == 0
         return degrees
 
@@ -540,3 +541,110 @@ class TestTableBudget:
             _kernels.stabiliser_chain(gens, 5040)
         assert exc.value.rows * exc.value.degree * 4 > 2048
         assert exc.value.rows < 5040
+
+
+class TestKnownOrder:
+    """A chain closed by a proved order bound (``_kernels.known_order_chain``)
+    is the Schreier-checked chain: the same base, order, top orbit, first
+    stabiliser and table, and the same lower orbits as sets.  A bound below
+    |G| raises; a bound above it falls back to the checked chain, which
+    gives the true order."""
+
+    @pytest.fixture(scope="class")
+    def vertex_groups(self, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair, pa_pair):
+        return [("simple_cayley", sc_pair.group), ("coset_simple", cs_pair.group),
+                ("sym_bigstab(5)", sym5_pair.group), ("sym_bigstab(7)", sym7_pair.group),
+                ("tw_cayley", tw_pair.group), ("pa", pa_pair.group)]
+
+    def test_matches_checked_chain(self, vertex_groups):
+        for name, group in vertex_groups:
+            gens = group.gen_rows()
+            known = _kernels.known_order_chain(gens, group.order)
+            checked = _kernels.stabiliser_chain(gens, group.order)
+            assert known is not None, name
+            assert known.base == checked.base and known.order == checked.order, name
+            assert known.orbits[0].tobytes() == checked.orbits[0].tobytes(), name
+            assert known.first_stabiliser().tobytes() == checked.first_stabiliser().tobytes()
+            assert known.table().tobytes() == checked.table().tobytes(), name
+            for got, want in zip(known.orbits[1:], checked.orbits[1:]):
+                assert set(got.tolist()) == set(want.tolist()), name
+
+    def test_same_generators_same_chain(self, pa_pair):
+        gens = pa_pair.group.gen_rows()
+        one, two = (_kernels.known_order_chain(gens, 7200) for _ in range(2))
+        assert one.base == two.base
+        assert all(np.array_equal(a, b) for a, b in zip(one.orbits, two.orbits))
+        assert np.array_equal(one.first_stabiliser(), two.first_stabiliser())
+
+    def test_bound_below_the_order_raises(self, vertex_groups):
+        for name, group in vertex_groups:
+            with pytest.raises(og4.InvariantViolation, match="at most"):
+                _kernels.close_under_products(group.gen_rows(), group.order, group.order // 2)
+
+    def test_bound_above_the_order_falls_back(self, monkeypatch, sym5_pair):
+        calls = Counter()
+        real = _kernels.stabiliser_chain
+
+        def counting(gen_rows, cap):
+            calls[cap] += 1
+            return real(gen_rows, cap)
+
+        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
+        gens = sym5_pair.group.gen_rows()
+        assert _kernels.known_order_chain(gens, 240) is None
+        assert _kernels.close_under_products(gens, 240, 240).order == 120
+        assert calls == {240: 1}
+        # a bound over the cap goes to the checked chain at once
+        assert _kernels.close_under_products(gens, 119, 120) is None
+
+    def test_unfaithful_coset_action_refuted(self, monkeypatch, alt5):
+        """Alt(5) x Z2 over H = <(1 4)(2 5), z> with z central: H has core
+        <z>, so the action on the 30 cosets has order 60, and the bound |G|
+        passed to the vertex group's chain is twice that.  With the core
+        check hidden, the chain falls back and ``coset:faithful`` refutes,
+        naming both orders."""
+        p = og4.parse_permutation
+        z = og4.embed_pair(og4.identity(5), p("(1 2)", 2))
+        group = enumerate_group([og4.embed_pair(g, og4.identity(2)) for g in alt5.generators] + [z])
+        h = og4.embed_pair(p("(1 4)(2 5)", 5), og4.identity(2))
+        subgroup = enumerate_group([h, z])
+        s = og4.embed_pair(p("(1 2 3)", 5), og4.identity(2))
+        spec = og4.CosetSpec(group, subgroup, s)
+        with pytest.raises(og4.ConstructionRefuted) as exc:
+            og4.build_coset_graph(spec)
+        assert exc.value.clause == "coset:core_free"
+
+        def trivial_core(group, h_idx):
+            core = np.zeros(group.order, dtype=bool)
+            core[group.identity_index] = True
+            return core
+
+        monkeypatch.setattr(og4.constructions, "_core_mask", trivial_core)
+        with pytest.raises(og4.ConstructionRefuted) as exc:
+            og4.build_coset_graph(spec)
+        assert exc.value.clause == "coset:faithful"
+        assert exc.value.detail == "the coset action has order 60, |G| = 120"
+
+    @pytest.mark.parametrize("doc", [TW_DOC, PA_DOC], ids=["tw_cayley", "pa"])
+    def test_no_schreier_check_at_vertex_degree(self, monkeypatch, tmp_path, doc):
+        checks, chains = Counter(), Counter()
+        real_check, real_close = _kernels._Candidate.first_failure, _kernels.close_under_products
+
+        def check(cand):
+            checks[cand.below.shape[1]] += 1
+            return real_check(cand)
+
+        def close(gen_rows, cap, order=None):
+            chains[gen_rows.shape[1]] += 1
+            return real_close(gen_rows, cap, order)
+
+        monkeypatch.setattr(_kernels._Candidate, "first_failure", check)
+        monkeypatch.setattr(_kernels, "close_under_products", close)
+        for command in ("construct", "analyze"):
+            assert run_cli(tmp_path, command, doc)[0] == 0
+        assert not checks.keys() & {3600, 1800}, checks
+        assert chains.keys() & {3600, 1800}, chains
+
+    def test_invariant_violation_is_one_class(self):
+        assert og4.quotient.InvariantViolation is og4.InvariantViolation
+        assert og4.InvariantViolation is _kernels.InvariantViolation
