@@ -190,25 +190,29 @@ class _Level:
     and the search is redone, so a long cycle's tree is shallow (Seress,
     *Permutation Group Algorithms*, ch. 4, on shallow Schreier trees).  The
     Schreier check still multiplies by ``gens`` alone.
+
+    The search stops once the orbit has more than ``limit`` points, with no
+    jumps made; such a level is incomplete, and ``_levels`` drops it.
     """
 
-    def __init__(self, point: int, gens: np.ndarray, key):
+    def __init__(self, point: int, gens: np.ndarray, key, limit: float = math.inf):
         self.point = point
         self.gens = gens
         self.key = key
         self.tree = gens
-        while self._search() > 2 * self.orbit.size.bit_length():
+        while self._search(limit) > 2 * self.orbit.size.bit_length() and self.orbit.size <= limit:
             self.tree = np.vstack([self.tree, self._jumps(self.orbit.size - 1)])
 
-    def _search(self) -> int:
-        """Build the tree by breadth-first search; its depth."""
+    def _search(self, limit: float) -> int:
+        """Build the tree by breadth-first search, until the orbit is complete
+        or has more than ``limit`` points; its depth."""
         tree = self.tree
         where = np.full(tree.shape[1], -1, dtype=np.int64)  # point -> orbit index
         where[self.point] = 0
         orbit, parent, via = [np.array([self.point])], [np.array([-1])], [np.array([-1])]
         segments = []  # (lo, hi, generator)
         size, depth, frontier = 1, 0, np.array([self.point])
-        while frontier.size:
+        while frontier.size and size <= limit:
             found = []
             for s in range(tree.shape[0]):
                 image = tree[s][frontier]
@@ -434,22 +438,34 @@ def _sift(h: np.ndarray, levels: list[_Level]) -> np.ndarray:
     return h
 
 
-def _levels(strong: np.ndarray, n_given: int, old: list[_Level]) -> list[_Level]:
+def _levels(strong: np.ndarray, n_given: int, old: list[_Level],
+            cap: float = math.inf) -> Optional[list[_Level]]:
     """The levels of the ascending base of the strong generators: each base
     point is the least point moved by the generators fixing the ones before
     it.  The top level's tree uses only the given generators, which generate
     the same group.  An old level with the same point and generators is
-    kept, with its tree."""
+    kept, with its tree.
+
+    Level i's orbit lies in the orbit of its point under the stabiliser of
+    the points before it, so the product of the orbit sizes, level by level,
+    never exceeds the group's order.  None once that product passes
+    ``cap``: each search stops as soon as it does, before the levels below
+    are built."""
     first = np.argmax(strong != np.arange(strong.shape[1]), axis=1)
     active = np.arange(strong.shape[0])
     levels: list[_Level] = []
+    product = 1
     while active.size:
         b = int(first[active].min())
         gens = active[active < n_given] if not levels else active
         key = (b, tuple(gens.tolist()))
         j = len(levels)
-        levels.append(old[j] if j < len(old) and old[j].key == key
-                      else _Level(b, strong[gens], key))
+        level = (old[j] if j < len(old) and old[j].key == key
+                 else _Level(b, strong[gens], key, cap // product))
+        product *= level.orbit.size
+        if product > cap:
+            return None
+        levels.append(level)
         active = active[strong[active, b] == b]
     return levels
 
@@ -497,6 +513,14 @@ class StabiliserChain:
             return np.arange(self.degree, dtype=np.int32)[None, :]
         return self.top.table()
 
+    def row(self, i: int) -> np.ndarray:
+        """Row i of ``table()``, gathered alone: transversal row y of the top
+        level applied after row t of the table below it."""
+        if self.top is None:
+            return np.arange(self.degree, dtype=np.int32)
+        top = self.top
+        return top.level.row(top.ys[i])[top.below[top.ts[i]]]
+
     def first_stabiliser(self) -> np.ndarray:
         """The sorted table of the stabiliser of ``base[0]``, for a chain
         with at least one level."""
@@ -506,19 +530,20 @@ class StabiliserChain:
 def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
     """The verified chain of the group the rows generate, or None once the
     orbit sizes show it has more than ``cap`` elements; that is checked
-    before any column of a level's transversal is gathered.  Raises
+    while each level's orbit is searched (``_levels``), before any column of
+    a level's transversal is gathered.  Raises
     ``TableBudgetExceeded`` before gathering a level table over
     ``TABLE_BYTES``."""
     gen_rows = np.asarray(gen_rows, dtype=np.int32)
     ident = np.arange(gen_rows.shape[1], dtype=np.int32)
     strong = gen_rows[(gen_rows != ident).any(axis=1)]
     n_given = strong.shape[0]
-    levels = _levels(strong, n_given, [])
+    levels = _levels(strong, n_given, [], cap)
+    if levels is None:
+        return None
     below = {len(levels): ident[None, :]}  # verified level groups, sorted
     i, top = len(levels) - 1, None
     while i >= 0:
-        if math.prod(lv.orbit.size for lv in levels) > cap:
-            return None
         cand = _Candidate(levels[i], below[i + 1], levels[i + 1:])
         failed = cand.first_failure()
         if failed is None:
@@ -529,7 +554,9 @@ def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain
             i -= 1
             continue
         strong = np.vstack([strong, _sift(failed, levels[i:])])
-        new = _levels(strong, n_given, levels)
+        new = _levels(strong, n_given, levels, cap)
+        if new is None:
+            return None
         i = max(j for j in range(len(new)) if j >= len(levels) or new[j] is not levels[j])
         levels = new
         below = {j: t for j, t in below.items() if i < j < len(levels)}
@@ -586,14 +613,14 @@ def known_order_chain(gen_rows: np.ndarray, order: int) -> Optional[StabiliserCh
     if not strong.size:
         return None
     n_given = strong.shape[0]
-    levels = _levels(strong, n_given, [])
+    levels = _levels(strong, n_given, [], order)
     elements = _random_elements(strong)
     confirmed = drawn = 0
     while confirmed < _CONFIRMATIONS:
-        product = math.prod(lv.orbit.size for lv in levels)
-        if product > order:
+        if levels is None:
             raise InvariantViolation(
-                f"a group proved to have at most {order} elements has at least {product}")
+                f"a group proved to have at most {order} elements has more")
+        product = math.prod(lv.orbit.size for lv in levels)
         if product < order and drawn == RANDOM_ELEMENTS:
             return None
         residue = _sift(next(elements), levels)
@@ -606,7 +633,7 @@ def known_order_chain(gen_rows: np.ndarray, order: int) -> Optional[StabiliserCh
                 f"outside its chain of {order}")
         else:
             strong = np.vstack([strong, residue])
-            levels = _levels(strong, n_given, levels)
+            levels = _levels(strong, n_given, levels, order)
     below = ident[None, :]
     for i in range(len(levels) - 1, 0, -1):
         below = _Candidate(levels[i], below, levels[i + 1:]).table()
@@ -631,13 +658,10 @@ def close_under_products(gen_rows: np.ndarray, cap: int,
     return stabiliser_chain(gen_rows, cap)
 
 
-def point_orbit_labels(table: np.ndarray) -> np.ndarray:
-    """Label each point by the least point of its orbit.
-
-    ``table`` is the complete element table of the group, so column ``x``
-    lists the orbit of ``x``.
-    """
-    return table.min(axis=0)
+def point_orbit_labels(gen_rows: np.ndarray) -> np.ndarray:
+    """Label each point by the least point of its orbit under the group the
+    rows generate: the components of the rows as maps on the points."""
+    return component_labels(gen_rows, gen_rows.shape[1])
 
 
 def component_labels(maps, size: int) -> np.ndarray:

@@ -253,16 +253,25 @@ def tw_cayley(
         )
     s0 = embed_pair(a, b)
     s1 = embed_pair(b, a)
-    n_grp = enumerate_group([s0, s1], cap)
+    iota = block_swap(t_grp.degree)
+    # N = <s0, s1> lies in T x T, and the involution iota swaps s0 and s1 by
+    # conjugation, so it normalises N: |N<iota>| <= 2|N| <= 2|T|^2
+    n_iota = enumerate_group([s0, s1, iota], cap, 2 * t_grp.order ** 2)
+    n_grp = PermGroup(n_iota.degree, [s0, s1], parent=n_iota,
+                      mask=_span(n_iota, [s0, s1], "tw:halfset_spans_product"))
     if n_grp.order != t_grp.order ** 2:
         # cannot happen once generation + no-swap hold; kept as an honest check
         raise ConstructionRefuted("tw:halfset_spans_product",
                                   f"<S0> has order {n_grp.order}, expected {t_grp.order ** 2}")
-    h = GroupAutomorphism.from_conjugation(n_grp, block_swap(t_grp.degree))
+    h = GroupAutomorphism.from_conjugation(n_grp, iota)
     pair = build_cayley(CayleySpec(n_grp, s0, s1, h), cap)
     right = [g.images for g in _right_regular_generators(n_grp)]
     if not _regular(right, _left_regular_maps(n_grp)):
         raise ConstructionRefuted("tw:n_regular", "N is not regular on vertices")
+    # the vertex group is N<iota> acting on the right cosets of <iota>: N by
+    # right multiplication and iota by h, conjugation; <iota> is core-free
+    # since h is not the identity
+    pair.group.action = n_iota
     return pair
 
 
@@ -446,6 +455,7 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
         raise ConstructionRefuted(
             "coset:faithful",
             f"the coset action has order {vertex_group.order}, |G| = {group.order}")
+    vertex_group.action = group  # faithful: G itself, on its own points
     return certify_og(graph, vertex_group, 4, space.labels())
 
 

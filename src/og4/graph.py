@@ -54,6 +54,7 @@ class OrientedGraph:
         arr.setflags(write=False)
         self.n_vertices = n_vertices
         self.arcs = arr
+        self._lists: Optional[tuple[list[list[int]], list[list[int]]]] = None
 
     @property
     def n_arcs(self) -> int:
@@ -63,16 +64,23 @@ class OrientedGraph:
         return self.arcs[:, 0] * np.int64(self.n_vertices) + self.arcs[:, 1]
 
     def out_neighbors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for x, y in self.arcs:
-            out[int(x)].append(int(y))
-        return out
+        """Each vertex's heads, in arc order; built once per graph."""
+        return self._adjacency()[0]
 
     def in_neighbors(self) -> list[list[int]]:
-        inn: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for x, y in self.arcs:
-            inn[int(y)].append(int(x))
-        return inn
+        """Each vertex's tails, in arc order; built once per graph."""
+        return self._adjacency()[1]
+
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Out- and in-neighbour lists.  The arcs are sorted by tail, so the
+        heads come in runs per tail; a stable argsort by head puts the tails
+        in runs per head, in arc order."""
+        if self._lists is None:
+            x, y = self.arcs[:, 0], self.arcs[:, 1]
+            by_head = np.argsort(y, kind="stable")
+            self._lists = (_runs(y, np.bincount(x, minlength=self.n_vertices)),
+                           _runs(x[by_head], np.bincount(y, minlength=self.n_vertices)))
+        return self._lists
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.arcs[:, 0], minlength=self.n_vertices)
@@ -98,6 +106,12 @@ class OrientedGraph:
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n_vertices}, arcs={self.n_arcs})"
+
+
+def _runs(values: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
+    """``values`` cut into consecutive lists of the given sizes."""
+    flat, ends = values.tolist(), np.cumsum(sizes).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def reverse_arcs(graph: OrientedGraph) -> OrientedGraph:

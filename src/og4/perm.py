@@ -1,12 +1,11 @@
 """Finite permutation groups by exhaustive enumeration.
 
 Everything here works at "desk scale": structural questions are answered
-from a group's complete element table (int32 image rows, sorted
-lexicographically).  Orbits of points (and, in ``og4.graph`` and
-``og4.analysis``, of pairs and s-arcs), point stabilisers and element orders
-are all read from it: a tuple's orbit is the rows of its columns, its
-stabiliser is the rows that fix it, and an element's powers are gathers of
-its row.
+from a group's element table (int32 image rows, sorted lexicographically)
+or from the element indices of that table.  Point stabilisers and element
+orders are read from the table: a tuple's stabiliser is the rows that fix
+it, and an element's powers are gathers of its row.  Orbits of points are
+the components of a generating set's rows.
 
 A group is built from generators by a stabiliser chain
 (``_kernels.stabiliser_chain``) on its ascending base: b1 is the least point
@@ -33,13 +32,24 @@ ascending base of every row, folded into keys that come out sorted
 generating sets all go through it.
 
 A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
-is the slice of the parent's sorted table at its element indices, so it is
-sorted already; orbits are read off the table's columns, and a subgroup's
-generating set is derived only when something reads ``generators``.
-Closures, conjugacy classes and normality tests inside a group work on its
-element indices: multiplying or conjugating the whole table by one element
-is a gather of the base columns and one batch lookup, and a subgroup being
-built is a boolean mask over the table.
+is held as a boolean mask over the parent's element indices.  Its table, the
+slice of the parent's sorted table at the mask, is gathered only when read;
+a subgroup found by closing seeds also keeps the seeds it kept, which give
+its orbits.  Its canonical generating set is derived only when something
+reads ``generators``.  Closures, conjugacy classes, normality tests and the
+normal-subgroup lattice work on element indices: multiplying or conjugating
+every element by one element is a gather of the base columns and one batch
+lookup, and a subgroup being built is a boolean mask.
+
+They run in the group's small faithful action when it has one (``action``,
+a group whose generators are paired one for one with the group's; see
+``_lattice``), and in the group itself otherwise.  The small action's table
+is put in the group's element order once, so masks, element indices and
+every "(order, element indices)" tie-break are those of the group's own
+table, which is never gathered for them.  A block action's kernel reads
+each element's images of the blocks' representatives, found by a
+breadth-first search over the element indices (``_images``,
+``_point_images``), not from the table.
 
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
@@ -53,7 +63,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import OG4Error, TableBudgetExceeded
+from ._kernels import InvariantViolation, OG4Error, TableBudgetExceeded
 
 DEFAULT_CAP = 1_000_000
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10_000
@@ -215,18 +225,25 @@ def format_cycles(p: Permutation) -> str:
 
 
 class PermGroup:
-    """A permutation group, given by its element table or by a verified
-    stabiliser chain that gathers the table on demand.
+    """A permutation group, given by its element table, by a verified
+    stabiliser chain that gathers the table on demand, or as a mask over a
+    parent group's element indices.
 
     ``table`` holds every element as an image row, sorted lexicographically
     (equivalently, by the columns of the ascending base); that ordering is
     the canonical element indexing used for all tie-breaks.  A group made
     with a ``chain`` gathers the table the first time it is read and then
-    drops the chain; until then ``order``, ``transitivity_profile`` of a
-    transitive group and ``point_stabilizer`` of the first base point come
-    from the chain.  With ``generators=None`` a greedy generating set is
-    derived from the table on first read.  ``index`` (a ``BaseKeys``) is
-    the group's one element index, built on first use.
+    drops the chain; until then ``order``, ``base``, single rows and
+    ``point_stabilizer`` of the first base point come from the chain.  A
+    group made with a ``parent`` and a ``mask`` gathers the parent's rows at
+    the mask when its table is read; ``kept``, if given, are rows of
+    elements that generate it.  With ``generators=None`` a greedy generating
+    set is derived from the table on first read.  ``index`` (a
+    ``BaseKeys``) is the group's one element index, built on first use.
+
+    ``action``, if set, is the group in a faithful action on few points, a
+    group whose generators are paired one for one with ``generators``.  The
+    lattice machinery runs in it (``_lattice``).
     """
 
     def __init__(
@@ -235,19 +252,29 @@ class PermGroup:
         generators: Optional[Sequence[Permutation]],
         table: Optional[np.ndarray] = None,
         chain: Optional[_kernels.StabiliserChain] = None,
+        parent: Optional["PermGroup"] = None,
+        mask: Optional[np.ndarray] = None,
+        kept: Optional[np.ndarray] = None,
     ):
         self.degree = degree
         self._generators = None if generators is None else tuple(generators)
         self._chain = chain
+        self._parent, self._mask, self._kept = parent, mask, kept
         self._table: Optional[np.ndarray] = None
         if table is not None:
             self._table = _read_only(table)
-        self.order = chain.order if table is None else table.shape[0]
+            self.order = table.shape[0]
+        else:
+            self.order = chain.order if chain is not None else int(np.count_nonzero(mask))
+        self.action: Optional[PermGroup] = None
+        self._lattice: Optional[PermGroup] = None
         self._index: Optional[BaseKeys] = None
         self._right_mult: dict[int, np.ndarray] = {}
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._closures: Optional[list[tuple[np.ndarray, list[int]]]] = None
+        self._tree: Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        self._columns: dict[int, np.ndarray] = {}
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -261,9 +288,19 @@ class PermGroup:
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            self._table = _read_only(self._chain.table())
-            self._chain = None  # frees the chain's trees, keys and level table
+            if self._chain is not None:
+                self._table = _read_only(self._chain.table())
+                self._chain = None  # frees the chain's trees, keys and level table
+            elif self._mask.all():
+                self._table = self._parent.table
+            else:
+                self._table = _read_only(self._parent.table[self._mask])
         return self._table
+
+    @property
+    def base(self) -> list[int]:
+        """The ascending base (``_kernels.ascending_base``)."""
+        return self._chain.base if self._chain is not None else self.index.base
 
     # -- element access ----------------------------------------------------
 
@@ -273,8 +310,14 @@ class PermGroup:
             self._index = BaseKeys(self.table)
         return self._index
 
+    def row(self, i: int) -> np.ndarray:
+        """Element i's image row; a group held as its chain gathers it alone."""
+        if self._table is None and self._chain is not None:
+            return self._chain.row(i)
+        return self.table[i]
+
     def element(self, i: int) -> Permutation:
-        return Permutation(self.table[i])
+        return Permutation(self.row(i))
 
     def elements(self) -> list[Permutation]:
         return [self.element(i) for i in range(self.order)]
@@ -297,6 +340,8 @@ class PermGroup:
         return np.asarray([g.images for g in self.generators], dtype=np.int32)
 
     def same_elements(self, other: "PermGroup") -> bool:
+        if self._parent is not None and self._parent is other._parent:
+            return np.array_equal(self._mask, other._mask)
         return self.order == other.order and np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
@@ -349,6 +394,22 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
     )
 
 
+class _ReorderedKeys(BaseKeys):
+    """``BaseKeys`` of a sorted table whose rows are then put in another
+    order: row i is sorted row ``order[i]``, and lookups give positions in
+    the new order."""
+
+    def __init__(self, table: np.ndarray, order: np.ndarray):
+        super().__init__(table)
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(order.size)
+        self.table = _read_only(table[order])
+        self.images = self.table[:, self.base]
+
+    def lookup(self, base_images: np.ndarray) -> np.ndarray:
+        return self.rank[super().lookup(base_images)]
+
+
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
                     order: Optional[int] = None) -> PermGroup:
     """The group the generators generate, held as its stabiliser chain until
@@ -374,12 +435,16 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
     return PermGroup(degree, gens, chain=chain)
 
 
-def _subgroup(parent: PermGroup, mask: np.ndarray) -> PermGroup:
-    """The subgroup at a boolean mask over ``parent``'s table; a sorted
-    selection of a sorted table needs no re-sort, and the whole group shares
-    the parent's (read-only) table."""
-    table = parent.table if mask.all() else parent.table[mask]
-    return PermGroup(parent.degree, None, table)
+def _subgroup(parent: PermGroup, mask: np.ndarray,
+              kept: Optional[Sequence[int]] = None) -> PermGroup:
+    """The subgroup at a boolean mask over ``parent``'s element indices.  Its
+    table, when read, is the sorted selection of the parent's sorted table,
+    and the whole group shares the parent's (read-only) table.  ``kept``
+    are element indices that generate it; their rows give its orbits."""
+    rows = None
+    if kept is not None:
+        rows = np.asarray([parent.row(i) for i in kept], dtype=np.int32).reshape(-1, parent.degree)
+    return PermGroup(parent.degree, None, parent=parent, mask=mask, kept=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +480,13 @@ class BlockPartition:
         return [len(b) for b in self.blocks]
 
 
+def _orbit_rows(group: PermGroup) -> np.ndarray:
+    """Rows that generate the group: its kept seeds, else ``generators``."""
+    return group._kept if group._kept is not None else group.gen_rows()
+
+
 def orbits(group: PermGroup) -> BlockPartition:
-    return BlockPartition.from_labels(_kernels.point_orbit_labels(group.table))
+    return BlockPartition.from_labels(_kernels.point_orbit_labels(_orbit_rows(group)))
 
 
 @dataclass(frozen=True)
@@ -428,25 +498,19 @@ class TransitivityProfile:
 
 
 def transitivity_profile(group: PermGroup) -> TransitivityProfile:
-    """Orbits and regularity.  A group held as a chain is transitive when its
-    first basic orbit is the orbit of point 0 and covers every point; its
-    point stabilisers then have order |G| / degree, so no table is read."""
-    chain = group._chain
-    if chain is not None and chain.base[:1] == [0] and chain.orbits[0].size == group.degree:
-        regular = group.order == group.degree
-        return TransitivityProfile(True, regular, regular, 1)
-    labels = _kernels.point_orbit_labels(group.table)
-    reps = np.flatnonzero(labels == np.arange(group.degree))  # least point of each orbit
-    transitive = reps.size == 1
-    # semiregular: every point stabiliser is trivial.  Stabilisers of points
-    # in one orbit are conjugate, so it is enough that only the identity
-    # fixes the least point of each orbit.
-    semiregular = bool((np.count_nonzero(group.table[:, reps] == reps, axis=0) == 1).all())
+    """Orbits and regularity, from the orbits of a generating set.  The
+    group is semiregular when every point stabiliser is trivial, that is
+    when every orbit has |G| points (orbit-stabiliser)."""
+    labels = _kernels.point_orbit_labels(_orbit_rows(group))
+    sizes = np.bincount(labels, minlength=group.degree)
+    sizes = sizes[labels == np.arange(group.degree)]  # at the least point of each orbit
+    transitive = sizes.size == 1
+    semiregular = bool((sizes == group.order).all())
     return TransitivityProfile(
         transitive=transitive,
         semiregular=semiregular,
         regular=transitive and semiregular,
-        orbit_count=reps.size,
+        orbit_count=sizes.size,
     )
 
 
@@ -518,6 +582,102 @@ def _conjugation_maps(group: PermGroup) -> list[np.ndarray]:
     return group._conjugation
 
 
+def _lattice(group: PermGroup) -> PermGroup:
+    """The group whose element indices the lattice masks run over: the group
+    itself, or for a group with an ``action``, that action's table with its
+    rows in the group's element order (``_faithful_table``)."""
+    if group._lattice is None:
+        group._lattice = group if group.action is None else _faithful_table(group)
+    return group._lattice
+
+
+def _faithful_table(group: PermGroup) -> PermGroup:
+    """The group's small action S, as a group whose element i is the group's
+    element i.
+
+    Generator j of S is paired with generator j of the group.  ``_images``
+    gives every element of S the images of the group's ascending base under
+    the product of the paired generators along its search path.  Every edge
+    x -> x * s_j of S's Cayley graph is then checked: the images at x * s_j
+    must be row j applied after those at x.  An element of the group is
+    fixed by its base images, so the pairing extends to a homomorphism from
+    S onto the group (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, ch. 4, on action homomorphisms).  With |S| = |G| it is an
+    isomorphism, and sorting S by those base images puts it in the order of
+    the group's table, which is sorted by them.  Anything else raises
+    ``InvariantViolation``."""
+    small = group.action
+    if len(small.generators) != len(group.generators):
+        raise InvariantViolation("the small action does not pair its generators with the group's")
+    if small.order != group.order:
+        raise InvariantViolation(
+            f"the small action has order {small.order}, the group {group.order}")
+    rows = group.gen_rows()
+    images = _images(small, rows, group.base)
+    for g, row in zip(small.generators, rows):
+        if not np.array_equal(images[_right_mult_map(small, small.index_of(g))], row[images]):
+            raise InvariantViolation("the paired generators do not define a homomorphism")
+    order = np.lexsort(images.T[::-1])
+    keys = _ReorderedKeys(small.table, order)
+    lattice = PermGroup(small.degree, small.generators, keys.table)
+    lattice._index = keys
+    # S's search and its base images, in the new order
+    lattice._tree = [(keys.rank[found], keys.rank[parents], gens)
+                     for found, parents, gens in _search_tree(small)]
+    lattice._columns = dict(zip(group.base, images[order].T))
+    return lattice
+
+
+def _search_tree(group: PermGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first search of the group's elements from the identity over
+    the right multiplications by its generators, cached on the group: per
+    layer, (its elements, their parents, generators), each element being
+    its parent times that generator."""
+    if group._tree is None:
+        maps = [_right_mult_map(group, group.index_of(g)) for g in group.generators]
+        seen = np.zeros(group.order, dtype=bool)
+        seen[group.identity_index] = True
+        frontier, tree = np.asarray([group.identity_index]), []
+        while frontier.size:
+            layer = []
+            for j, m in enumerate(maps):
+                y = m[frontier]
+                fresh = ~seen[y]
+                seen[y[fresh]] = True
+                layer.append((y[fresh], frontier[fresh], np.full(np.count_nonzero(fresh), j)))
+            found, parents, gens = (np.concatenate(a) for a in zip(*layer))
+            tree.append((found, parents, gens[:, None]))
+            frontier = found
+        group._tree = tree
+    return group._tree
+
+
+def _images(group: PermGroup, gen_rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
+    """(order, len(points)): row x holds the images of the points under the
+    product of ``gen_rows`` along the search path to element x
+    (``_search_tree``), generator j of ``group`` being paired with
+    ``gen_rows[j]``.  Where the pairing extends to a homomorphism, that is
+    the image of x, whatever the path."""
+    out = np.empty((group.order, len(points)), dtype=np.int32)
+    out[group.identity_index] = points
+    for found, parents, gens in _search_tree(group):
+        out[found] = gen_rows[gens, out[parents]]
+    return out
+
+
+def _point_images(group: PermGroup, points: Sequence[int]) -> np.ndarray:
+    """(order, len(points)): every element's images of the points, in the
+    lattice's element order (``_images`` with the group's generators); each
+    point's column is cached on the lattice group, so the quotients of one
+    lattice search once per point."""
+    lattice = _lattice(group)
+    columns = lattice._columns
+    new = [int(p) for p in points if int(p) not in columns]
+    if new:
+        columns.update(zip(new, _images(lattice, group.gen_rows(), new).T))
+    return np.stack([columns[int(p)] for p in points], axis=1)
+
+
 def _grow(group: PermGroup, mask: np.ndarray, gens: list[int], seeds: Iterable[int]) -> None:
     """Extend the subgroup at ``mask`` by the seeds, in place.
 
@@ -560,7 +720,7 @@ def _generate_in_parent(
 def normal_closure(group: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     """Least normal subgroup of ``group`` containing the seeds."""
     seed_idx = sorted({group.index_of(s) for s in seeds})
-    return _subgroup(group, _normal_closure_mask(group, seed_idx)[0])
+    return _subgroup(group, *_normal_closure_mask(_lattice(group), seed_idx))
 
 
 def _normal_closure_mask(group: PermGroup, seed_idx: Iterable[int]) -> tuple[np.ndarray, list[int]]:
@@ -583,37 +743,38 @@ def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
     The classes are the connected components of the generators' conjugation
     maps, each labelled by its least index (``_kernels.component_labels``).
     """
-    if group._classes is not None:
-        return group._classes
-    labels = _kernels.component_labels(_conjugation_maps(group), group.order)
-    by_label = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
-    group._classes = np.split(by_label, cuts)
-    return group._classes
+    lattice = _lattice(group)
+    if lattice._classes is None:
+        labels = _kernels.component_labels(_conjugation_maps(lattice), lattice.order)
+        by_label = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
+        lattice._classes = np.split(by_label, cuts)
+    return lattice._classes
 
 
 def _class_closures(group: PermGroup) -> list[tuple[np.ndarray, list[int]]]:
     """Normal closure of each nontrivial conjugacy class, deduplicated, as
-    (mask, kept generators).  <class> is normal since conjugation permutes
-    the class."""
-    if group._closures is not None:
-        return group._closures
+    (mask, kept generators) in the lattice group.  <class> is normal since
+    conjugation permutes the class."""
+    lattice = _lattice(group)
+    if lattice._closures is not None:
+        return lattice._closures
     closures = []
     seen: set[bytes] = set()
-    ident = group.identity_index
-    for cls in conjugacy_classes(group):
+    ident = lattice.identity_index
+    for cls in conjugacy_classes(lattice):
         if cls.size == 1 and int(cls[0]) == ident:
             continue
-        mask, gens = _generate_in_parent(group, cls)
+        mask, gens = _generate_in_parent(lattice, cls)
         key = mask.tobytes()
         if key in seen:
             # classes are disjoint, so no other closure was grown by these
             for s in gens:
-                del group._right_mult[s]
+                del lattice._right_mult[s]
         else:
             seen.add(key)
             closures.append((mask, gens))
-    group._closures = closures
+    lattice._closures = closures
     return closures
 
 
@@ -625,18 +786,19 @@ def all_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     the classes it contains, and every such join is normal.  The join of a
     normal N with an atom <S> is N<S>, grown from N's mask by the seeds S.
     """
-    atoms = _class_closures(group)
-    trivial, _ = _generate_in_parent(group, ())
-    found = {trivial.tobytes(): trivial}
-    frontier = [trivial]
+    lattice = _lattice(group)
+    atoms = _class_closures(lattice)
+    trivial, _ = _generate_in_parent(lattice, ())
+    found = {trivial.tobytes(): (trivial, [])}
+    frontier = [(trivial, [])]
     while frontier:
         nxt = []
-        for sub in frontier:
+        for sub, gens in frontier:
             for atom, seeds in atoms:
                 if not (atom & ~sub).any():
                     continue
-                joined = sub.copy()
-                _grow(group, joined, [], seeds)
+                joined, kept = sub.copy(), []
+                _grow(lattice, joined, kept, seeds)
                 key = joined.tobytes()
                 if key not in found:
                     if len(found) >= DEFAULT_NORMAL_SUBGROUP_LIMIT:
@@ -644,8 +806,8 @@ def all_normal_subgroups(group: PermGroup) -> list[PermGroup]:
                             "normal-subgroup lattice exceeds the limit of "
                             f"{DEFAULT_NORMAL_SUBGROUP_LIMIT} candidates"
                         )
-                    found[key] = joined
-                    nxt.append(joined)
+                    found[key] = (joined, gens + kept)
+                    nxt.append(found[key])
         frontier = nxt
     return _subgroups_by_order(group, found.values())
 
@@ -657,31 +819,39 @@ def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     nonidentity elements, so the minimal elements among the class closures
     are exactly the minimal normal subgroups.
     """
-    closures = [mask for mask, _ in _class_closures(group)]
+    closures = _class_closures(group)
     minimal = [
-        c for c in closures
-        if not any(other is not c and not (other & ~c).any() for other in closures)
+        (c, gens) for c, gens in closures
+        if not any(other is not c and not (other & ~c).any() for other, _ in closures)
     ]
     return _subgroups_by_order(group, minimal)
 
 
-def _subgroups_by_order(group: PermGroup, masks: Iterable[np.ndarray]) -> list[PermGroup]:
-    """Subgroups at the given masks, ordered by (order, element indices)."""
-    masks = sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist()))
-    return [_subgroup(group, m) for m in masks]
+def _subgroups_by_order(group: PermGroup,
+                        found: Iterable[tuple[np.ndarray, list[int]]]) -> list[PermGroup]:
+    """Subgroups at the given (mask, kept generators), ordered by (order,
+    element indices)."""
+    found = sorted(found, key=lambda f: (int(f[0].sum()), np.flatnonzero(f[0]).tolist()))
+    return [_subgroup(group, mask, gens) for mask, gens in found]
 
 
 def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
-    """Whether every row of ``sub`` lies in ``group`` and conjugating them
-    by ``group``'s generators stays inside ``sub``."""
+    """Whether every element of ``sub`` lies in ``group`` and conjugating
+    them by ``group``'s generators stays inside ``sub``.  A subgroup held as
+    a mask over ``group`` is tested by its mask; any other is looked up row
+    by row in ``group``'s table."""
     if sub.degree != group.degree:
         return False
-    idx = group.index.indices_of(sub.table)
-    if idx is None:
-        return False
-    member = np.zeros(group.order, dtype=bool)
-    member[idx] = True
-    return all(member[c[idx]].all() for c in _conjugation_maps(group))
+    if sub._parent is group:
+        member = sub._mask
+    else:
+        idx = group.index.indices_of(sub.table)
+        if idx is None:
+            return False
+        member = np.zeros(group.order, dtype=bool)
+        member[idx] = True
+    idx = np.flatnonzero(member)
+    return all(member[c[idx]].all() for c in _conjugation_maps(_lattice(group)))
 
 
 def quasiprimitivity_type(group: PermGroup) -> str:
@@ -691,9 +861,14 @@ def quasiprimitivity_type(group: PermGroup) -> str:
     normal subgroups only ever decrease, so it suffices to look at minimal
     ones.
     """
+    return _quasiprimitivity(group, minimal_normal_subgroups(group))
+
+
+def _quasiprimitivity(group: PermGroup, minimal: Sequence[PermGroup]) -> str:
+    """``quasiprimitivity_type`` from the group's minimal normal subgroups."""
     if not transitivity_profile(group).transitive:
         raise OG4Error("quasiprimitivity is defined for transitive groups only")
-    counts = [orbits(m).n_blocks for m in minimal_normal_subgroups(group)]
+    counts = [orbits(m).n_blocks for m in minimal]
     if all(c == 1 for c in counts):
         return "quasiprimitive"
     if all(c <= 2 for c in counts):
@@ -715,7 +890,9 @@ def is_nonabelian_simple(group: PermGroup) -> bool:
 def induced_block_action(
     group: PermGroup, partition: BlockPartition
 ) -> tuple[PermGroup, PermGroup]:
-    """(image on block indices, kernel of that action)."""
+    """(image on block indices, kernel of that action).  Each element's
+    action on the blocks is read from its images of the blocks' least
+    points (``_point_images``)."""
     pb = partition.point_block
     if pb.size != group.degree:
         raise OG4Error("partition does not cover the group's points")
@@ -725,13 +902,12 @@ def induced_block_action(
     rows = group.gen_rows()
     if not (pb[rows] == pb[rows[:, reps]][:, pb]).all():
         raise OG4Error("partition is not invariant under the group")
-    induced = pb[group.table[:, reps]]  # (order, n_blocks)
+    induced = pb[_point_images(group, reps)]  # (order, n_blocks)
     gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
     image = PermGroup(partition.n_blocks, list(dict.fromkeys(gen_images)),
                       _kernels.sort_group_rows(induced))
     kernel_mask = (induced == np.arange(partition.n_blocks)).all(axis=1)
-    kernel = _subgroup(group, kernel_mask)
-    return image, kernel
+    return image, _subgroup(group, kernel_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from .perm import (
     OG4Error,
     PermGroup,
     _element_orders,
+    _quasiprimitivity,
     all_normal_subgroups,
     induced_block_action,
     is_normal_in,
     minimal_normal_subgroups,
     orbits,
-    quasiprimitivity_type,
     transitivity_profile,
 )
 
@@ -220,7 +220,7 @@ def basic_type(pair: OGPair) -> str:
     kinds = {classify_og4_quotient(pair, m).kind for m in minimal}
     result = _basic_type_from_kinds(kinds)
     # cross-check against the group-theoretic characterization
-    qp = quasiprimitivity_type(pair.group)
+    qp = _quasiprimitivity(pair.group, minimal)
     if result == "Quasiprimitive" and qp != "quasiprimitive":
         raise InvariantViolation("basic type and quasiprimitivity test disagree")
     if result == "Biquasiprimitive" and qp != "biquasiprimitive":

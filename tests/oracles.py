@@ -3,9 +3,11 @@ base-image index arithmetic replaced, the searches over generator images
 and ``Permutation`` objects that its table reads replaced, the
 breadth-first closure and full-width lexsort that its stabiliser chain
 replaced, the chain's Schreier check and table gather over whole
-transversal rows that its column blocks replaced, and the table reads
-(transitivity, point stabilisers, the orbit of an arc) that the chain and
-the arc-orbit kernel now answer.
+transversal rows that its column blocks replaced, the table reads
+(transitivity, point stabilisers, the orbit of an arc, point orbits, block
+kernels) that the chain, generating sets and the arc-orbit kernel now
+answer, the normal-subgroup lattice on the vertex table that the small
+faithful action replaced, and the per-arc neighbour loops.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -492,3 +494,139 @@ def is_elementary_abelian(group):
     if any(element_order(x) not in (1, p) for x in group.elements()):
         return False
     return all(compose(x, y) == compose(y, x) for x in group.generators for y in group.generators)
+
+
+# ---------------------------------------------------------------------------
+# og4.perm's lattice, orbits and block actions on the vertex table
+
+
+def point_orbit_labels(table):
+    """Each point's least orbit point: column x of a group's table lists
+    the orbit of x."""
+    return table.min(axis=0)
+
+
+def semiregular(group):
+    """Whether only the identity fixes the least point of each orbit, read
+    from the table (stabilisers of points in one orbit are conjugate)."""
+    labels = point_orbit_labels(group.table)
+    reps = np.flatnonzero(labels == np.arange(group.degree))
+    return bool((np.count_nonzero(group.table[:, reps] == reps, axis=0) == 1).all())
+
+
+class VertexLattice:
+    """Conjugacy classes, normal subgroups and block kernels of a group
+    computed on its own table, as og4 computed them before the lattice moved
+    into a pair's small faithful action.  Index maps are lookups of products
+    and conjugates of the whole table in the table's base-image index; a
+    subgroup is a boolean mask over the table, grown by right
+    multiplications by its kept seeds.  Results are element-index lists in
+    the table's order."""
+
+    def __init__(self, group):
+        self.table, self.keys, self.order = group.table, group.index, group.order
+        base = self.keys.base
+        self.conj = [self.keys.lookup(g.images[self.table[:, g.inverse().images[base]]])
+                     for g in group.generators]
+        self.right = {}
+
+    def _right(self, s):
+        if s not in self.right:
+            self.right[s] = self.keys.lookup(self.table[s][self.keys.images])
+        return self.right[s]
+
+    def _grow(self, mask, seeds):
+        """Extend a normal subgroup's mask by seeds, multiplying each new
+        frontier by every seed kept so far."""
+        gens = []
+        for s in map(int, seeds):
+            if mask[s]:
+                continue
+            gens.append(s)
+            maps = [self._right(g) for g in gens]
+            new = np.zeros_like(mask)
+            new[maps[-1][np.flatnonzero(mask)]] = True
+            while new.any():
+                mask |= new
+                frontier = np.flatnonzero(new)
+                new[:] = False
+                for m in maps:
+                    new[m[frontier]] = True
+                new &= ~mask
+        return mask
+
+    def classes(self):
+        """Components of the conjugation maps, each as its sorted indices,
+        by least index; labels pulled back along the maps to a fixpoint."""
+        labels = np.arange(self.order)
+        while True:
+            new = labels
+            for m in self.conj:
+                new = np.minimum(new, new[m])
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        by_label = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
+        return [c.tolist() for c in np.split(by_label, cuts)]
+
+    def _trivial(self):
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        return mask
+
+    def _closures(self):
+        """<class> of each nontrivial class, deduplicated: (mask, class)."""
+        out, seen = [], set()
+        for cls in self.classes()[1:]:  # the identity's class is the first
+            mask = self._grow(self._trivial(), cls)
+            if mask.tobytes() not in seen:
+                seen.add(mask.tobytes())
+                out.append((mask, cls))
+        return out
+
+    @staticmethod
+    def _sorted(masks):
+        return sorted((np.flatnonzero(m).tolist() for m in masks), key=lambda s: (len(s), s))
+
+    def normal_subgroups(self):
+        """Joins of class closures, from the trivial group up."""
+        atoms = self._closures()
+        found = {self._trivial().tobytes(): self._trivial()}
+        frontier = list(found.values())
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                for atom, cls in atoms:
+                    if (atom & ~sub).any():
+                        joined = self._grow(sub.copy(), cls)
+                        if joined.tobytes() not in found:
+                            found[joined.tobytes()] = joined
+                            nxt.append(joined)
+            frontier = nxt
+        return self._sorted(found.values())
+
+    def minimal_normal_subgroups(self):
+        masks = [m for m, _ in self._closures()]
+        return self._sorted(m for m in masks
+                            if not any(o is not m and not (o & ~m).any() for o in masks))
+
+    def block_action(self, partition):
+        """(kernel indices, sorted image table) of the action on the blocks,
+        read from the table's columns at the blocks' least points."""
+        reps = [b[0] for b in partition.blocks]
+        induced = partition.point_block[self.table[:, reps]]
+        kernel = np.flatnonzero((induced == np.arange(len(reps))).all(axis=1)).tolist()
+        distinct = {row.tobytes(): row for row in induced}
+        return kernel, sorted_table(np.asarray(list(distinct.values()), dtype=np.int32))
+
+
+def neighbors(graph):
+    """(out-neighbours, in-neighbours) of each vertex, by a loop over the
+    arcs in order."""
+    out = [[] for _ in range(graph.n_vertices)]
+    inn = [[] for _ in range(graph.n_vertices)]
+    for x, y in graph.arcs.tolist():
+        out[x].append(y)
+        inn[y].append(x)
+    return out, inn

@@ -35,6 +35,7 @@ from og4.constructions import (
 )
 
 import oracles
+from test_reports import workload_reports, workloads
 
 
 def draw_generators(data):
@@ -244,8 +245,10 @@ class TestSortedRows:
 class TestResources:
     """Under tracemalloc: gathering tw_cayley's vertex-group table (7200
     rows of degree 3600, 99 MB) stays within 1.25 tables, building its
-    chain or a 6000-cycle's stays below 16 MB, and a cap one below its order
-    is refused before the table exists."""
+    chain or a 6000-cycle's stays below 16 MB, ``classify`` on it stays
+    below 64 MB, and a cap one below its order is refused before the table
+    exists.  The cap is compared with the product of the orbit sizes while
+    the levels are searched, so levels past it are never built."""
 
     def _peak(self, fn):
         tracemalloc.start()
@@ -289,6 +292,48 @@ class TestResources:
                 assert og4.cli.main(["construct", str(doc)]) == 0
 
         assert self._peak(construct) < tw_pair.group.table.nbytes / 4
+
+    def test_classify_peak(self, tmp_path):
+        """The lattice runs in N<iota> at degree 10 (7200 rows, 288 KB); the
+        vertex table alone would take 99 MB."""
+        doc = tmp_path / "tw.json"
+        doc.write_text(json.dumps(TW_DOC))
+
+        def classify():
+            with redirect_stdout(io.StringIO()):
+                assert og4.cli.main(["classify", str(doc)]) == 0
+
+        assert self._peak(classify) < 64 * 2**20
+
+    def test_cap_stops_the_level_search(self, monkeypatch, tmp_path, capsys):
+        """Twenty disjoint transpositions generate 2^20 elements, one level
+        per transposition; under a cap of 1000 the tenth level passes it, so
+        the other ten are never built.  lex_cycle(10^4) has one orbit of
+        20,000 points; under a cap of 1000 its search stops past 1000 points,
+        before any jump row is made."""
+        made, jumps = [], []
+        real_init, real_jumps = _kernels._Level.__init__, _kernels._Level._jumps
+
+        def init(level, *args):
+            real_init(level, *args)
+            made.append(level.orbit.size)
+
+        def jump(level, *args):
+            jumps.append(level.point)
+            return real_jumps(level, *args)
+
+        monkeypatch.setattr(_kernels._Level, "__init__", init)
+        monkeypatch.setattr(_kernels._Level, "_jumps", jump)
+        gens = np.tile(np.arange(40, dtype=np.int32), (20, 1))
+        for i in range(20):
+            gens[i, [2 * i, 2 * i + 1]] = [2 * i + 1, 2 * i]
+        assert _kernels.stabiliser_chain(gens, 1000) is None
+        assert made == [2] * 10
+        made.clear()
+        lex = {"family": "lex_cycle", "r": 10_000}
+        assert run_cli(tmp_path, "construct", lex, "--max-order", "1000")[0] == 2
+        assert "exceeded the element cap of 1000" in capsys.readouterr().err
+        assert len(made) == 1 and 1000 < made[0] < 1010 and jumps == []
 
     def test_cap_refused_before_gathering(self, tw_pair):
         gens = list(tw_pair.group.generators)
@@ -460,7 +505,10 @@ class TestChainServed:
 
 class TestNoWideTable:
     """``construct``, ``verify`` and ``analyze`` on tw_cayley and pa gather
-    no table at degree 3600 or 1800; ``classify`` still does."""
+    no table at degree 3600 or 1800, and neither do ``classify``,
+    ``quotient`` and ``chain``, whose lattice runs in the pair's small
+    faithful action; no operation of the benchmark's three workloads
+    gathers a table at degree 1800 or more."""
 
     @staticmethod
     def gathered(monkeypatch):
@@ -484,10 +532,18 @@ class TestNoWideTable:
         assert run_cli(tmp_path, "analyze", doc)[0] == 0
         assert not degrees.keys() & {3600, 1800}, degrees
 
-    def test_classify_gathers(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("doc", [TW_DOC, PA_DOC], ids=["tw_cayley", "pa"])
+    def test_lattice_commands(self, monkeypatch, tmp_path, doc):
         degrees = self.gathered(monkeypatch)
-        assert run_cli(tmp_path, "classify", PA_DOC)[0] == 0
-        assert degrees[1800] == 1
+        for command in ("classify", "quotient", "chain"):
+            assert run_cli(tmp_path, command, doc)[0] == 0
+        assert not degrees.keys() & {3600, 1800}, degrees
+
+    def test_workload_operations(self, monkeypatch, tmp_path):
+        degrees = self.gathered(monkeypatch)
+        for workload in workloads.WORKLOADS:
+            workload_reports(workload, tmp_path)
+        assert degrees and max(degrees) < 1800, degrees
 
     def test_max_order_refused_before_rows(self, monkeypatch, tmp_path, capsys):
         """One below |G| is refused (exit 2) with nothing of the transversal
@@ -513,14 +569,18 @@ class TestTableBudget:
     against ``_kernels.TABLE_BYTES`` before it is allocated; a refusal is
     one ``error:`` line and exit 2."""
 
-    def test_classify_pa_refused(self, monkeypatch, tmp_path, capsys):
-        """pa's vertex-group table is 7200 rows of degree 1800 (49 MB):
-        ``classify`` needs it and is refused under a 10 MB budget, with
-        little allocated; ``construct`` never gathers it and succeeds."""
+    def test_classify_pa_pair_document_refused(self, monkeypatch, tmp_path, capsys):
+        """pa's vertex-group table is 7200 rows of degree 1800 (49 MB).  A
+        pair document brings no small action, so ``classify`` on the pair
+        that ``construct`` emits runs the lattice in the vertex action, needs
+        the table and is refused under a 10 MB budget, with little
+        allocated; ``construct`` and ``classify`` of the spec never gather
+        it and succeed."""
+        pair_doc = json.loads(run_cli(tmp_path, "construct", PA_DOC)[1])["pair"]
         monkeypatch.setattr(_kernels, "TABLE_BYTES", 10 * 2**20)
         tracemalloc.start()
         try:
-            status = run_cli(tmp_path, "classify", PA_DOC)[0]
+            status = run_cli(tmp_path, "classify", pair_doc)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,6 +590,7 @@ class TestTableBudget:
         assert err == ("error: an element table of 7200 rows at degree 1800 needs 49 MB, "
                        "over the budget of 10 MB\n")
         assert run_cli(tmp_path, "construct", PA_DOC)[0] == 0
+        assert run_cli(tmp_path, "classify", PA_DOC)[0] == 0
 
     def test_level_tables(self, monkeypatch):
         """Sym(7) on 7 points has level tables of 720, 120, ... rows below

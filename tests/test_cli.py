@@ -195,18 +195,17 @@ LEX3_PAIR = {
 }
 LEX3_SPEC = {"family": "lex_cycle", "r": 3}
 
-# Integers reach 1000 and strings stay short.  With `--max-order 1000` an r
-# or n of 1000 is refused (exit 2) once the chain's orbits show the order,
-# but the chain's levels are built first, so an r of 10^4 would take a
-# second per example.  A six-character string holds no point above 9999,
-# so every table stays under 40 MB.  Cycle-notation strings are built from
+# Integers reach 10^4 and strings stay short.  With `--max-order 1000` an r
+# or n of 10^4 is refused (exit 2) while the chain's first orbit is
+# searched, once it passes 1000 points.  A six-character string holds no
+# point above 9999, so every table stays under 40 MB.  Cycle-notation strings are built from
 # a few points, a superscript and an Arabic-Indic digit, and a letter;
 # lists of them reach the generator parser.
 POINT = st.sampled_from(["1", "2", "3", "7", "0", "\u00b2", "\u0662", "x"])
 CYCLES = st.lists(st.lists(POINT, max_size=3).map(lambda pts: "(" + " ".join(pts) + ")"),
                   max_size=2).map("".join)
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 1_000) | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | st.integers(-3, 10_000) | st.floats() | st.text(max_size=6)
     | CYCLES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),

@@ -57,6 +57,19 @@ class TestOrientedGraph:
         assert reverse_arcs(reverse_arcs(g)) == g
 
 
+    def test_neighbour_lists_match_arc_loop(self, all_pairs):
+        """Out- and in-neighbour lists in arc order, as a loop over the arcs
+        gives them, built once per graph; also with an isolated vertex and
+        on the reversed graphs, whose tails are not in arc order."""
+        graphs = [(name, pair.graph) for name, pair in all_pairs]
+        graphs += [(f"reversed {name}", og4.reverse_arcs(g)) for name, g in graphs]
+        graphs.append(("isolated vertex", og4.OrientedGraph(4, [(2, 0), (0, 1), (2, 1)])))
+        for name, graph in graphs:
+            assert (graph.out_neighbors(), graph.in_neighbors()) == oracles.neighbors(graph), name
+            assert graph.out_neighbors() is graph.out_neighbors(), name
+            assert graph.in_neighbors() is graph.in_neighbors(), name
+
+
 class TestOrbital:
     def test_cyclic_orbital_is_directed_cycle(self):
         z5 = og4.cyclic_group(5)

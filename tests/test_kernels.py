@@ -14,7 +14,7 @@ def random_gen_rows(rng, n, k):
 
 def bfs_point_orbit_labels(gen_rows, n):
     """Orbit labels by search along the generators: the slow oracle for the
-    table-column labelling."""
+    component labelling."""
     labels = np.full(n, -1, dtype=np.int32)
     label = 0
     for v in range(n):
@@ -34,9 +34,14 @@ def bfs_point_orbit_labels(gen_rows, n):
 
 
 def assert_orbits_match_oracle(group):
-    got = BlockPartition.from_labels(_kernels.point_orbit_labels(group.table))
+    """The kernel on the generators, ``og4.orbits`` (a lattice subgroup's
+    kept seeds) and the table-column labelling all give the search's
+    orbits."""
     want = BlockPartition.from_labels(bfs_point_orbit_labels(group.gen_rows(), group.degree))
-    assert got.blocks == want.blocks
+    for labels in (_kernels.point_orbit_labels(group.gen_rows()),
+                   oracles.point_orbit_labels(group.table)):
+        assert BlockPartition.from_labels(labels).blocks == want.blocks
+    assert og4.orbits(group).blocks == want.blocks
 
 
 class TestClosure:

@@ -194,3 +194,64 @@ class TestBasic:
             assert got == _basic_type_from_kinds(kinds), name
             seen |= kinds
         assert {"Cover", "OrientedCycle", "K2", "K1"} <= seen
+
+
+class TestSmallAction:
+    """The lattice of a coset or tw pair runs in the pair's small faithful
+    action, and every other pair's in its vertex action; either way it gives
+    what the lattice on the vertex table (``oracles.VertexLattice``) gives."""
+
+    SMALL = {"coset_simple": 5, "sym_bigstab(5)": 5, "sym_bigstab(7)": 7,
+             "tw_cayley": 10, "pa": 10}
+
+    def test_matches_vertex_table(self, all_pairs):
+        """The same classes, normal and minimal normal subgroups (as
+        vertex-table index sets, in the same order), orbits, semiregularity,
+        block kernels and block images."""
+        for name, pair in all_pairs:
+            group = pair.group
+            lattice = perm._lattice(group)
+            assert lattice.degree == self.SMALL.get(name, group.degree), name
+            assert (lattice is group) == (name not in self.SMALL), name
+            oracle = oracles.VertexLattice(group)
+            assert [c.tolist() for c in og4.conjugacy_classes(group)] == oracle.classes(), name
+            normals = og4.all_normal_subgroups(group)
+
+            def index_sets(subs):
+                return [group.index.indices_of(n.table).tolist() for n in subs]
+
+            assert index_sets(normals) == oracle.normal_subgroups(), name
+            assert index_sets(og4.minimal_normal_subgroups(group)) == \
+                oracle.minimal_normal_subgroups(), name
+            for n_sub in normals:
+                part = og4.orbits(n_sub)
+                want = BlockPartition.from_labels(oracles.point_orbit_labels(n_sub.table))
+                assert part.blocks == want.blocks, (name, n_sub.order)
+                assert og4.transitivity_profile(n_sub).semiregular == oracles.semiregular(n_sub)
+                image, kernel = induced_block_action(group, part)
+                want_kernel, want_image = oracle.block_action(part)
+                assert index_sets([kernel]) == [want_kernel], (name, n_sub.order)
+                assert image.table.tobytes() == want_image.tobytes(), (name, n_sub.order)
+
+    def test_chain_base_is_the_table_base(self, all_pairs):
+        """The small table is sorted by the images of the vertex chain's
+        base, which is the base read off the vertex table."""
+        for name, pair in all_pairs:
+            group = pair.group
+            held = enumerate_group(group.generators, order=group.order)
+            assert held.base == group.index.base, name
+
+    def test_mispaired_action_refused(self, tw_pair, pa_pair):
+        """Pairing the first small generator with the last vertex generator
+        (and the last with the first) is no homomorphism; the identity in
+        place of the swap generates a group of half the order; a generator
+        left out leaves the pairing incomplete."""
+        for pair in (tw_pair, pa_pair):
+            group = pair.group
+            first, *middle, last = group.action.generators
+            ident = og4.identity(first.degree)
+            for action in [(last, *middle, first), (first, *middle, ident), (first, *middle)]:
+                mutant = enumerate_group(group.generators, order=group.order)
+                mutant.action = enumerate_group(action)
+                with pytest.raises(og4.InvariantViolation):
+                    og4.all_normal_subgroups(mutant)
