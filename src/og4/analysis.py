@@ -1,6 +1,11 @@
 """Structural invariants of certified OG(4) pairs: alternating cycles and
 attachment, s-arc transitivity and regularity, and stabilizer structure.
 
+Alternating cycles (Marušič, J. Combin. Theory Ser. B 73, 1998) are the
+orbits of two involutions of the sorted arcs, swapping an arc with the
+other out-arc of its tail and with the other in-arc of its head; lengths
+and attachment numbers are run lengths of sorted orbit labels.
+
 The orbit of an s-arc has |G| / |G_walk| members, with G_walk the rows of
 the first vertex's stabiliser that fix the rest of the walk.  The
 stabilizer's element orders and lower central series are gathers and index
@@ -14,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import OGPair
+from . import _kernels
+from .graph import OGPair, _run_lengths
 from .perm import PermGroup, _element_orders, _is_abelian, _normal_closure_mask, point_stabilizer
 from .quotient import InvariantViolation
 
@@ -33,98 +39,49 @@ class AlternatingStructure:
     attachment_kind: str  # loose | tight | intermediate | two_cycles_degenerate
 
 
-def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation of the cyclic sequence or its
-    reversal, starting at the least vertex."""
-    best = None
-    for cand in (seq, seq[::-1]):
-        m = min(cand)
-        for i, v in enumerate(cand):
-            if v != m:
-                continue
-            rot = tuple(cand[i:] + cand[:i])
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
-
-
 def alternating_structure(pair: OGPair) -> AlternatingStructure:
-    """Trace the alternating cycles (consecutive edges oppositely oriented),
-    verify they partition the edges with a common even length, and classify
-    the attachment."""
+    """The alternating cycles (consecutive edges oppositely oriented), their
+    common even length, and the attachment.
+
+    With in- and out-valency 2 the arcs, sorted by tail, hold v's out-arcs
+    at 2v and 2v + 1.  Swapping an arc with the other out-arc of its tail
+    (sigma) and with the other in-arc of its head (tau) are fixed-point-free
+    involutions, and a cycle's trace alternates them, so the alternating
+    cycles are the orbits of <sigma, tau> (``_kernels.component_labels``).
+    No reflection of that dihedral group fixes an arc, so the trace meets
+    every arc of the orbit once and a cycle's length is its orbit's size.
+    """
     graph = pair.graph
-    outs = graph.out_neighbors()
-    ins = graph.in_neighbors()
-    if any(len(o) != 2 or len(i) != 2 for o, i in zip(outs, ins)):
+    if (graph.out_degrees() != 2).any() or (graph.in_degrees() != 2).any():
         raise InvariantViolation("alternating structure needs in- and out-valency 2")
+    m = graph.n_arcs
+    sigma = np.arange(m) ^ 1
+    by_head = np.argsort(graph.arcs[:, 1], kind="stable")  # w's in-arcs at 2w, 2w + 1
+    tau = np.empty(m, dtype=np.int64)
+    tau[by_head] = by_head[sigma]
+    labels = _kernels.component_labels([sigma, tau], m)
 
-    arc_cycle: dict[tuple[int, int], int] = {}
-    cycles: list[tuple[int, ...]] = []
-    lengths: set[int] = set()
-    for a in map(tuple, graph.arcs.tolist()):
-        if a in arc_cycle:
-            continue
-        cid = len(cycles)
-        # states alternate: forward along an arc, then backward along the
-        # other in-arc of the head, then forward along the other out-arc of
-        # the new vertex, and so on.
-        verts: list[int] = [a[0]]
-        edges: list[tuple[int, int]] = []
-        arc, forward = a, True
-        while True:
-            edges.append(arc)
-            if arc in arc_cycle and arc_cycle[arc] != cid:
-                raise InvariantViolation("alternating cycles do not partition the edges")
-            arc_cycle[arc] = cid
-            if forward:
-                v = arc[1]
-                nxt_tail = next(w for w in ins[v] if (w, v) != arc)
-                arc, forward = (nxt_tail, v), False
-                verts.append(v)
-            else:
-                v = arc[0]
-                nxt_head = next(w for w in outs[v] if (v, w) != arc)
-                arc, forward = (v, nxt_head), True
-                verts.append(v)
-            if arc == a and forward:
-                break
-        if len(set(edges)) != len(edges):
-            raise InvariantViolation("alternating cycle repeats an edge")
-        lengths.add(len(edges))
-        # the trace closes on the start vertex; drop the repeat before
-        # canonicalizing so the tuple lists each position exactly once
-        assert verts[-1] == verts[0]
-        cycles.append(_canonical_cycle(verts[:-1]))
-
-    if len(arc_cycle) != graph.n_arcs:
-        raise InvariantViolation("alternating cycles do not cover the edges")
+    lengths = sorted(set(_run_lengths(labels).tolist()))
     if len(lengths) != 1:
-        raise InvariantViolation(f"alternating cycle lengths differ: {sorted(lengths)}")
-    common = lengths.pop()
+        raise InvariantViolation(f"alternating cycle lengths differ: {lengths}")
+    common = lengths[0]
     if common % 2 != 0:
         raise InvariantViolation(f"alternating cycle length {common} is odd")
 
-    cycles_sorted = tuple(sorted(cycles))
-    if len(cycles_sorted) <= 2:
-        return AlternatingStructure(cycles_sorted, common, None, "two_cycles_degenerate")
+    starts = np.flatnonzero(labels == np.arange(m))  # each cycle's least arc
+    cycles = _canonical_cycles(graph.arcs, sigma[tau], starts, common)
+    if len(cycles) <= 2:
+        return AlternatingStructure(cycles, common, None, "two_cycles_degenerate")
 
-    # each vertex meets exactly two distinct cycles (or one cycle twice), so
-    # intersection sizes come from counting shared vertices per cycle pair
-    vertex_cycles: list[set[int]] = [set() for _ in range(graph.n_vertices)]
-    for (x, y), cid in arc_cycle.items():
-        vertex_cycles[x].add(cid)
-        vertex_cycles[y].add(cid)
-    counts: dict[tuple[int, int], int] = {}
-    for cs in vertex_cycles:
-        for i in cs:
-            for j in cs:
-                if i < j:
-                    counts[(i, j)] = counts.get((i, j), 0) + 1
-    sizes = set(counts.values())
+    # a vertex meets the cycle of its out-arcs and the cycle of its in-arcs;
+    # two cycles share as many vertices as meet just the two of them
+    out_c, in_c = labels[::2], labels[by_head[::2]]
+    two = out_c != in_c
+    pairs = np.minimum(out_c, in_c)[two] * m + np.maximum(out_c, in_c)[two]
+    sizes = sorted(set(_run_lengths(pairs).tolist()))
     if len(sizes) != 1:
-        raise InvariantViolation(f"attachment sizes differ: {sorted(sizes)}")
-    attachment = sizes.pop()
+        raise InvariantViolation(f"attachment sizes differ: {sizes}")
+    attachment = sizes[0]
     half = common // 2
     if attachment > half:
         raise InvariantViolation(
@@ -136,7 +93,32 @@ def alternating_structure(pair: OGPair) -> AlternatingStructure:
         kind = "loose"
     else:
         kind = "intermediate"
-    return AlternatingStructure(cycles_sorted, common, attachment, kind)
+    return AlternatingStructure(cycles, common, attachment, kind)
+
+
+def _canonical_cycles(arcs: np.ndarray, step: np.ndarray, starts: np.ndarray,
+                      length: int) -> tuple[tuple[int, ...], ...]:
+    """The vertex sequences of the cycles of the given length through the
+    arcs ``starts``, each as its lexicographically least rotation or
+    reversed rotation, sorted.
+
+    From an arc a a cycle reads a's tail and head, then step[a]'s, and so
+    on: ``length // 2`` steps, each taken by every cycle at once.  The least
+    rotation starts at the cycle's least vertex, which it passes at most
+    twice (once as a tail, once as a head).
+    """
+    forward = [starts]
+    for _ in range(length // 2 - 1):
+        forward.append(step[forward[-1]])
+    seq = arcs[np.stack(forward, axis=1)].reshape(starts.size, length)
+    cs, ps = np.nonzero(seq == seq.min(axis=1, keepdims=True))
+    turn = np.arange(length)
+    rows = np.concatenate([seq[cs[:, None], (ps[:, None] + turn) % length],
+                           seq[cs[:, None], (ps[:, None] - turn) % length]])
+    owner = np.concatenate([cs, cs])
+    by_owner = np.lexsort(np.vstack([rows.T[::-1], owner]))
+    best = rows[by_owner][_kernels.run_starts(owner[by_owner])]
+    return tuple(map(tuple, best[np.lexsort(best.T[::-1])].tolist()))
 
 
 def attachment_sets(structure: AlternatingStructure) -> list[tuple[int, ...]]:

@@ -30,7 +30,6 @@ from .graph import (
     certify_og,
     export_dot,
     orbital_graph,
-    verify_og,
 )
 from .perm import (
     DEFAULT_CAP,
@@ -40,7 +39,7 @@ from .perm import (
     format_cycles,
     parse_permutation,
 )
-from .quotient import basic_chain, basic_type, classify_all_quotients
+from .quotient import _basic_type, basic_chain, basic_type, classify_all_quotients
 
 FAMILIES = (
     "lex_cycle",
@@ -303,21 +302,7 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    doc = _load_document(args.input)
-    if "family" in doc:
-        pair = build_from_document(doc, args.max_order)
-        return {"command": "verify", "ok": True, "certificate": _certificate_dict(pair)}
-    seed = tuple(v - 1 for v in args.seed_arc) if args.seed_arc else None
-    graph, group, labels = parse_pair_document(doc, args.max_order, seed)
-    outcome = verify_og(graph, group, 4)
-    report: dict[str, Any] = {"command": "verify", "ok": outcome.ok}
-    if outcome.ok:
-        pair = OGPair(graph, group, outcome.certificate, tuple(labels) if labels else None)
-        report["certificate"] = _certificate_dict(pair)
-    else:
-        report["clause"] = outcome.failed_clause
-        report["detail"] = outcome.detail
-    return report
+    return {"command": "verify", "ok": True, "certificate": _certificate_dict(_obtain_pair(args))}
 
 
 def _cmd_classify(args) -> dict:
@@ -326,7 +311,7 @@ def _cmd_classify(args) -> dict:
     return {
         "command": "classify",
         "ok": True,
-        "basic_type": basic_type(pair),
+        "basic_type": _basic_type(pair, results),
         "certificate": _certificate_dict(pair),
         "quotients": [_quotient_dict(n, o) for n, o in results],
     }
@@ -435,8 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "export" and args.format == "json":
         args.format = "dot"
     try:
-        report = _COMMANDS[args.command](args)
-        status = 0 if report.get("ok", True) else 1
+        report, status = _COMMANDS[args.command](args), 0
     except ConstructionRefuted as exc:
         report = {
             "command": args.command,

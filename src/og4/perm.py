@@ -395,15 +395,16 @@ def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
 
 
 class _ReorderedKeys(BaseKeys):
-    """``BaseKeys`` of a sorted table whose rows are then put in another
-    order: row i is sorted row ``order[i]``, and lookups give positions in
-    the new order."""
+    """Sorted ``BaseKeys`` whose rows are then put in another order: row i
+    is sorted row ``order[i]``, and lookups give positions in the new order.
+    The base and folded keys are the sorted index's own."""
 
-    def __init__(self, table: np.ndarray, order: np.ndarray):
-        super().__init__(table)
+    def __init__(self, keys: BaseKeys, order: np.ndarray):
+        self.degree, self.ranks, self.keys = keys.degree, keys.ranks, keys.keys
+        self.base = keys.base
         self.rank = np.empty_like(order)
         self.rank[order] = np.arange(order.size)
-        self.table = _read_only(table[order])
+        self.table = _read_only(keys.table[order])
         self.images = self.table[:, self.base]
 
     def lookup(self, base_images: np.ndarray) -> np.ndarray:
@@ -618,7 +619,7 @@ def _faithful_table(group: PermGroup) -> PermGroup:
         if not np.array_equal(images[_right_mult_map(small, small.index_of(g))], row[images]):
             raise InvariantViolation("the paired generators do not define a homomorphism")
     order = np.lexsort(images.T[::-1])
-    keys = _ReorderedKeys(small.table, order)
+    keys = _ReorderedKeys(small.index, order)
     lattice = PermGroup(small.degree, small.generators, keys.table)
     lattice._index = keys
     # S's search and its base images, in the new order

@@ -4,11 +4,15 @@ A quotient collapses the orbits of a normal subgroup N to single vertices.
 For a certified pair the outcome is always one of: the one-vertex graph, an
 oriented multicover, or an arc-transitive multicover; for m = 4 this refines
 to the five-way split Cover / K1 / K2 / oriented cycle / unoriented cycle.
+
+The quotient's arcs are the distinct block codes ``bx * nb + by`` of the
+arcs (x, y); the multicover degree is the run length of the sorted codes
+``x * nb + by``, checked against that of ``y * nb + bx``; and the quotient
+edges are two-way when the reversed codes are arcs too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +23,8 @@ from .graph import (
     ConstructionRefuted,
     OGPair,
     OrientedGraph,
+    _distinct_codes,
+    _run_lengths,
     certify_og,
     connectivity,
 )
@@ -66,34 +72,26 @@ def normal_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
     part = orbits(n_sub)
     image, kernel = induced_block_action(pair.group, part)
 
-    if part.n_blocks == 1:
+    nb = part.n_blocks
+    if nb == 1:
         return QuotientOutcome("K1", None, image, kernel, part, None, None)
 
-    pb = part.point_block
-    arcs = pair.graph.arcs
-    qpairs = set()
-    out_counts: Counter[tuple[int, int]] = Counter()
-    for x, y in arcs.tolist():
-        bx, by = int(pb[x]), int(pb[y])
-        if bx == by:
-            raise InvariantViolation("arc inside a single N-orbit of an intransitive N")
-        qpairs.add((bx, by))
-        out_counts[(x, by)] += 1
-
-    ells = set(out_counts.values())
-    if len(ells) != 1:
+    x, y = pair.graph.arcs[:, 0], pair.graph.arcs[:, 1]
+    bx, by = part.point_block[x], part.point_block[y]
+    if (bx == by).any():
+        raise InvariantViolation("arc inside a single N-orbit of an intransitive N")
+    # arcs from each vertex into each block, and into each vertex from each
+    ells = _run_lengths(x * nb + by)
+    ell_dir = int(ells[0])
+    if (ells != ell_dir).any():
         raise InvariantViolation("multicover degree varies across vertices/orbits")
-    ell_dir = ells.pop()
-    # side-independence: the reverse-direction counts must agree
-    in_counts = Counter()
-    for x, y in arcs.tolist():
-        in_counts[(y, int(pb[x]))] += 1
-    if set(in_counts.values()) != {ell_dir}:
+    if (_run_lengths(y * nb + bx) != ell_dir).any():
         raise InvariantViolation("multicover degree differs between edge sides")
 
-    both_ways = any((b, a) in qpairs for a, b in qpairs)
-    if both_ways:
-        if not all((b, a) in qpairs for a, b in qpairs):
+    qcodes = _distinct_codes(bx, by, nb)
+    two_way = np.intersect1d(qcodes, qcodes % nb * nb + qcodes // nb, assume_unique=True).size
+    if two_way:
+        if two_way != qcodes.size:
             raise InvariantViolation("quotient edges mixed one-way and two-way")
         ell = 2 * ell_dir
         kind = "ArcTransitiveMulticover"
@@ -103,7 +101,7 @@ def normal_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
     if m % ell != 0:
         raise InvariantViolation("multicover degree does not divide the valency")
     k = m // ell
-    qgraph = OrientedGraph(part.n_blocks, sorted(qpairs))
+    qgraph = OrientedGraph(nb, np.stack([qcodes // nb, qcodes % nb], axis=1))
     if not connectivity(qgraph).connected:
         raise InvariantViolation("quotient of a connected pair is disconnected")
     return QuotientOutcome(kind, qgraph, image, kernel, part, ell, k)
@@ -216,8 +214,18 @@ def basic_type(pair: OGPair) -> str:
     every normal.  So the precedence Cover > Cycle > K2 > Quasiprimitive
     over the minimal normals agrees with that over the whole lattice.
     """
+    return _basic_type(pair, [])
+
+
+def _basic_type(pair: OGPair, classified: list[tuple[PermGroup, QuotientOutcome]]) -> str:
+    """``basic_type``, reading a minimal normal subgroup's quotient from
+    ``classified`` (as ``classify_all_quotients`` gives it) where it is
+    listed there, and classifying it otherwise."""
     minimal = minimal_normal_subgroups(pair.group)
-    kinds = {classify_og4_quotient(pair, m).kind for m in minimal}
+    kinds = set()
+    for m in minimal:
+        out = next((o for n, o in classified if n.same_elements(m)), None)
+        kinds.add((out or classify_og4_quotient(pair, m)).kind)
     result = _basic_type_from_kinds(kinds)
     # cross-check against the group-theoretic characterization
     qp = _quasiprimitivity(pair.group, minimal)

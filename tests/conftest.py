@@ -68,6 +68,20 @@ def all_pairs(lex_pairs, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair, pa_pai
 
 
 @pytest.fixture(scope="session")
+def pairs_and_covers(all_pairs):
+    """``all_pairs`` followed by the certified quotient pair of each Cover
+    among their normal quotients."""
+    covers = [
+        (f"{name} / N of order {n.order}", out.quotient_pair)
+        for name, pair in all_pairs
+        for n, out in og4.classify_all_quotients(pair)
+        if out.kind == "Cover"
+    ]
+    assert covers
+    return all_pairs + covers
+
+
+@pytest.fixture(scope="session")
 def construction_groups(alt5, sym5):
     """The groups the named constructions compute in, by name."""
     a, b = P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)

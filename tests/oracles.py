@@ -7,18 +7,22 @@ transversal rows that its column blocks replaced, the table reads
 (transitivity, point stabilisers, the orbit of an arc, point orbits, block
 kernels) that the chain, generating sets and the arc-orbit kernel now
 answer, the normal-subgroup lattice on the vertex table that the small
-faithful action replaced, and the per-arc neighbour loops.
+faithful action replaced, the per-arc neighbour loops, and the per-arc
+alternating-cycle walk and multicover ``Counter`` that orbit labels and
+sorted arc codes replaced.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
 with what they check.  Index maps are returned as int64 arrays.
 """
 
+from collections import Counter
+
 import numpy as np
 
 import og4
 from og4 import OG4Error, Permutation, compose
-from og4.quotient import InvariantViolation
+from og4.quotient import InvariantViolation, QuotientOutcome
 
 
 def byte_index(group):
@@ -452,6 +456,88 @@ def arc_orbit_labels(gen_rows, arcs_enc, n):
 # og4.analysis
 
 
+def _canonical_cycle(seq):
+    """Lexicographically least rotation of the cyclic sequence or its
+    reversal, starting at the least vertex."""
+    best = None
+    for cand in (seq, seq[::-1]):
+        m = min(cand)
+        for i, v in enumerate(cand):
+            if v != m:
+                continue
+            rot = tuple(cand[i:] + cand[:i])
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def alternating_walk(graph):
+    """(cycles, common length, attachment number, attachment kind), tracing
+    each alternating cycle arc by arc from a dict of arcs to cycles, and
+    counting the vertices shared by each pair of cycles in a dict."""
+    outs, ins = neighbors(graph)
+    if any(len(o) != 2 or len(i) != 2 for o, i in zip(outs, ins)):
+        raise InvariantViolation("alternating structure needs in- and out-valency 2")
+    arc_cycle = {}
+    cycles = []
+    lengths = set()
+    for a in map(tuple, graph.arcs.tolist()):
+        if a in arc_cycle:
+            continue
+        cid = len(cycles)
+        # forward along an arc, back along the other in-arc of its head,
+        # forward along the other out-arc of that tail, and so on
+        verts, edges = [a[0]], []
+        arc, forward = a, True
+        while True:
+            edges.append(arc)
+            if arc in arc_cycle and arc_cycle[arc] != cid:
+                raise InvariantViolation("alternating cycles do not partition the edges")
+            arc_cycle[arc] = cid
+            if forward:
+                v = arc[1]
+                arc, forward = (next(w for w in ins[v] if (w, v) != arc), v), False
+            else:
+                v = arc[0]
+                arc, forward = (v, next(w for w in outs[v] if (v, w) != arc)), True
+            verts.append(v)
+            if arc == a and forward:
+                break
+        if len(set(edges)) != len(edges):
+            raise InvariantViolation("alternating cycle repeats an edge")
+        lengths.add(len(edges))
+        cycles.append(_canonical_cycle(verts[:-1]))  # the trace closes on its start
+    if len(arc_cycle) != graph.n_arcs:
+        raise InvariantViolation("alternating cycles do not cover the edges")
+    if len(lengths) != 1:
+        raise InvariantViolation(f"alternating cycle lengths differ: {sorted(lengths)}")
+    common = lengths.pop()
+    if common % 2 != 0:
+        raise InvariantViolation(f"alternating cycle length {common} is odd")
+    cycles_sorted = tuple(sorted(cycles))
+    if len(cycles_sorted) <= 2:
+        return cycles_sorted, common, None, "two_cycles_degenerate"
+    vertex_cycles = [set() for _ in range(graph.n_vertices)]
+    for (x, y), cid in arc_cycle.items():
+        vertex_cycles[x].add(cid)
+        vertex_cycles[y].add(cid)
+    counts = {}
+    for cs in vertex_cycles:
+        for i in cs:
+            for j in cs:
+                if i < j:
+                    counts[(i, j)] = counts.get((i, j), 0) + 1
+    sizes = set(counts.values())
+    if len(sizes) != 1:
+        raise InvariantViolation(f"attachment sizes differ: {sorted(sizes)}")
+    attachment = sizes.pop()
+    half = common // 2
+    if attachment > half:
+        raise InvariantViolation(f"attachment number {attachment} exceeds half-length {half}")
+    kind = "tight" if attachment == half else "loose" if attachment == 1 else "intermediate"
+    return cycles_sorted, common, attachment, kind
+
+
 def walk_orbit_size(group, walk, cap):
     """Search of the orbit of a vertex tuple along the generators; stops
     once more than ``cap`` tuples are seen."""
@@ -494,6 +580,50 @@ def is_elementary_abelian(group):
     if any(element_order(x) not in (1, p) for x in group.elements()):
         return False
     return all(compose(x, y) == compose(y, x) for x in group.generators for y in group.generators)
+
+
+# ---------------------------------------------------------------------------
+# og4.quotient
+
+
+def normal_quotient(pair, n_sub):
+    """``og4.quotient.normal_quotient`` with its arc part done per arc:
+    quotient arcs in a set, and the arcs from each vertex into each block
+    and into each vertex from each block in ``Counter``s.  The orbits and
+    the block action are og4's."""
+    m = pair.valency
+    part = og4.orbits(n_sub)
+    image, kernel = og4.induced_block_action(pair.group, part)
+    if part.n_blocks == 1:
+        return QuotientOutcome("K1", None, image, kernel, part, None, None)
+    pb = part.point_block
+    qpairs = set()
+    out_counts, in_counts = Counter(), Counter()
+    for x, y in pair.graph.arcs.tolist():
+        bx, by = int(pb[x]), int(pb[y])
+        if bx == by:
+            raise InvariantViolation("arc inside a single N-orbit of an intransitive N")
+        qpairs.add((bx, by))
+        out_counts[(x, by)] += 1
+        in_counts[(y, bx)] += 1
+    ells = set(out_counts.values())
+    if len(ells) != 1:
+        raise InvariantViolation("multicover degree varies across vertices/orbits")
+    ell_dir = ells.pop()
+    if set(in_counts.values()) != {ell_dir}:
+        raise InvariantViolation("multicover degree differs between edge sides")
+    if any((b, a) in qpairs for a, b in qpairs):
+        if not all((b, a) in qpairs for a, b in qpairs):
+            raise InvariantViolation("quotient edges mixed one-way and two-way")
+        ell, kind = 2 * ell_dir, "ArcTransitiveMulticover"
+    else:
+        ell, kind = ell_dir, "OGMulticover"
+    if m % ell != 0:
+        raise InvariantViolation("multicover degree does not divide the valency")
+    qgraph = og4.OrientedGraph(part.n_blocks, sorted(qpairs))
+    if not og4.connectivity(qgraph).connected:
+        raise InvariantViolation("quotient of a connected pair is disconnected")
+    return QuotientOutcome(kind, qgraph, image, kernel, part, ell, m // ell)
 
 
 # ---------------------------------------------------------------------------

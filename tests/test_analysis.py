@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import og4
@@ -12,6 +13,22 @@ from og4.analysis import (
 from og4.analysis import _is_elementary_abelian, _walk_orbit_size
 
 import oracles
+
+
+def _circulant(n):
+    """Cay(Z_n, {+1, +2})."""
+    return OrientedGraph(n, [(x, (x + d) % n) for x in range(n) for d in (1, 2)])
+
+
+def _graph_pair(graph):
+    """The graph with the trivial group and an unchecked certificate:
+    alternating cycles read the graph alone."""
+    n = graph.n_vertices
+    cert = og4.Certificate(vertex_transitive=False, edge_transitive=False,
+                           orientation_preserved=True, connected=True,
+                           valency=4, stabilizer_order=1)
+    return OGPair(graph=graph, group=og4.enumerate_group([og4.identity(n)]),
+                  certificate=cert, labels=tuple(str(v + 1) for v in range(n)))
 
 
 class TestAlternatingStructure:
@@ -54,22 +71,34 @@ class TestAlternatingStructure:
     def test_two_cycles_degenerate(self):
         # Cay(Z5, {+1, +2}): the alternating trace closes up in at most two
         # cycles, so no attachment number is defined
-        z5 = og4.cyclic_group(5)
-        arcs = sorted(
-            [(x, (x + 1) % 5) for x in range(5)]
-            + [(x, (x + 2) % 5) for x in range(5)]
-        )
-        graph = OrientedGraph(5, arcs)
-        group = og4.enumerate_group([og4.parse_permutation("(1 2 3 4 5)", 5)])
-        cert = og4.Certificate(vertex_transitive=True, edge_transitive=False,
-                               orientation_preserved=True, connected=True,
-                               valency=4, stabilizer_order=1)
-        pair = OGPair(graph=graph, group=group, certificate=cert,
-                      labels=tuple(str(v + 1) for v in range(5)))
-        st = alternating_structure(pair)
+        st = alternating_structure(_graph_pair(_circulant(5)))
         assert len(st.cycles) <= 2
         assert st.attachment_kind == "two_cycles_degenerate"
         assert st.attachment_number is None
+
+    def test_matches_walk_oracle(self, pairs_and_covers):
+        """The orbits of the two arc involutions give the cycles, length,
+        attachment number and kind of the arc-by-arc walk."""
+        graphs = [(name, pair.graph) for name, pair in pairs_and_covers]
+        graphs += [(f"Cay(Z{n}, {{1, 2}})", _circulant(n)) for n in (5, 7, 40)]
+        for name, graph in graphs:
+            st = alternating_structure(_graph_pair(graph))
+            got = (st.cycles, st.common_length, st.attachment_number, st.attachment_kind)
+            assert got == oracles.alternating_walk(graph), name
+
+    def test_out_valency_three_refused(self):
+        graph = OrientedGraph(7, _circulant(7).arcs.tolist() + [(0, 3)])
+        with pytest.raises(InvariantViolation, match="valency 2"):
+            alternating_structure(_graph_pair(graph))
+
+    def test_unequal_lengths_refused(self, lex_pairs, sym5_pair):
+        """lex_cycle(3) beside sym_bigstab(5): cycles of lengths 4 and 6."""
+        lex, sym = lex_pairs[3].graph, sym5_pair.graph
+        n = lex.n_vertices
+        union = OrientedGraph(n + sym.n_vertices, np.concatenate([lex.arcs, sym.arcs + n]))
+        for find in (lambda g: alternating_structure(_graph_pair(g)), oracles.alternating_walk):
+            with pytest.raises(InvariantViolation, match=r"lengths differ: \[4, 6\]"):
+                find(union)
 
     def test_attachment_sets_block_system(self, lex_pairs):
         pair = lex_pairs[4]

@@ -26,7 +26,7 @@ import og4
 import og4.cli
 from og4 import EnumerationCapExceeded, Permutation, enumerate_group
 from og4 import _kernels
-from og4.analysis import _walk_orbit_size
+from og4.analysis import _walk_orbit_size, alternating_structure
 from og4.constructions import (
     _left_regular_maps,
     _regular,
@@ -246,9 +246,10 @@ class TestResources:
     """Under tracemalloc: gathering tw_cayley's vertex-group table (7200
     rows of degree 3600, 99 MB) stays within 1.25 tables, building its
     chain or a 6000-cycle's stays below 16 MB, ``classify`` on it stays
-    below 64 MB, and a cap one below its order is refused before the table
-    exists.  The cap is compared with the product of the orbit sizes while
-    the levels are searched, so levels past it are never built."""
+    below 64 MB, its alternating cycles are found below 8 MB, and a cap one
+    below its order is refused before the table exists.  The cap is
+    compared with the product of the orbit sizes while the levels are
+    searched, so levels past it are never built."""
 
     def _peak(self, fn):
         tracemalloc.start()
@@ -278,6 +279,13 @@ class TestResources:
         assert chain.order == 6000 and chain.base == [0]
         peak = self._peak(lambda: _kernels.stabiliser_chain(cycle, 6000))
         assert peak < 16 * 2**20, peak / 2**20
+
+    def test_alternating_peak(self, tw_pair):
+        """7,200 arcs in 1,200 cycles, labelled as orbits on the arcs; a
+        count of the cycle pairs in m^2 slots would take 415 MB."""
+        assert len(alternating_structure(tw_pair).cycles) == 1200
+        peak = self._peak(lambda: alternating_structure(tw_pair))
+        assert peak < 8 * 2**20, peak / 2**20
 
     def test_construct_below_one_table(self, tw_pair, tmp_path):
         """``construct tw_cayley`` holds the vertex group as its chain and

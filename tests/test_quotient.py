@@ -1,11 +1,20 @@
+import contextlib
+import dataclasses
+import io
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import og4
+import og4.cli
 from og4 import OG4Error, enumerate_group, parse_permutation, perm, quotient
 from og4.perm import BlockPartition, induced_block_action
 import oracles
 from og4.quotient import (
+    QuotientOutcome,
     _basic_type_from_kinds,
     basic_chain,
     basic_quotients,
@@ -14,6 +23,9 @@ from og4.quotient import (
     classify_og4_quotient,
     normal_quotient,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestNormalQuotient:
@@ -38,6 +50,23 @@ class TestNormalQuotient:
         flip = og4.point_stabilizer(pair.group, 0)
         with pytest.raises(OG4Error):
             normal_quotient(pair, flip)
+
+
+    def test_matches_counter_oracle(self, pairs_and_covers):
+        """Every field of every nontrivial normal quotient against the
+        per-arc set and ``Counter`` count."""
+        for name, pair in pairs_and_covers:
+            for n_sub in og4.all_normal_subgroups(pair.group)[1:]:
+                got, want = normal_quotient(pair, n_sub), oracles.normal_quotient(pair, n_sub)
+                for field in dataclasses.fields(QuotientOutcome):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    if isinstance(a, og4.PermGroup):
+                        same = a.same_elements(b)
+                    elif isinstance(a, BlockPartition):
+                        same = a.blocks == b.blocks
+                    else:
+                        same = a == b
+                    assert same, (name, n_sub.order, field.name)
 
 
 class TestClassification:
@@ -194,6 +223,31 @@ class TestBasic:
             assert got == _basic_type_from_kinds(kinds), name
             seen |= kinds
         assert {"Cover", "OrientedCycle", "K2", "K1"} <= seen
+
+
+class TestClassifyOnce:
+    """``classify`` reads the basic type's minimal normal quotients from the
+    quotients it lists, so each nontrivial normal subgroup is classified
+    once (it was 26 times for 24 on lex_cycle(8))."""
+
+    @pytest.mark.parametrize(
+        "family", ["lex_cycle(8)", "simple_cayley", "tw_cayley", "pa", "sym_bigstab(7)"])
+    def test_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
+        doc = tmp_path / "spec.json"
+        doc.write_text(json.dumps(workloads.spec(family, [1, 2, 3, 4, 5])))
+        calls = []
+        real = quotient.classify_og4_quotient
+
+        def counting(pair, n_sub):
+            calls.append(n_sub.order)
+            return real(pair, n_sub)
+
+        monkeypatch.setattr(quotient, "classify_og4_quotient", counting)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert og4.cli.main(["classify", str(doc)]) == 0
+        listed = [q["normal_subgroup_order"] for q in json.loads(out.getvalue())["quotients"]]
+        assert calls == listed
 
 
 class TestSmallAction:
