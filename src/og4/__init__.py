@@ -49,6 +49,7 @@ from .graph import (
     certify_og,
     connectivity,
     export_dot,
+    is_connected,
     orbital_graph,
     orientation_status,
     reverify,
@@ -82,6 +83,7 @@ from .perm import (
     minimal_normal_subgroups,
     normal_closure,
     orbits,
+    paired_order_bound,
     parse_permutation,
     point_stabilizer,
     quasiprimitivity_type,

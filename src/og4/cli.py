@@ -33,13 +33,16 @@ from .graph import (
 )
 from .perm import (
     DEFAULT_CAP,
+    EnumerationCapExceeded,
     OG4Error,
     Permutation,
+    TableBudgetExceeded,
     enumerate_group,
     format_cycles,
+    paired_order_bound,
     parse_permutation,
 )
-from .quotient import _basic_type, basic_chain, basic_type, classify_all_quotients
+from .quotient import _basic_type, basic_chain, classify_all_quotients
 
 FAMILIES = (
     "lex_cycle",
@@ -75,15 +78,21 @@ def _doc_degree(doc: dict) -> Optional[int]:
     return d
 
 
-def _doc_group(doc: dict, cap: int, key: str = "generators"):
-    degree = _doc_degree(doc)
-    gens = _parse_gens(doc, key, degree)
-    degree = degree or max(g.degree for g in gens)
-    # a generator parsed short of the final degree fixes the points above it
-    gens = [g if g.degree == degree
+def _doc_gens(doc: dict, key: str = "generators") -> list[Permutation]:
+    return _padded(_parse_gens(doc, key, _doc_degree(doc)))
+
+
+def _padded(gens: list[Permutation]) -> list[Permutation]:
+    """The generators at their greatest degree: a generator parsed short of
+    it fixes the points above it."""
+    degree = max(g.degree for g in gens)
+    return [g if g.degree == degree
             else Permutation(g.images.tolist() + list(range(g.degree, degree)))
             for g in gens]
-    return enumerate_group(gens, cap)
+
+
+def _doc_group(doc: dict, cap: int, key: str = "generators"):
+    return enumerate_group(_doc_gens(doc, key), cap)
 
 
 def _doc_perm(doc: dict, key: str, degree: int):
@@ -161,8 +170,20 @@ def parse_pair_document(doc: dict, cap: int = DEFAULT_CAP,
                         ) -> tuple[OrientedGraph, Any, Optional[list[str]]]:
     """Raw pair document -> (graph, group, labels).  Vertices are 1-based in
     the document.  Without an 'arcs' field the graph is the canonical (or
-    seeded) orbital graph of the group."""
-    group = _doc_group(doc, cap)
+    seeded) orbital graph of the group.
+
+    With 'action_generators', the group's small action S as ``construct``
+    emits it, S is enumerated under the same cap, and its pairing with the
+    generators is checked to prove |group| <= |S| (``paired_order_bound``).
+    The group's chain is then closed by that bound, and if it closes at |S|
+    the group keeps S as its ``action``.  The field is never trusted: if
+    the proof or the chain does not close, or S is over the cap, the group
+    is built as without it, with the same result."""
+    gens = _doc_gens(doc)
+    small = _doc_action(doc, gens, cap)
+    group = enumerate_group(gens, cap, None if small is None else small.order)
+    if small is not None and group.order == small.order:
+        group.action = small
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or len(labels) != group.degree
@@ -189,6 +210,25 @@ def parse_pair_document(doc: dict, cap: int = DEFAULT_CAP,
     return OrientedGraph(n, pairs), group, labels
 
 
+def _doc_action(doc: dict, gens: list[Permutation], cap: int):
+    """The group S that the document's 'action_generators' generate, if
+    pairing them with ``gens`` proves |<gens>| <= |S|
+    (``paired_order_bound``).  None if the document has no such field, S
+    has more than ``cap`` elements or too large a table, or the proof
+    fails."""
+    texts = doc.get("action_generators")
+    if texts is None:
+        return None
+    if (not isinstance(texts, list) or len(texts) != len(gens)
+            or not all(isinstance(t, str) for t in texts)):
+        raise UsageError("action_generators must list one cycle-notation string per generator")
+    try:
+        small = enumerate_group(_padded([parse_permutation(t) for t in texts]), cap)
+        return small if paired_order_bound(small, gens) else None
+    except (EnumerationCapExceeded, TableBudgetExceeded):
+        return None
+
+
 def render_pair_document(pair: OGPair) -> dict:
     doc: dict[str, Any] = {
         "n_vertices": pair.graph.n_vertices,
@@ -197,6 +237,8 @@ def render_pair_document(pair: OGPair) -> dict:
     }
     if pair.labels is not None:
         doc["labels"] = list(pair.labels)
+    if pair.group.action is not None:
+        doc["action_generators"] = [format_cycles(g) for g in pair.group.action.generators]
     return doc
 
 
@@ -329,11 +371,11 @@ def _cmd_quotient(args) -> dict:
 
 def _cmd_chain(args) -> dict:
     pair = _obtain_pair(args)
-    chain, terminal = basic_chain(pair)
+    chain, terminal, classified = basic_chain(pair)
     return {
         "command": "chain",
         "ok": True,
-        "basic_type_of_terminal": basic_type(terminal),
+        "basic_type_of_terminal": _basic_type(terminal, classified),
         "kernel_orders": [n.order for n, _ in chain],
         "terminal": {
             "n_vertices": terminal.graph.n_vertices,

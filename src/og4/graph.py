@@ -204,28 +204,34 @@ class Connectivity:
     strongly_connected: bool
 
 
+def _reached(graph: OrientedGraph, forward: bool = True, backward: bool = True) -> int:
+    """How many vertices a depth-first search from vertex 0 reaches along
+    the arcs, against them, or (by default) both ways."""
+    out, inn = graph.out_neighbors(), graph.in_neighbors()
+    seen = [False] * graph.n_vertices
+    seen[0] = True
+    stack, count = [0], 1
+    while stack:
+        v = stack.pop()
+        for w in (out[v] if forward else []) + (inn[v] if backward else []):
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count
+
+
+def is_connected(graph: OrientedGraph) -> bool:
+    """Whether the underlying undirected graph is connected: one search."""
+    return _reached(graph) == graph.n_vertices
+
+
 def connectivity(graph: OrientedGraph) -> Connectivity:
+    """Weak and strong connectivity; the strong test searches forward and
+    backward from vertex 0 as well."""
     n = graph.n_vertices
-    out = graph.out_neighbors()
-    inn = graph.in_neighbors()
-
-    def reach(start: int, forward: bool, backward: bool) -> int:
-        seen = np.zeros(n, dtype=bool)
-        seen[start] = True
-        stack = [start]
-        count = 1
-        while stack:
-            v = stack.pop()
-            nbrs = (out[v] if forward else []) + (inn[v] if backward else [])
-            for w in nbrs:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count
-
-    connected = reach(0, True, True) == n
-    strong = connected and reach(0, True, False) == n and reach(0, False, True) == n
+    connected = is_connected(graph)
+    strong = connected and _reached(graph, True, False) == n and _reached(graph, False, True) == n
     return Connectivity(connected=connected, strongly_connected=strong)
 
 
@@ -315,8 +321,7 @@ def verify_og(graph: OrientedGraph, group: PermGroup, m: int) -> VerifyOutcome:
     if _kernels.arc_orbit_labels(group.gen_rows(), graph.encoded_arcs(), graph.n_vertices).any():
         return VerifyOutcome(False, None, "og:edge_transitive", "group not transitive on arcs")
 
-    conn = connectivity(graph)
-    if not conn.connected:
+    if not is_connected(graph):
         return VerifyOutcome(False, None, "og:connected", "underlying graph disconnected")
 
     outd, ind = graph.out_degrees(), graph.in_degrees()

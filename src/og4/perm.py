@@ -49,7 +49,11 @@ every "(order, element indices)" tie-break are those of the group's own
 table, which is never gathered for them.  A block action's kernel reads
 each element's images of the blocks' representatives, found by a
 breadth-first search over the element indices (``_images``,
-``_point_images``), not from the table.
+``_point_images``), not from the table.  The same search, with every edge
+of the small action's Cayley graph checked (``_paired_images``), proves
+that the pairing extends to a homomorphism; ``paired_order_bound`` uses it
+to bound a group's order by its small action's before the group is
+enumerated.
 
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
@@ -163,41 +167,53 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
 
     Fixed points may be omitted; "()" is the identity.  If ``degree`` is not
     given it is inferred from the largest point mentioned.
+
+    The text is split into cycles and points by string methods, and the
+    checks are array operations; each reports the fault that a scan cycle by
+    cycle meets first: a bad point or a point repeated inside a cycle, then
+    a point past the degree, then a point in two cycles.
     """
-    stripped = re.sub(r"\s+", " ", text.strip())
-    if not stripped:
+    if not text.strip():
         raise ParseError("empty permutation text")
-    body = stripped.replace(" ", "")
-    consumed = "".join(_CYCLE_RE.findall(body))
-    if _CYCLE_RE.sub("", body) != "":
+    if _CYCLE_RE.sub("", text).strip():
         raise ParseError(f"malformed cycle notation: {text!r}")
-    cycles = []
-    maxpt = 0
-    for grp in _CYCLE_RE.findall(stripped):
-        pts = [tok for tok in re.split(r"[,\s]+", grp.strip()) if tok]
-        cyc = []
-        for tok in pts:
-            if not tok.isdecimal() or int(tok) < 1:
-                raise ParseError(f"bad point {tok!r} in {text!r}")
-            cyc.append(int(tok) - 1)
-        if len(set(cyc)) != len(cyc):
-            raise ParseError(f"repeated point inside a cycle: {text!r}")
-        maxpt = max(maxpt, *(c + 1 for c in cyc)) if cyc else maxpt
-        if len(cyc) > 1:
-            cycles.append(cyc)
+    cycles = _CYCLE_RE.findall(text.replace(",", " "))
+    tokens = " ".join(cycles).split()
+    sizes = np.fromiter(map(len, map(str.split, cycles)), np.int64, len(cycles))
+    cycle = np.repeat(np.arange(len(cycles)), sizes)  # each point's cycle
+    decimal = np.fromiter(map(str.isdecimal, tokens), bool, len(tokens))
+    digits = tokens if decimal.all() else np.where(decimal, tokens, "0").tolist()
+    try:
+        values = np.fromiter(map(int, digits), np.int64, len(digits))
+    except OverflowError:  # a point past 2^63, compared as a Python int
+        values = np.array(list(map(int, digits)), dtype=object)
+    bad = np.flatnonzero(~decimal | (values < 1))
+    by_cycle = np.argsort(values, kind="stable")
+    by_cycle = by_cycle[np.argsort(cycle[by_cycle], kind="stable")]  # by (cycle, value)
+    v, c = values[by_cycle], cycle[by_cycle]
+    repeats = c[1:][(v[1:] == v[:-1]) & (c[1:] == c[:-1])]  # cycles repeating a point
+    if bad.size and not (repeats.size and repeats[0] < cycle[bad[0]]):
+        raise ParseError(f"bad point {tokens[bad[0]]!r} in {text!r}")
+    if repeats.size:
+        raise ParseError(f"repeated point inside a cycle: {text!r}")
+    maxpt = int(values.max()) if values.size else 0
     if degree is None:
         degree = max(maxpt, 1)
     elif maxpt > degree:
         raise ParseError(f"point {maxpt} exceeds degree {degree}")
     images = np.arange(degree, dtype=np.int32)
-    seen: set[int] = set()
-    for cyc in cycles:
-        for pt in cyc:
-            if pt in seen:
-                raise ParseError(f"point {pt + 1} appears in two cycles: {text!r}")
-            seen.add(pt)
-        for i, pt in enumerate(cyc):
-            images[pt] = cyc[(i + 1) % len(cyc)]
+    moved = (sizes > 1)[cycle]
+    points, cycle = values[moved] - 1, cycle[moved]
+    if points.size:
+        order = np.argsort(points, kind="stable")
+        again = np.zeros(points.size, dtype=bool)  # a point met before, in scan order
+        again[order[1:]] = points[order[1:]] == points[order[:-1]]
+        if again.any():
+            raise ParseError(f"point {points[np.argmax(again)] + 1} appears in two cycles: {text!r}")
+        last = np.flatnonzero(np.append(cycle[1:] != cycle[:-1], True))
+        succ = np.arange(1, points.size + 1)
+        succ[last] = np.append(0, last[:-1] + 1)  # the last point of a cycle maps to its first
+        images[points] = points[succ]
     return Permutation(images)
 
 
@@ -613,11 +629,9 @@ def _faithful_table(group: PermGroup) -> PermGroup:
     if small.order != group.order:
         raise InvariantViolation(
             f"the small action has order {small.order}, the group {group.order}")
-    rows = group.gen_rows()
-    images = _images(small, rows, group.base)
-    for g, row in zip(small.generators, rows):
-        if not np.array_equal(images[_right_mult_map(small, small.index_of(g))], row[images]):
-            raise InvariantViolation("the paired generators do not define a homomorphism")
+    images = _paired_images(small, group.gen_rows(), group.base)
+    if images is None:
+        raise InvariantViolation("the paired generators do not define a homomorphism")
     order = np.lexsort(images.T[::-1])
     keys = _ReorderedKeys(small.index, order)
     lattice = PermGroup(small.degree, small.generators, keys.table)
@@ -627,6 +641,43 @@ def _faithful_table(group: PermGroup) -> PermGroup:
                      for found, parents, gens in _search_tree(small)]
     lattice._columns = dict(zip(group.base, images[order].T))
     return lattice
+
+
+def _paired_images(small: PermGroup, rows: np.ndarray,
+                   points: Sequence[int]) -> Optional[np.ndarray]:
+    """``_images`` of the points, generator j of ``small`` paired with
+    ``rows[j]``, once every edge x -> x * s_j of S's Cayley graph is checked:
+    the images at x * s_j must be row j applied after those at x.  None if
+    one is not.
+
+    If every edge holds, a word w in the generators carries the images at x
+    to those at x * w, inverses included; so a relator of S fixes the images
+    of the points under every element (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, ch. 4, on action homomorphisms)."""
+    images = _images(small, rows, points)
+    for g, row in zip(small.generators, rows):
+        if not np.array_equal(images[_right_mult_map(small, small.index_of(g))], row[images]):
+            return None
+    return images
+
+
+def paired_order_bound(small: PermGroup, gens: Sequence[Permutation]) -> Optional[int]:
+    """|S| if pairing S's generators one for one with ``gens`` (of one
+    degree) proves that they generate a group X of at most |S| elements;
+    None if it does not.
+
+    The proof is ``_paired_images`` of point 0 and one more fact: those
+    images cover every point.  Then every relator of S fixes every point,
+    so the pairing extends to a homomorphism from S onto X, and |X| <= |S|.
+    It costs |S| * k comparisons for k generators and never reads a row of X
+    beyond its generators."""
+    if len(small.generators) != len(gens):
+        return None
+    rows = np.asarray([g.images for g in gens])
+    images = _paired_images(small, rows, [0])
+    if images is None or not np.bincount(images[:, 0], minlength=rows.shape[1]).all():
+        return None
+    return small.order
 
 
 def _search_tree(group: PermGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

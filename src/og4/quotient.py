@@ -26,7 +26,7 @@ from .graph import (
     _distinct_codes,
     _run_lengths,
     certify_og,
-    connectivity,
+    is_connected,
 )
 from .perm import (
     BlockPartition,
@@ -102,7 +102,7 @@ def normal_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
         raise InvariantViolation("multicover degree does not divide the valency")
     k = m // ell
     qgraph = OrientedGraph(nb, np.stack([qcodes // nb, qcodes % nb], axis=1))
-    if not connectivity(qgraph).connected:
+    if not is_connected(qgraph):
         raise InvariantViolation("quotient of a connected pair is disconnected")
     return QuotientOutcome(kind, qgraph, image, kernel, part, ell, k)
 
@@ -246,7 +246,8 @@ def _basic_type_from_kinds(kinds: set[str]) -> str:
     return "Quasiprimitive"
 
 
-def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
+def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair,
+                                       list[tuple[PermGroup, QuotientOutcome]]]:
     """Greedy cover chain 1 < N_1 < ... < N_s ending at a basic quotient.
 
     Each N_i is a normal subgroup of the *original* group; the paired OGPair
@@ -254,19 +255,18 @@ def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair]:
     When several normal subgroups give covers, the largest is taken (fewest
     quotient vertices), ties broken by the order of
     ``classify_all_quotients`` (element indices, i.e. element-table order).
+    Returns the chain, the terminal pair, and the terminal's
+    ``classify_all_quotients``, which ``_basic_type`` can read.
     """
     group = pair.group
     chain: list[tuple[PermGroup, OGPair]] = []
     current = pair
     current_blocks = BlockPartition.from_labels(np.arange(pair.graph.n_vertices))
     while True:
-        covers = [
-            (n_sub, out)
-            for n_sub, out in classify_all_quotients(current)
-            if out.kind == "Cover"
-        ]
+        classified = classify_all_quotients(current)
+        covers = [(n_sub, out) for n_sub, out in classified if out.kind == "Cover"]
         if not covers:
-            return chain, current
+            return chain, current, classified
         n_bar, out = max(covers, key=lambda item: item[0].order)  # first of the largest
         # compose the quotient partition with the current one to express the
         # chain subgroup inside the original group

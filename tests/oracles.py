@@ -7,9 +7,9 @@ transversal rows that its column blocks replaced, the table reads
 (transitivity, point stabilisers, the orbit of an arc, point orbits, block
 kernels) that the chain, generating sets and the arc-orbit kernel now
 answer, the normal-subgroup lattice on the vertex table that the small
-faithful action replaced, the per-arc neighbour loops, and the per-arc
+faithful action replaced, the per-arc neighbour loops, the per-arc
 alternating-cycle walk and multicover ``Counter`` that orbit labels and
-sorted arc codes replaced.
+sorted arc codes replaced, and the per-point cycle-notation parser.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -241,6 +241,48 @@ def is_automorphism(group, index_map):
             if int(index_map[left]) != idx[right_row.tobytes()]:
                 return False
     return True
+
+
+def parse_permutation(text, degree=None):
+    """The cycle-notation parser with a Python loop over the points of each
+    cycle and a set of the points seen, that ``og4.parse_permutation``'s
+    string splits and array checks replaced."""
+    import re
+
+    cycle_re = re.compile(r"\(([^()]*)\)")
+    stripped = re.sub(r"\s+", " ", text.strip())
+    if not stripped:
+        raise og4.ParseError("empty permutation text")
+    if cycle_re.sub("", stripped.replace(" ", "")) != "":
+        raise og4.ParseError(f"malformed cycle notation: {text!r}")
+    cycles = []
+    maxpt = 0
+    for grp in cycle_re.findall(stripped):
+        pts = [tok for tok in re.split(r"[,\s]+", grp.strip()) if tok]
+        cyc = []
+        for tok in pts:
+            if not tok.isdecimal() or int(tok) < 1:
+                raise og4.ParseError(f"bad point {tok!r} in {text!r}")
+            cyc.append(int(tok) - 1)
+        if len(set(cyc)) != len(cyc):
+            raise og4.ParseError(f"repeated point inside a cycle: {text!r}")
+        maxpt = max(maxpt, *(c + 1 for c in cyc)) if cyc else maxpt
+        if len(cyc) > 1:
+            cycles.append(cyc)
+    if degree is None:
+        degree = max(maxpt, 1)
+    elif maxpt > degree:
+        raise og4.ParseError(f"point {maxpt} exceeds degree {degree}")
+    images = np.arange(degree, dtype=np.int32)
+    seen = set()
+    for cyc in cycles:
+        for pt in cyc:
+            if pt in seen:
+                raise og4.ParseError(f"point {pt + 1} appears in two cycles: {text!r}")
+            seen.add(pt)
+        for i, pt in enumerate(cyc):
+            images[pt] = cyc[(i + 1) % len(cyc)]
+    return Permutation(images)
 
 
 # ---------------------------------------------------------------------------

@@ -579,12 +579,14 @@ class TestTableBudget:
 
     def test_classify_pa_pair_document_refused(self, monkeypatch, tmp_path, capsys):
         """pa's vertex-group table is 7200 rows of degree 1800 (49 MB).  A
-        pair document brings no small action, so ``classify`` on the pair
-        that ``construct`` emits runs the lattice in the vertex action, needs
-        the table and is refused under a 10 MB budget, with little
-        allocated; ``construct`` and ``classify`` of the spec never gather
-        it and succeed."""
+        pair document without 'action_generators' brings no small action,
+        so ``classify`` on the pair that ``construct`` emits, with that
+        field stripped, runs the lattice in the vertex action, needs the
+        table and is refused under a 10 MB budget, with little allocated;
+        ``construct`` and ``classify`` of the spec never gather it and
+        succeed."""
         pair_doc = json.loads(run_cli(tmp_path, "construct", PA_DOC)[1])["pair"]
+        del pair_doc["action_generators"]
         monkeypatch.setattr(_kernels, "TABLE_BYTES", 10 * 2**20)
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -184,6 +185,12 @@ class TestMalformedDocuments:
         doc = {"family": "lex_cycle", "r": True}
         self.assert_usage_error(capsys, tmp_path, "construct", doc)
 
+    @pytest.mark.parametrize("value", ["(1 2)", [1, 2], ["(1 2)"], ["(1 2)", "()", "()"], {}])
+    def test_action_generators_of_wrong_type_or_length(self, capsys, tmp_path, lex3_pair,
+                                                       value):
+        doc = {**lex3_pair, "action_generators": value}
+        self.assert_usage_error(capsys, tmp_path, "verify", doc)
+
 
 # The lex_cycle(3) pair document as `construct` emits it.
 LEX3_PAIR = {
@@ -235,6 +242,47 @@ class TestFuzzedDocuments:
                 status = main([command, str(path), "--max-order", "1000"])
         assert status in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["n_vertices", "generators", "arcs", "labels", "action_generators"]),
+           JSON, st.sampled_from(["verify", "construct", "classify"]))
+    def test_one_field_of_certified_pair_replaced(self, field, value, command):
+        """The emitted coset_simple pair, which carries its small action.
+        Whenever ``verify`` accepts it, the certificate is the one it gives
+        on the same document without 'action_generators'."""
+        doc = {**coset_simple_pair(), field: value}
+        status, out, err = run_quietly(command, doc)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        if command == "verify" and status == 0:
+            plain = {k: v for k, v in doc.items() if k != "action_generators"}
+            plain_status, plain_out, _ = run_quietly("verify", plain)
+            assert plain_status == 0
+            assert json.loads(out)["certificate"] == json.loads(plain_out)["certificate"]
+
+
+@functools.lru_cache(maxsize=None)
+def coset_simple_pair() -> dict:
+    """The pair document ``construct`` emits for coset_simple, with its
+    'action_generators'; callers copy it before replacing a field."""
+    spec = {"family": "coset_simple", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "h": "(1 4)(2 5)", "g": "(1 2 3)"}
+    status, out, _ = run_quietly("construct", spec)
+    assert status == 0
+    doc = json.loads(out)["pair"]
+    assert "action_generators" in doc
+    return doc
+
+
+def run_quietly(command, doc):
+    """(exit status, stdout, stderr) of one command on a document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([command, str(path), "--max-order", "1000"])
+    return status, out.getvalue(), err.getvalue()
 
 
 class TestClassifyQuotientChain:

@@ -164,6 +164,34 @@ class TestConnectivity:
         c = connectivity(g)
         assert c.connected and not c.strongly_connected
 
+    def test_is_connected_is_weak_connectivity(self, all_pairs):
+        graphs = [directed_cycle(6), OrientedGraph(3, [(0, 1), (0, 2), (2, 1)]),
+                  OrientedGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]), OrientedGraph(1, [])]
+        graphs += [pair.graph for _, pair in all_pairs]
+        for g in graphs:
+            assert og4.is_connected(g) == connectivity(g).connected, g
+
+    def test_certification_searches_once(self, monkeypatch, all_pairs):
+        """Certifying and classifying read only weak connectivity: one
+        undirected search per graph, where ``connectivity`` makes three."""
+        searches = []
+        real = og4.graph._reached
+
+        def counting(graph, *args):
+            searches.append(graph.n_vertices)
+            return real(graph, *args)
+
+        monkeypatch.setattr(og4.graph, "_reached", counting)
+        name, pair = next((n, p) for n, p in all_pairs if n == "simple_cayley")
+        assert og4.reverify(pair).ok
+        assert searches == [60], name
+        searches.clear()
+        outcomes = [o for _, o in og4.classify_all_quotients(pair) if o.kind != "K1"]
+        assert len(searches) == len(outcomes) + sum(o.kind == "Cover" for o in outcomes)
+        searches.clear()
+        connectivity(pair.graph)
+        assert searches == [60] * 3
+
 
 class TestVerify:
     def test_lex_cycle_verifies(self, lex_pairs):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,42 @@ class TestParse:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_permutation(bad)
+
+    # Tokens run together, so a text may hold a point of any length.  One of
+    # three or more digits is read with a degree, which refuses it before an
+    # image row is allocated; without one, points stay below 100.
+    TOKEN = st.sampled_from(["1", "2", "3", "12", "0", "007", "x", "\u0663", "\u00b2",
+                             "99999999999999999999"])
+    TEXT = st.lists(st.sampled_from(["(", ")", " ", ",", "\t"]) | TOKEN, max_size=12).map("".join)
+
+    @settings(max_examples=500)
+    @given(TEXT, st.sampled_from([None, 3, 5, 12]))
+    def test_matches_loop_oracle(self, text, degree):
+        """The same permutation, or the same ParseError message, as the
+        per-point loop it replaced."""
+        if degree is None and re.search(r"\d{3}", text):
+            degree = 12
+
+        def outcome(parse):
+            try:
+                return parse(text, degree).images.tolist()
+            except ParseError as exc:
+                return str(exc)
+
+        assert outcome(parse_permutation) == outcome(oracles.parse_permutation)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(1 x)(2 2)", "bad point 'x' in '(1 x)(2 2)'"),
+        ("(2 2)(1 x)", "repeated point inside a cycle: '(2 2)(1 x)'"),
+        ("(1 1 x)", "bad point 'x' in '(1 1 x)'"),
+        ("(1)(1 2)(3 2)", "point 2 appears in two cycles: '(1)(1 2)(3 2)'"),
+        ("(1 13)(1 2)", "point 13 exceeds degree 12"),
+        ("(1 99999999999999999999)", "point 99999999999999999999 exceeds degree 12"),
+    ])
+    def test_first_fault_reported(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_permutation(text, 12)
+        assert str(exc.value) == message
 
     @given(perm_strategy(8))
     def test_round_trip(self, p):

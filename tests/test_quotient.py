@@ -161,12 +161,13 @@ class TestBasic:
         assert basic_type(sc_pair) == "NonBasic"
 
     def test_chain_empty_for_basic(self, sym5_pair):
-        chain, terminal = basic_chain(sym5_pair)
+        chain, terminal, classified = basic_chain(sym5_pair)
         assert chain == []
         assert terminal is sym5_pair
+        assert [n.order for n, _ in classified] == [60, 120]
 
     def test_chain_reduces_nonbasic(self, sc_pair):
-        chain, terminal = basic_chain(sc_pair)
+        chain, terminal, _ = basic_chain(sc_pair)
         assert len(chain) == 1
         assert chain[0][0].order == 2
         assert terminal.graph.n_vertices == 30
@@ -188,9 +189,11 @@ class TestBasic:
         assert [(n.order, q.graph.n_vertices) for n, q in bq] == [(2, 30)]
 
     def test_terminal_has_no_cover(self, sc_pair):
-        _, terminal = basic_chain(sc_pair)
+        _, terminal, classified = basic_chain(sc_pair)
         kinds = {out.kind for _, out in classify_all_quotients(terminal)}
         assert "Cover" not in kinds
+        assert [(n.order, o.kind) for n, o in classified] == [
+            (n.order, o.kind) for n, o in classify_all_quotients(terminal)]
 
     def test_basic_type_matches_full_lattice_oracle(
         self, monkeypatch, lex_pairs, sc_pair, cs_pair, sym5_pair, sym7_pair
@@ -226,28 +229,52 @@ class TestBasic:
 
 
 class TestClassifyOnce:
-    """``classify`` reads the basic type's minimal normal quotients from the
-    quotients it lists, so each nontrivial normal subgroup is classified
-    once (it was 26 times for 24 on lex_cycle(8))."""
+    """``classify`` and ``chain`` read the basic type's minimal normal
+    quotients from the quotients they have classified, so each nontrivial
+    normal subgroup of each pair is classified once.  ``classify`` took 26
+    calls for 24 on lex_cycle(8); ``chain`` took as many there, and 5 for 4
+    on simple_cayley."""
 
-    @pytest.mark.parametrize(
-        "family", ["lex_cycle(8)", "simple_cayley", "tw_cayley", "pa", "sym_bigstab(7)"])
-    def test_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
+    FAMILIES = ["lex_cycle(8)", "simple_cayley", "tw_cayley", "pa", "sym_bigstab(7)"]
+
+    @staticmethod
+    def run(command, family, monkeypatch, tmp_path):
+        """The command's report, the orders of the subgroups it classified,
+        call by call, and those that ``classify_all_quotients`` listed."""
         doc = tmp_path / "spec.json"
         doc.write_text(json.dumps(workloads.spec(family, [1, 2, 3, 4, 5])))
-        calls = []
-        real = quotient.classify_og4_quotient
+        calls, listed = [], []
+        real, real_all = quotient.classify_og4_quotient, quotient.classify_all_quotients
 
         def counting(pair, n_sub):
             calls.append(n_sub.order)
             return real(pair, n_sub)
 
+        def listing(pair):
+            results = real_all(pair)
+            listed.extend(n.order for n, _ in results)
+            return results
+
         monkeypatch.setattr(quotient, "classify_og4_quotient", counting)
+        for module in (quotient, og4.cli):
+            monkeypatch.setattr(module, "classify_all_quotients", listing)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert og4.cli.main(["classify", str(doc)]) == 0
-        listed = [q["normal_subgroup_order"] for q in json.loads(out.getvalue())["quotients"]]
+            assert og4.cli.main([command, str(doc)]) == 0
+        return json.loads(out.getvalue()), calls, listed
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
+        report, calls, _ = self.run("classify", family, monkeypatch, tmp_path)
+        listed = [q["normal_subgroup_order"] for q in report["quotients"]]
         assert calls == listed
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chain_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
+        report, calls, listed = self.run("chain", family, monkeypatch, tmp_path)
+        assert calls == listed
+        if family == "simple_cayley":  # the pair's 3, then its cover quotient's 1
+            assert report["kernel_orders"] == [2] and len(calls) == 4
 
 
 class TestSmallAction:
