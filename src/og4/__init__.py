@@ -73,6 +73,7 @@ from .perm import (
     compose,
     conjugacy_classes,
     conjugate,
+    cycle_strings,
     enumerate_group,
     format_cycles,
     identity,

@@ -63,7 +63,8 @@ class TableBudgetExceeded(OG4Error):
     def __init__(self, rows: int, degree: int):
         super().__init__(
             f"an element table of {rows} rows at degree {degree} needs "
-            f"{rows * degree * 4 / 2**20:.0f} MB, over the budget of {TABLE_BYTES / 2**20:.0f} MB")
+            f"{(rows * degree * 4 + 2**19) // 2**20} MB, over the budget of "
+            f"{TABLE_BYTES // 2**20} MB")  # integers: a degree past 10^308 has no float
         self.rows, self.degree = rows, degree
 
 

@@ -14,7 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import constructions as cons
 from .analysis import (
@@ -37,8 +41,8 @@ from .perm import (
     OG4Error,
     Permutation,
     TableBudgetExceeded,
+    cycle_strings,
     enumerate_group,
-    format_cycles,
     paired_order_bound,
     parse_permutation,
 )
@@ -199,15 +203,31 @@ def parse_pair_document(doc: dict, cap: int = DEFAULT_CAP,
     n = doc.get("n_vertices", group.degree)
     if type(n) is not int or n < 1:
         raise UsageError("n_vertices must be a positive integer")
-    pairs = []
-    for a in arcs:
-        if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
-            raise UsageError(f"bad arc entry {a!r}")
-        x, y = a
-        if x == y:
-            raise UsageError(f"diagonal arc {a!r}")
-        pairs.append((x - 1, y - 1))
-    return OrientedGraph(n, pairs), group, labels
+    return OrientedGraph(n, _doc_arcs(arcs)), group, labels
+
+
+def _doc_arcs(arcs: list) -> np.ndarray:
+    """A document's 1-based [x, y] arc entries as a 0-based (m, 2) int64
+    array.  The entries' types are checked in one pass and the diagonal on
+    the array; a list that fails either check is walked entry by entry, so
+    that its first offending entry names the error.  An endpoint past int64
+    is out of range."""
+    pairs = None
+    if set(map(type, arcs)) <= {list} and set(map(len, arcs)) <= {2}:
+        flat = list(chain.from_iterable(arcs))
+        if set(map(type, flat)) <= {int}:
+            try:
+                pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                pass
+    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
+        for a in arcs:
+            if not (type(a) is list and len(a) == 2 and all(type(v) is int for v in a)):
+                raise UsageError(f"bad arc entry {a!r}")
+            if a[0] == a[1]:
+                raise UsageError(f"diagonal arc {a!r}")
+        raise OG4Error("arc endpoint out of range")
+    return pairs - 1
 
 
 def _doc_action(doc: dict, gens: list[Permutation], cap: int):
@@ -232,13 +252,13 @@ def _doc_action(doc: dict, gens: list[Permutation], cap: int):
 def render_pair_document(pair: OGPair) -> dict:
     doc: dict[str, Any] = {
         "n_vertices": pair.graph.n_vertices,
-        "generators": [format_cycles(g) for g in pair.group.generators],
-        "arcs": [[int(x) + 1, int(y) + 1] for x, y in pair.graph.arcs.tolist()],
+        "generators": cycle_strings(pair.group.gen_rows()),
+        "arcs": (pair.graph.arcs + 1).tolist(),
     }
     if pair.labels is not None:
         doc["labels"] = list(pair.labels)
     if pair.group.action is not None:
-        doc["action_generators"] = [format_cycles(g) for g in pair.group.action.generators]
+        doc["action_generators"] = cycle_strings(pair.group.action.gen_rows())
     return doc
 
 
@@ -282,7 +302,47 @@ def _emit(report: dict, fmt: str, out) -> None:
         for line in _text_lines(report, 0):
             out.write(line + "\n")
     else:
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        out.writelines(_json_chunks(report))
+        out.write("\n")
+
+
+def _json_chunks(obj: Any, pad: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, byte for
+    byte, in pieces, with its continuation lines indented by ``pad``.
+    Lists and string-keyed dicts are written here: a list of ints or of
+    strings with one join, and a list of equal-length int lists with one
+    format over the flattened values of each block of 1024 lists.
+    Everything else is left to ``json.dumps``.  Written piece by piece, a
+    report never has a second copy in memory."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(obj) is list and obj:
+        yield "[\n" + inner
+        types = set(map(type, obj))
+        if types == {int}:
+            yield sep.join(map(str, obj))
+        elif types == {str}:
+            yield sep.join(map(encode_basestring_ascii, obj))
+        elif (types == {list} and len(set(map(len, obj))) == 1 and obj[0]
+              and set(map(type, flat := list(chain.from_iterable(obj)))) == {int}):
+            k = len(obj[0])
+            item = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * k) + "\n" + inner + "]"
+            for lo in range(0, len(flat), 1024 * k):
+                block = flat[lo:lo + 1024 * k]
+                yield (sep if lo else "") + sep.join([item] * (len(block) // k)) % tuple(block)
+        else:
+            for i, v in enumerate(obj):
+                yield sep if i else ""
+                yield from _json_chunks(v, inner)
+        yield "\n" + pad + "]"
+    elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        yield "{\n" + inner
+        for i, (key, v) in enumerate(sorted(obj.items())):
+            yield (sep if i else "") + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(v, inner)
+        yield "\n" + pad + "}"
+    else:
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _text_lines(obj: Any, depth: int) -> list[str]:
@@ -316,7 +376,7 @@ def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or an int past 4300 digits
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("document root must be an object")

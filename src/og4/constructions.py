@@ -14,8 +14,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._kernels import component_labels
-from .graph import ConstructionRefuted, LazyLabels, OGPair, OrientedGraph, certify_og
+from ._kernels import check_table_bytes, component_labels
+from .graph import (ConstructionRefuted, LazyLabels, OGPair, OrientedGraph, _distinct_codes,
+                    certify_og)
 from .perm import (
     DEFAULT_CAP,
     GroupAutomorphism,
@@ -28,6 +29,7 @@ from .perm import (
     _subgroup,
     compose,
     conjugate,
+    cycle_strings,
     enumerate_group,
     format_cycles,
     identity,
@@ -172,14 +174,14 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
         raise ConstructionRefuted("cayley:h_swaps", "h does not interchange a and b")
 
     tails = np.arange(n_grp.order)
-    graph = OrientedGraph(n_grp.order, zip(np.concatenate([tails, tails]).tolist(),
-                                           np.concatenate([by_a, by_b]).tolist()))
+    graph = OrientedGraph(n_grp.order, np.stack([np.concatenate([tails, tails]),
+                                                 np.concatenate([by_a, by_b])], axis=1))
     gens = _right_regular_generators(n_grp)
     gens.append(h.as_point_permutation())
     # h is an automorphism of N, so it normalises the right multiplications:
     # the vertex group is rho(N) extended by <h>, of order at most 2|N|
     vertex_group = enumerate_group(gens, cap, 2 * n_grp.order)
-    labels = LazyLabels(n_grp.order, lambda i: format_cycles(n_grp.element(i)))
+    labels = LazyLabels(n_grp.order, lambda idx: cycle_strings(n_grp.table[idx]))
     return certify_og(graph, vertex_group, 4, labels)
 
 
@@ -189,19 +191,13 @@ def lexicographic_cycle(r: int, cap: int = DEFAULT_CAP) -> OGPair:
     if r < 3:
         raise ConstructionRefuted("lex_cycle:r_ge_3", f"r = {r}")
     n = 2 * r
-    tau = np.empty(n, dtype=np.int32)
-    flip0 = np.arange(n, dtype=np.int32)
-    for i in range(r):
-        for j in range(2):
-            tau[2 * i + j] = 2 * ((i + 1) % r) + j
+    check_table_bytes(1, n)
+    tau = np.roll(np.arange(n), -2)  # (i, j) -> (i+1, j): vertex 2i + j
+    flip0 = np.arange(n)
     flip0[[0, 1]] = [1, 0]
     group = enumerate_group([Permutation(tau), Permutation(flip0)], cap)
-    arcs = [
-        (2 * i + j, 2 * ((i + 1) % r) + jp)
-        for i in range(r)
-        for j in range(2)
-        for jp in range(2)
-    ]
+    tails = np.repeat(np.arange(n), 2)  # each (i, j) to (i+1, 0) and (i+1, 1)
+    arcs = np.stack([tails, tau[tails] - tails % 2 + np.tile([0, 1], n)], axis=1)
     labels = [f"({i},{j})" for i in range(r) for j in range(2)]
     return certify_og(OrientedGraph(n, arcs), group, 4, labels)
 
@@ -346,11 +342,11 @@ class CosetSpace:
         return Permutation(self.coset_id[keys.lookup(row[keys.images[self.reps]])])
 
     def labels(self) -> LazyLabels:
-        def label(c: int) -> str:
-            r = int(self.reps[c])
-            return "H" + (format_cycles(self.group.element(r))
-                          if r != self.group.identity_index else "")
-        return LazyLabels(self.n_cosets, label)
+        """"H" followed by each coset's representative, "H" alone for H."""
+        def fmt(cosets: list[int]) -> list[str]:
+            strings = cycle_strings(self.group.table[self.reps[cosets]])
+            return ["H" + s if s != "()" else "H" for s in strings]
+        return LazyLabels(self.n_cosets, fmt)
 
 
 def coset_space(group: PermGroup, subgroup: PermGroup) -> CosetSpace:
@@ -400,12 +396,11 @@ def double_coset_graph(
     group, subgroup, s = spec.group, spec.subgroup, spec.s
     space = coset_space(group, subgroup)
     dcs = _double_coset_mask(group, group.index.indices_of(subgroup.table), group.index_of(s))
-    arcs = {
-        (c, t)
-        for d in np.flatnonzero(dcs)
-        for c, t in enumerate(space.coset_id[left_mult_map(group, d)[space.reps]].tolist())
-    }
-    graph = OrientedGraph(space.n_cosets, arcs)
+    n = space.n_cosets
+    heads = np.concatenate([space.coset_id[left_mult_map(group, d)[space.reps]]
+                            for d in np.flatnonzero(dcs)])
+    codes = _distinct_codes(np.tile(np.arange(n), heads.size // n), heads, n)
+    graph = OrientedGraph(n, np.stack([codes // n, codes % n], axis=1))
     # the coset action is a homomorphic image of the group
     vertex_group = enumerate_group(
         [space.vertex_perm(g) for g in group.generators], cap, group.order
@@ -482,6 +477,7 @@ def sym_bigstab(n: int, cap: int = DEFAULT_CAP) -> OGPair:
     generated by the (i, i+m) transpositions, m = (n-1)/2."""
     if n < 5 or n % 2 == 0:
         raise ConstructionRefuted("sym_bigstab:n_odd_ge_5", f"n = {n}")
+    check_table_bytes(1, n)
     group = symmetric_group(n, cap)
     m = (n - 1) // 2
     gens = [parse_cycle_pair(i, i + m, n) for i in range(m)]

@@ -10,7 +10,7 @@ those codes, so certification reads no table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,16 +41,25 @@ class OrientedGraph:
     def __init__(self, n_vertices: int, arcs):
         if n_vertices < 1:
             raise OG4Error("graph needs at least one vertex")
-        given = [(int(x), int(y)) for x, y in arcs]
-        arr = np.asarray(sorted(set(given)), dtype=np.int64)
+        try:
+            arr = np.array(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=np.int64)
+        except OverflowError:  # an endpoint past int64
+            raise OG4Error("arc endpoint out of range") from None
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= n_vertices):
+        span = int(arr.max()) + 1 if arr.size else 1  # codes x * span + y sort as the arcs
+        if arr.size and (arr.min() < 0 or span > n_vertices):
             raise OG4Error("arc endpoint out of range")
-        if arr.size and (arr[:, 0] == arr[:, 1]).any():
+        if (arr[:, 0] == arr[:, 1]).any():
             raise OG4Error("diagonal arc (x, x) is not allowed")
-        if len(arr) != len(given):
-            raise OG4Error("duplicate arcs")
+        if span * span > np.iinfo(np.int64).max:
+            raise OG4Error("arc endpoints too large for int64 arc codes")
+        codes = arr[:, 0] * span + arr[:, 1]
+        if (codes[1:] <= codes[:-1]).any():  # not already sorted and distinct
+            codes.sort()
+            if not _kernels.run_starts(codes).all():
+                raise OG4Error("duplicate arcs")
+            arr = np.column_stack(divmod(codes, span))
         arr.setflags(write=False)
         self.n_vertices = n_vertices
         self.arcs = arr
@@ -115,7 +124,7 @@ def _runs(values: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
 
 
 def reverse_arcs(graph: OrientedGraph) -> OrientedGraph:
-    return OrientedGraph(graph.n_vertices, [(int(y), int(x)) for x, y in graph.arcs])
+    return OrientedGraph(graph.n_vertices, graph.arcs[:, ::-1])
 
 
 def orbital_graph(
@@ -269,17 +278,22 @@ class VerifyOutcome:
 
 
 class LazyLabels(Sequence[str]):
-    """Vertex labels, each formatted by ``label(v)`` when it is read; only
-    the commands that print a pair read them all."""
+    """Vertex labels, formatted when they are read by ``fmt``, which maps a
+    list of vertices to their labels.  A single read formats one label;
+    iterating formats them all in one call, as the commands that print a
+    pair do."""
 
-    def __init__(self, n: int, label: Callable[[int], str]):
-        self._n, self._label = n, label
+    def __init__(self, n: int, fmt: Callable[[list[int]], list[str]]):
+        self._n, self._fmt = n, fmt
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, v: int) -> str:
-        return self._label(range(self._n)[v])
+        return self._fmt([range(self._n)[v]])[0]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._fmt(list(range(self._n))))
 
 
 @dataclass(frozen=True)
@@ -370,12 +384,9 @@ def reverify(pair: OGPair) -> VerifyOutcome:
 
 def export_dot(graph: OrientedGraph, labels: Optional[Sequence[str]] = None) -> str:
     """Deterministic DOT rendering: one directed edge per arc."""
-    if labels is None:
-        labels = [str(v) for v in range(graph.n_vertices)]
+    labels = [str(v) for v in range(graph.n_vertices)] if labels is None else list(labels)
     lines = ["digraph oriented_graph {"]
-    for v in range(graph.n_vertices):
-        lines.append(f'  v{v} [label="{labels[v]}"];')
-    for x, y in graph.arcs.tolist():
-        lines.append(f"  v{x} -> v{y};")
+    lines += [f'  v{v} [label="{labels[v]}"];' for v in range(graph.n_vertices)]
+    lines += [f"  v{x} -> v{y};" for x, y in graph.arcs.tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -184,9 +184,12 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
     decimal = np.fromiter(map(str.isdecimal, tokens), bool, len(tokens))
     digits = tokens if decimal.all() else np.where(decimal, tokens, "0").tolist()
     try:
-        values = np.fromiter(map(int, digits), np.int64, len(digits))
-    except OverflowError:  # a point past 2^63, compared as a Python int
-        values = np.array(list(map(int, digits)), dtype=object)
+        try:
+            values = np.fromiter(map(int, digits), np.int64, len(digits))
+        except OverflowError:  # a point past 2^63, compared as a Python int
+            values = np.array(list(map(int, digits)), dtype=object)
+    except ValueError:  # a point past int's 4300-digit string limit
+        raise ParseError(f"point with too many digits in {text!r}") from None
     bad = np.flatnonzero(~decimal | (values < 1))
     by_cycle = np.argsort(values, kind="stable")
     by_cycle = by_cycle[np.argsort(cycle[by_cycle], kind="stable")]  # by (cycle, value)
@@ -201,6 +204,7 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
         degree = max(maxpt, 1)
     elif maxpt > degree:
         raise ParseError(f"point {maxpt} exceeds degree {degree}")
+    _kernels.check_table_bytes(1, degree)
     images = np.arange(degree, dtype=np.int32)
     moved = (sizes > 1)[cycle]
     points, cycle = values[moved] - 1, cycle[moved]
@@ -219,21 +223,28 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
 
 def format_cycles(p: Permutation) -> str:
     """Inverse of parse_permutation: 1-based cycles, fixed points omitted."""
-    seen = [False] * p.degree
-    parts = []
-    for start in range(p.degree):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = p.apply(start)
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = p.apply(nxt)
-        if len(cyc) > 1:
-            parts.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return cycle_strings(p.images[None, :])[0]
+
+
+def cycle_strings(rows: np.ndarray) -> list[str]:
+    """``format_cycles`` of each image row of a block, read as Python lists:
+    each cycle is written from its least point."""
+    names = [str(v + 1) for v in range(rows.shape[1])]
+    out = []
+    for row in rows.tolist():
+        seen = bytearray(len(row))
+        parts = []
+        for start, nxt in enumerate(row):
+            if nxt == start or seen[start]:
+                continue
+            cyc = [names[start]]
+            while nxt != start:
+                seen[nxt] = 1
+                cyc.append(names[nxt])
+                nxt = row[nxt]
+            parts.append("(" + " ".join(cyc) + ")")
+        out.append("".join(parts) or "()")
+    return out
 
 
 # ---------------------------------------------------------------------------

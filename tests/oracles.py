@@ -9,13 +9,16 @@ kernels) that the chain, generating sets and the arc-orbit kernel now
 answer, the normal-subgroup lattice on the vertex table that the small
 faithful action replaced, the per-arc neighbour loops, the per-arc
 alternating-cycle walk and multicover ``Counter`` that orbit labels and
-sorted arc codes replaced, and the per-point cycle-notation parser.
+sorted arc codes replaced, the per-point cycle-notation parser and
+printer, the per-entry arc checks and tuple-set graph that whole-array
+document reads replaced, and the ``json.dumps`` that writes every report.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
 with what they check.  Index maps are returned as int64 arrays.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -285,6 +288,27 @@ def parse_permutation(text, degree=None):
     return Permutation(images)
 
 
+def format_cycles(p):
+    """The cycle printer that follows each cycle one ``Permutation.apply``
+    at a time, that ``og4.cycle_strings``' loop over image-row lists
+    replaced."""
+    seen = [False] * p.degree
+    parts = []
+    for start in range(p.degree):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = p.apply(start)
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = p.apply(nxt)
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
+    return "".join(parts) if parts else "()"
+
+
 # ---------------------------------------------------------------------------
 # og4.constructions
 
@@ -492,6 +516,48 @@ def arc_orbit_labels(gen_rows, arcs_enc, n):
                     stack.append(pos)
         label += 1
     return labels
+
+
+def oriented_graph_arcs(n, arcs):
+    """The sorted 0-based arcs that the tuple-set ``OrientedGraph`` made of
+    ``arcs``, or OG4Error with its message."""
+    given = [(int(x), int(y)) for x, y in arcs]
+    arr = np.asarray(sorted(set(given)), dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise OG4Error("arc endpoint out of range")
+    if arr.size and (arr[:, 0] == arr[:, 1]).any():
+        raise OG4Error("diagonal arc (x, x) is not allowed")
+    if len(arr) != len(given):
+        raise OG4Error("duplicate arcs")
+    return arr.tolist()
+
+
+def document_arcs(n, arcs):
+    """A pair document's 1-based arc entries checked one at a time, as
+    ``og4.cli.parse_pair_document`` did before it checked them as one
+    array, then made a graph by ``oriented_graph_arcs``: the arcs, or the
+    message of the first error."""
+    pairs = []
+    try:
+        for a in arcs:
+            if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
+                raise OG4Error(f"bad arc entry {a!r}")
+            x, y = a
+            if x == y:
+                raise OG4Error(f"diagonal arc {a!r}")
+            pairs.append((x - 1, y - 1))
+        return oriented_graph_arcs(n, pairs)
+    except OG4Error as exc:
+        return str(exc)
+
+
+# ---------------------------------------------------------------------------
+# og4.cli
+
+
+def json_report(obj):
+    """A report as ``og4.cli`` wrote it with ``json.dumps``."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

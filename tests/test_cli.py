@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from og4.cli import main
+import oracles
+from og4.cli import _json_chunks, main
 
 
 def run(capsys, *argv):
@@ -185,6 +186,32 @@ class TestMalformedDocuments:
         doc = {"family": "lex_cycle", "r": True}
         self.assert_usage_error(capsys, tmp_path, "construct", doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("arcs", [[1, 10**30]]),
+        ("arcs", [[1, -2**63 - 1]]),
+        ("degree", 2**70),
+        ("degree", 10**400),
+        ("generators", [f"(1 {10**23})"]),
+        ("generators", [f"(1 {10**9})"]),
+        ("generators", ["(1 " + "7" * 5000 + ")"]),
+    ])
+    def test_huge_integers(self, capsys, tmp_path, lex3_pair, field, value):
+        """Refused before any array of their size is made: exit 2, one line."""
+        self.assert_usage_error(capsys, tmp_path, "verify", {**lex3_pair, field: value})
+
+    @pytest.mark.parametrize("spec", [{"family": "lex_cycle", "r": 2**31},
+                                      {"family": "lex_cycle", "r": 2**70},
+                                      {"family": "sym_bigstab", "n": 2**70 + 1}])
+    def test_huge_family_parameter(self, capsys, tmp_path, spec):
+        self.assert_usage_error(capsys, tmp_path, "construct", spec)
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"family": "lex_cycle", "r": ' + "7" * 5000 + "}")
+        status, out, err = run(capsys, "construct", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["(1 2)", [1, 2], ["(1 2)"], ["(1 2)", "()", "()"], {}])
     def test_action_generators_of_wrong_type_or_length(self, capsys, tmp_path, lex3_pair,
                                                        value):
@@ -202,17 +229,20 @@ LEX3_PAIR = {
 }
 LEX3_SPEC = {"family": "lex_cycle", "r": 3}
 
-# Integers reach 10^4 and strings stay short.  With `--max-order 1000` an r
+# Integers reach 10^4, plus four sentinels past int32, past int64 on either
+# side and past 2^64, and strings stay short.  With `--max-order 1000` an r
 # or n of 10^4 is refused (exit 2) while the chain's first orbit is
-# searched, once it passes 1000 points.  A six-character string holds no
-# point above 9999, so every table stays under 40 MB.  Cycle-notation strings are built from
+# searched, once it passes 1000 points, and an r past the table budget
+# before any array is made.  A six-character string holds no point above
+# 9999, so every table stays under 40 MB.  Cycle-notation strings are built from
 # a few points, a superscript and an Arabic-Indic digit, and a letter;
 # lists of them reach the generator parser.
 POINT = st.sampled_from(["1", "2", "3", "7", "0", "\u00b2", "\u0662", "x"])
 CYCLES = st.lists(st.lists(POINT, max_size=3).map(lambda pts: "(" + " ".join(pts) + ")"),
                   max_size=2).map("".join)
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10_000) | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | st.integers(-3, 10_000)
+    | st.sampled_from([2**31, 2**63, -2**63 - 1, 2**70]) | st.floats() | st.text(max_size=6)
     | CYCLES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
@@ -285,6 +315,39 @@ def run_quietly(command, doc):
     return status, out.getvalue(), err.getvalue()
 
 
+INT_OR_BOOL = st.integers() | st.booleans()
+REPORT_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.lists(INT_OR_BOOL, max_size=4) | st.lists(st.text(), max_size=4)
+                   | st.lists(st.lists(INT_OR_BOOL, min_size=2, max_size=2), max_size=4)
+                   | st.lists(st.lists(INT_OR_BOOL, max_size=2), max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestReportEmitter:
+    """Reports are written byte for byte as ``json.dumps(sort_keys=True,
+    indent=2)`` writes them."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(REPORT_VALUE)
+    def test_drawn_values(self, value):
+        assert "".join(_json_chunks(value)) == oracles.json_report(value)
+
+    @pytest.mark.parametrize("value", [
+        [[i, -i] for i in range(2500)], [[1, 2], [3, True]], [[1, 2], [3]], [[], []],
+        [1, 2.0], ["é", "\u2603", "\n"],
+        {"b": {1: [2, 3]}, "a": [{"x": []}, {}]}, [2**70, -2**63 - 1], (1, [2, 3]),
+    ])
+    def test_listed_values(self, value):
+        assert "".join(_json_chunks(value)) == oracles.json_report(value)
+
+    def test_unserialisable_value_raises_as_json_does(self):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks({"a": [object()]}))
+
+
 class TestClassifyQuotientChain:
     def test_classify_lex3(self, capsys, lex3_doc):
         status, out, _ = run(capsys, "classify", lex3_doc)
@@ -305,17 +368,31 @@ class TestClassifyQuotientChain:
 
     def test_classify_leaves_numpy_ma_unimported(self, tmp_path):
         """``np.unique`` imports ``numpy.ma``, about 1 MB of resident memory
-        in every command that calls it; no command path should."""
+        in every command that calls it; no command path should.  Checked on
+        ``classify``, and on ``construct``, ``verify`` of the emitted pair
+        and ``export`` of pa, whose arcs are deduplicated as codes."""
         doc = write_doc(tmp_path, "lex8.json", {"family": "lex_cycle", "r": 8})
-        script = ("import sys, og4.cli\n"
-                  "status = og4.cli.main(['classify', sys.argv[1]])\n"
+        pa = write_doc(tmp_path, "pa.json", {
+            "family": "pa", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "a": "(1 2)(3 4)", "b": "(1 5 4 3 2)",
+            "centralizer_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"]})
+        script = ("import json, sys, og4.cli\n"
+                  "lex, pa, work = sys.argv[1:]\n"
+                  "status = og4.cli.main(['classify', lex])\n"
+                  "status |= og4.cli.main(['construct', pa, '--output', work + '/c.json'])\n"
+                  "with open(work + '/c.json') as fh, open(work + '/p.json', 'w') as out:\n"
+                  "    json.dump(json.load(fh)['pair'], out)\n"
+                  "status |= og4.cli.main(['verify', work + '/p.json', '--output', work + '/v'])\n"
+                  "status |= og4.cli.main(['export', pa, '--output', work + '/e'])\n"
                   "sys.exit(status or 3 * ('numpy.ma' in sys.modules))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run([sys.executable, "-c", script, doc],
+        proc = subprocess.run([sys.executable, "-c", script, doc, pa, str(tmp_path)],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["basic_type"] == "Cycle"
+        assert json.loads((tmp_path / "v").read_text())["certificate"]["group_order"] == 7200
+        assert (tmp_path / "e").read_text().startswith("digraph")
 
     def test_quotient_subset_of_classify(self, capsys, lex3_doc):
         _, out_c, _ = run(capsys, "classify", lex3_doc)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import og4
+import og4.cli
 from og4 import (
     ConstructionRefuted,
     OG4Error,
@@ -55,7 +58,7 @@ class TestOrientedGraph:
     def test_reverse(self):
         g = directed_cycle(5)
         assert reverse_arcs(reverse_arcs(g)) == g
-
+        assert reverse_arcs(g).arcs.tolist() == sorted([y, x] for x, y in g.arcs.tolist())
 
     def test_neighbour_lists_match_arc_loop(self, all_pairs):
         """Out- and in-neighbour lists in arc order, as a loop over the arcs
@@ -68,6 +71,60 @@ class TestOrientedGraph:
             assert (graph.out_neighbors(), graph.in_neighbors()) == oracles.neighbors(graph), name
             assert graph.out_neighbors() is graph.out_neighbors(), name
             assert graph.in_neighbors() is graph.in_neighbors(), name
+
+
+def document_outcome(n, arcs):
+    """The graph's sorted arcs from a pair document's 1-based entries, or
+    the message of the first error."""
+    try:
+        return OrientedGraph(n, og4.cli._doc_arcs(arcs)).arcs.tolist()
+    except OG4Error as exc:
+        return str(exc)
+
+
+ENTRY = st.one_of(
+    st.lists(st.integers(-1, 5), min_size=2, max_size=2),
+    st.sampled_from([[3, 3], ["1", 2], [1, 2, 3], [True, 1], [1.0, 2], (1, 2), 7, None]),
+)
+
+
+class TestDocumentArcs:
+    """Pair-document arcs checked and sorted as one array, against the
+    per-entry loop and the tuple-set graph they replaced."""
+
+    def test_corpus(self, all_pairs):
+        rng = np.random.default_rng(5)
+        for name, pair in all_pairs:
+            arcs = (pair.graph.arcs[rng.permutation(pair.graph.n_arcs)] + 1).tolist()
+            n = pair.graph.n_vertices
+            want = oracles.document_arcs(n, arcs)
+            assert want == pair.graph.arcs.tolist(), name
+            assert document_outcome(n, arcs) == want, name
+
+    @pytest.mark.parametrize("arcs", [
+        [[1, 2], [2, 3], [1, 2]],  # duplicate
+        [[1, 2], [2, 2], [3, 1]],  # diagonal
+        [[1, 2], [2, 5]],  # out of range
+        [[1, 0], [2, 2]],  # a diagonal after an out-of-range entry
+        [[1, 2], ["1", 2], [3, 3]],  # a bad entry before a diagonal
+        [[1, 2], [3, 3], [1, 2, 3]],  # a diagonal before a bad entry
+        [[1, 5], [2, 1], [2, 1]],  # out of range and duplicate
+        [[True, 2]],
+        [],
+    ])
+    def test_malformed(self, arcs):
+        assert document_outcome(4, arcs) == oracles.document_arcs(4, arcs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ENTRY, max_size=8))
+    def test_drawn(self, arcs):
+        assert document_outcome(4, arcs) == oracles.document_arcs(4, arcs)
+
+    @pytest.mark.parametrize("arcs", [[[1, 10**30]], [[-2**63 - 1, 2]], [[2**63, 1]],
+                                      [[-2**63, 1]]])
+    def test_endpoint_past_int64_out_of_range(self, arcs):
+        assert document_outcome(4, arcs + [[1, 2]]) == "arc endpoint out of range"
+        assert document_outcome(4, arcs + [[2, 2]]) == "diagonal arc [2, 2]"
 
 
 class TestOrbital:

@@ -129,6 +129,30 @@ class TestParse:
     def test_format_identity(self):
         assert format_cycles(identity(3)) == "()"
 
+    def test_cycle_strings_match_loop_oracle(self, corpus_groups):
+        """Every row of each corpus group's table, or for the wide groups
+        an evenly spaced sample of about 50,000 points' worth of rows,
+        formats as the apply-at-a-time printer formats it."""
+        for name, group in corpus_groups:
+            step = max(1, group.order * group.degree // 50_000)
+            rows = np.stack([group.row(i) for i in range(0, group.order, step)])
+            want = [oracles.format_cycles(Permutation(row)) for row in rows]
+            assert og4.cycle_strings(rows) == want, name
+
+    @pytest.mark.parametrize("degree", [10**23, 2**70])
+    def test_degree_past_the_table_budget_refused(self, degree):
+        """A degree whose one image row would pass the table budget is
+        refused before the row is allocated."""
+        with pytest.raises(og4.TableBudgetExceeded):
+            parse_permutation("(1 2)", degree)
+        with pytest.raises(og4.TableBudgetExceeded):
+            parse_permutation(f"(1 {degree})")
+
+    def test_point_past_the_int_digit_limit(self):
+        text = "(1 " + "7" * 5000 + ")"
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_permutation(text)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,order", [(3, 6), (4, 24), (5, 120)])
