@@ -493,14 +493,20 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The CLI's parser.  When ``argv`` starts with a command, only that
+    command's subparser is added, since argparse reads no other; the list of
+    commands is then given as the metavar, so every usage, help and error
+    text is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="og4",
         description="Construct, verify, classify, and analyze oriented "
         "4-valent edge-transitive graph-group pairs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    lean = argv[:1] and argv[0] in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
+    for name in argv[:1] if lean else _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", help="JSON construction spec or pair document")
         p.add_argument("--max-order", type=int, default=DEFAULT_CAP,
@@ -515,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.max_order <= 0 or args.max_sarcs <= 0:
         parser.exit(2, "caps must be positive\n")

@@ -26,7 +26,10 @@ from .perm import (
     _conjugation_maps,
     _element_orders,
     _generate_in_parent,
+    _right_mult_map,
+    _search_tree,
     _subgroup,
+    _word_map,
     compose,
     conjugate,
     cycle_strings,
@@ -34,8 +37,6 @@ from .perm import (
     format_cycles,
     identity,
     is_nonabelian_simple,
-    left_mult_map,
-    right_mult_map,
 )
 
 AutLike = Union[GroupAutomorphism, Permutation]
@@ -151,7 +152,7 @@ def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
     if a not in n_grp or b not in n_grp:
         raise ConstructionRefuted("cayley:elements_in_group")
     ai, bi = n_grp.index_of(a), n_grp.index_of(b)
-    by_a, by_b = left_mult_map(n_grp, ai), left_mult_map(n_grp, bi)  # x -> a*x, b*x
+    by_a, by_b = (_word_map(n_grp, i, left=True) for i in (ai, bi))  # x -> a*x, b*x
     ident = n_grp.identity_index
     if ai == bi:
         raise ConstructionRefuted("cayley:halfset_size", "a = b")
@@ -289,12 +290,12 @@ def _span_order(group: PermGroup, members: Sequence[Permutation], clause: str) -
 
 def _right_regular_generators(n_grp: PermGroup) -> list[Permutation]:
     """N's generators as right multiplications of its element indices."""
-    return [Permutation(right_mult_map(n_grp, n_grp.index_of(g))) for g in n_grp.generators]
+    return [Permutation(_right_mult_map(n_grp, n_grp.index_of(g))) for g in n_grp.generators]
 
 
 def _left_regular_maps(n_grp: PermGroup) -> list[np.ndarray]:
     """N's generators as left multiplications of its element indices."""
-    return [left_mult_map(n_grp, n_grp.index_of(g)) for g in n_grp.generators]
+    return [_word_map(n_grp, n_grp.index_of(g), left=True) for g in n_grp.generators]
 
 
 def _regular(gens: Sequence[np.ndarray], centralising: Sequence[np.ndarray]) -> bool:
@@ -337,9 +338,7 @@ class CosetSpace:
     def vertex_perm(self, p: Permutation) -> Permutation:
         """Right multiplication by p, a member of the group, as a permutation
         of the cosets."""
-        keys = self.group.index
-        row = self.group.table[self.group.index_of(p)]
-        return Permutation(self.coset_id[keys.lookup(row[keys.images[self.reps]])])
+        return Permutation(self.coset_id[_word_map(self.group, self.group.index_of(p), self.reps)])
 
     def labels(self) -> LazyLabels:
         """"H" followed by each coset's representative, "H" alone for H."""
@@ -353,14 +352,17 @@ def coset_space(group: PermGroup, subgroup: PermGroup) -> CosetSpace:
     """Right cosets Hx with canonical (least-element) representatives.
 
     Each element's representative is the least index over its H-translates
-    h * x; cosets are numbered in the order of their representatives.
+    h * x; cosets are numbered in the order of their representatives.  The
+    left multiplications by H's members are composed from the group's left
+    generator maps along each member's word (``perm._word_map``), one map
+    of the group at a time.
     """
     h_idx = group.index.indices_of(subgroup.table)
     if h_idx is None:
         raise OG4Error("subgroup elements not all inside the group")
     least = np.arange(group.order)
     for h in h_idx:
-        np.minimum(least, left_mult_map(group, h), out=least)
+        np.minimum(least, _word_map(group, h, left=True), out=least)
     reps = np.flatnonzero(least == np.arange(group.order))
     return CosetSpace(group, subgroup, np.searchsorted(reps, least), reps)
 
@@ -380,11 +382,12 @@ def _core_mask(group: PermGroup, h_idx: np.ndarray) -> np.ndarray:
 
 
 def _double_coset_mask(group: PermGroup, h_idx: np.ndarray, si: int) -> np.ndarray:
-    """HsH as a mask over the group's table."""
+    """HsH as a mask over the group's table: each h * (s * h'), the left
+    multiplications read only at the |H| points they are applied to."""
     member = np.zeros(group.order, dtype=bool)
-    s_h = left_mult_map(group, si)[h_idx]
+    s_h = _word_map(group, si, h_idx, left=True)
     for h in h_idx:
-        member[left_mult_map(group, h)[s_h]] = True
+        member[_word_map(group, h, s_h, left=True)] = True
     return member
 
 
@@ -397,8 +400,9 @@ def double_coset_graph(
     space = coset_space(group, subgroup)
     dcs = _double_coset_mask(group, group.index.indices_of(subgroup.table), group.index_of(s))
     n = space.n_cosets
-    heads = np.concatenate([space.coset_id[left_mult_map(group, d)[space.reps]]
+    heads = np.concatenate([space.coset_id[_word_map(group, d, space.reps, left=True)]
                             for d in np.flatnonzero(dcs)])
+    _search_tree(group).left = None  # only the coset graph reads the left maps
     codes = _distinct_codes(np.tile(np.arange(n), heads.size // n), heads, n)
     graph = OrientedGraph(n, np.stack([codes // n, codes % n], axis=1))
     # the coset action is a homomorphic image of the group
@@ -433,7 +437,7 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
 
     in_h = np.zeros(group.order, dtype=bool)
     in_h[h_idx] = True
-    h_conj = left_mult_map(group, s_inv)[right_mult_map(group, si)[h_idx]]  # s^-1 h s
+    h_conj = _word_map(group, s_inv, _word_map(group, si, h_idx), left=True)  # s^-1 h s
     meet = int(in_h[h_conj].sum())
     if h_idx.size != 2 * meet:
         raise ConstructionRefuted(

@@ -38,8 +38,10 @@ a subgroup found by closing seeds also keeps the seeds it kept, which give
 its orbits.  Its canonical generating set is derived only when something
 reads ``generators``.  Closures, conjugacy classes, normality tests and the
 normal-subgroup lattice work on element indices: multiplying or conjugating
-every element by one element is a gather of the base columns and one batch
-lookup, and a subgroup being built is a boolean mask.
+every element by a generator is a gather of the base columns and one batch
+lookup, multiplying by any other element composes the generators' maps
+along its word in a search tree (``_word_map``), and a subgroup being built
+is a boolean mask.
 
 They run in the group's small faithful action when it has one (``action``,
 a group whose generators are paired one for one with the group's; see
@@ -100,7 +102,12 @@ class Permutation:
         arr = np.asarray(images, dtype=np.int32)
         if arr.ndim != 1 or arr.size < 1:
             raise OG4Error("a permutation needs at least one point")
-        if sorted(arr.tolist()) != list(range(arr.size)):
+        hit = np.zeros(arr.size, dtype=bool)
+        try:
+            hit[arr.view(np.uint32)] = True  # as uint32, a negative point is past the degree
+        except IndexError:  # a point past the degree: fewer than arr.size points are hit
+            pass
+        if np.count_nonzero(hit) < arr.size:
             raise OG4Error(f"not a bijection on 0..{arr.size - 1}: {arr.tolist()}")
         arr.setflags(write=False)
         object.__setattr__(self, "images", arr)
@@ -300,7 +307,7 @@ class PermGroup:
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._closures: Optional[list[tuple[np.ndarray, list[int]]]] = None
-        self._tree: Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        self._tree: Optional[_SearchTree] = None
         self._columns: dict[int, np.ndarray] = {}
 
     @property
@@ -592,11 +599,36 @@ def left_mult_map(group: PermGroup, s: int) -> np.ndarray:
 
 
 def _right_mult_map(group: PermGroup, s: int) -> np.ndarray:
-    """``right_mult_map``, cached on the group for closure generators."""
+    """``right_mult_map``, cached on the group for closure generators.  A
+    group that asks only for its generators' maps looks them up and builds
+    no search tree; any other map is composed along s's word (``_word_map``)."""
     m = group._right_mult.get(s)
     if m is None:
-        m = group._right_mult[s] = right_mult_map(group, s)
+        gens = group._generators
+        if group._tree is None and (
+                gens is None or any(np.array_equal(group.row(s), g.images) for g in gens)):
+            m = right_mult_map(group, s)
+        else:
+            m = _word_map(group, s)
+        group._right_mult[s] = m
     return m
+
+
+def _word_map(group: PermGroup, s: int, points: Optional[np.ndarray] = None,
+              left: bool = False) -> np.ndarray:
+    """x -> x * s, or x -> s * x if ``left``, at the points (every element
+    by default), with no lookup.  For s = g_j1 ... g_jd, its word in the
+    search tree, that is the generators' right maps composed from g_j1 on,
+    or their left maps (looked up on first use) from g_jd on."""
+    tree = _search_tree(group)
+    if left and tree.left is None:
+        tree.left = [left_mult_map(group, group.index_of(g)) for g in group.generators]
+    word = tree.word(s)
+    maps, word = (tree.left, word[::-1]) if left else (tree.right, word)
+    m = points
+    for j in word:
+        m = maps[j] if m is None else maps[j][m]
+    return np.arange(group.order) if m is None else m
 
 
 def _conjugation_maps(group: PermGroup) -> list[np.ndarray]:
@@ -648,8 +680,7 @@ def _faithful_table(group: PermGroup) -> PermGroup:
     lattice = PermGroup(small.degree, small.generators, keys.table)
     lattice._index = keys
     # S's search and its base images, in the new order
-    lattice._tree = [(keys.rank[found], keys.rank[parents], gens)
-                     for found, parents, gens in _search_tree(small)]
+    lattice._tree = _search_tree(small).renumbered(order, keys.rank)
     lattice._columns = dict(zip(group.base, images[order].T))
     return lattice
 
@@ -691,27 +722,60 @@ def paired_order_bound(small: PermGroup, gens: Sequence[Permutation]) -> Optiona
     return small.order
 
 
-def _search_tree(group: PermGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first search of the group's elements from the identity over
-    the right multiplications by its generators, cached on the group: per
-    layer, (its elements, their parents, generators), each element being
-    its parent times that generator."""
+class _SearchTree:
+    """Breadth-first search of a group's elements from the identity over
+    the right multiplications by its generators, ``right[j]``: x -> x * g_j.
+    Element x is ``parent[x]`` times generator ``via[x]``, so the path up
+    to the identity spells x as a word in the generators; ``layers`` are
+    the elements each round finds.  ``left[j]``, x -> g_j * x, is looked up
+    by ``_word_map`` on first use.  The maps are intp, since a gather by an
+    int32 index array converts it first; the rest is int32."""
+
+    def __init__(self, right: list[np.ndarray], parent: np.ndarray, via: np.ndarray,
+                 layers: list[np.ndarray]):
+        self.right, self.parent, self.via, self.layers = right, parent, via, layers
+        self.left: Optional[list[np.ndarray]] = None
+
+    def renumbered(self, order: np.ndarray, rank: np.ndarray) -> "_SearchTree":
+        """The same search with element ``order[i]`` named i; ``rank`` is the
+        inverse of ``order``."""
+        return _SearchTree([rank[m[order]] for m in self.right],
+                           rank[self.parent[order]].astype(np.int32), self.via[order],
+                           [rank[found].astype(np.int32) for found in self.layers])
+
+    def word(self, s: int) -> list[int]:
+        """Generator indices j1, ..., jd with element s = g_j1 * ... * g_jd."""
+        word = []
+        while self.via[s] >= 0:
+            word.append(int(self.via[s]))
+            s = self.parent[s]
+        return word[::-1]
+
+
+def _search_tree(group: PermGroup) -> _SearchTree:
+    """The group's ``_SearchTree``, built on first use and cached: the
+    generators' right maps, then one gather per generator and round."""
     if group._tree is None:
-        maps = [_right_mult_map(group, group.index_of(g)) for g in group.generators]
+        right = [_right_mult_map(group, group.index_of(g)) for g in group.generators]
+        parent = np.zeros(group.order, dtype=np.int32)
+        via = np.full(group.order, -1, dtype=np.int32)
         seen = np.zeros(group.order, dtype=bool)
         seen[group.identity_index] = True
-        frontier, tree = np.asarray([group.identity_index]), []
+        frontier, layers = np.asarray([group.identity_index]), []
         while frontier.size:
             layer = []
-            for j, m in enumerate(maps):
+            for j, m in enumerate(right):
                 y = m[frontier]
                 fresh = ~seen[y]
-                seen[y[fresh]] = True
-                layer.append((y[fresh], frontier[fresh], np.full(np.count_nonzero(fresh), j)))
-            found, parents, gens = (np.concatenate(a) for a in zip(*layer))
-            tree.append((found, parents, gens[:, None]))
-            frontier = found
-        group._tree = tree
+                y = y[fresh]
+                seen[y] = True
+                parent[y], via[y] = frontier[fresh], j
+                layer.append(y)
+            frontier = np.concatenate(layer)
+            layers.append(frontier.astype(np.int32))
+        if not seen.all():  # a word would be missing, and its map would be wrong
+            raise InvariantViolation("the generators do not generate the group")
+        group._tree = _SearchTree(right, parent, via, layers)
     return group._tree
 
 
@@ -723,8 +787,9 @@ def _images(group: PermGroup, gen_rows: np.ndarray, points: Sequence[int]) -> np
     the image of x, whatever the path."""
     out = np.empty((group.order, len(points)), dtype=np.int32)
     out[group.identity_index] = points
-    for found, parents, gens in _search_tree(group):
-        out[found] = gen_rows[gens, out[parents]]
+    tree = _search_tree(group)
+    for found in tree.layers:
+        out[found] = gen_rows[tree.via[found][:, None], out[tree.parent[found]]]
     return out
 
 
@@ -749,7 +814,8 @@ def _grow(group: PermGroup, mask: np.ndarray, gens: list[int], seeds: Iterable[i
     already in the mask is skipped.  Any other is appended to ``gens``; the
     old members times the seed form the first new coset, and each new
     frontier is multiplied on the right by every generator until nothing
-    new turns up.
+    new turns up.  A kept generator's map is composed from the group's
+    generators' maps along its word (``_right_mult_map``), not looked up.
     """
     for s in seeds:
         s = int(s)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from og4.cli import _json_chunks, main
+import og4.perm
+from og4.cli import _build_parser, _json_chunks, main
 
 
 def run(capsys, *argv):
@@ -394,6 +395,35 @@ class TestClassifyQuotientChain:
         assert json.loads((tmp_path / "v").read_text())["certificate"]["group_order"] == 7200
         assert (tmp_path / "e").read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "pa", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+         "a": "(1 2)(3 4)", "b": "(1 5 4 3 2)",
+         "centralizer_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"]},
+        {"family": "lex_cycle", "r": 8},
+    ], ids=["pa", "lex_cycle(8)"])
+    def test_lookup_maps_per_group(self, capsys, monkeypatch, tmp_path, spec):
+        """Every multiplication map beyond the generators' is composed along
+        a word in the search tree: ``classify`` looks up at most k right and
+        k left maps of each group with k generators.  (Before composed
+        maps, pa's 7200-element group took 78 + 23 lookups and
+        lex_cycle(8)'s 291.)"""
+        counts, groups = {}, {}
+
+        def counting(lookup):
+            def counted(group, s):
+                counts[id(group)] = counts.get(id(group), 0) + 1
+                groups[id(group)] = group
+                return lookup(group, s)
+            return counted
+
+        for name in ("right_mult_map", "left_mult_map"):
+            monkeypatch.setattr(og4.perm, name, counting(getattr(og4.perm, name)))
+        status, _, _ = run(capsys, "classify", write_doc(tmp_path, "spec.json", spec))
+        monkeypatch.undo()
+        assert status == 0 and counts
+        for key, n in counts.items():
+            assert n <= 2 * len(groups[key].generators), (groups[key], n)
+
     def test_quotient_subset_of_classify(self, capsys, lex3_doc):
         _, out_c, _ = run(capsys, "classify", lex3_doc)
         _, out_q, _ = run(capsys, "quotient", lex3_doc)
@@ -451,6 +481,25 @@ class TestAnalyzeExport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["classify"], ["classify", "--help"], ["--help"],
+        ["classify", "spec.json", "extra"], ["export", "spec.json", "--format", "xml"],
+        ["verify", "--max-order"], ["chain", "spec.json", "--max-order", "7"],
+    ])
+    def test_parser_for_one_command(self, argv):
+        """The parser built for the command in ``argv`` alone prints and
+        parses exactly as the full parser of every command does."""
+        def parse(parser):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = vars(parser.parse_args(argv))
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        assert parse(_build_parser(argv)) == parse(_build_parser())
+
     def test_nonpositive_cap(self, capsys, lex3_doc):
         with pytest.raises(SystemExit) as exc:
             main(["construct", lex3_doc, "--max-order", "0"])

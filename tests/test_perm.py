@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ class TestPermutation:
     def test_order(self):
         assert parse_permutation("(1 2 3)(4 5)", 5).order() == 6
         assert identity(4).order() == 1
+
+    def test_not_a_bijection(self):
+        for images in ([0, 0, 1], [0, 1, 3], [-1, 0, 1], [2, 1, 0, 2]):
+            with pytest.raises(og4.OG4Error) as exc:
+                Permutation(images)
+            assert str(exc.value) == f"not a bijection on 0..{len(images) - 1}: {images}"
+
+    def test_bijection_check_memory(self):
+        """An 11 MB row is checked as an array, not as a sorted list of 3
+        million Python ints (241 MB traced when it was)."""
+        tracemalloc.start()
+        try:
+            p = parse_permutation("(1 2)", 3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.images[:3].tolist() == [1, 0, 2]
+        assert peak < 3 * p.images.nbytes, peak / 2**20
 
 
 class TestParse:
@@ -534,6 +553,50 @@ class TestOneIndex:
                 GroupAutomorphism(group, broken)
             with pytest.raises(og4.OG4Error, match="not a bijection"):
                 GroupAutomorphism(group, np.zeros(group.order, dtype=np.int64))
+
+
+class TestComposedMaps:
+    """Multiplication maps composed along each element's word in the search
+    tree (``perm._word_map``) against the lookups ``right_mult_map`` and
+    ``left_mult_map``."""
+
+    def test_every_element(self, narrow_groups):
+        """x * s and s * x for every element s, at 8 sampled points x: the
+        column of x * s over all s is the lookup ``left_mult_map(x)``, and
+        that of s * x is ``right_mult_map(x)``."""
+        rng = random.Random(16)
+        for name, group in narrow_groups:
+            points = np.asarray([0] + rng.sample(range(1, group.order), min(7, group.order - 1)))
+            x_s = np.stack([og4.perm.left_mult_map(group, x) for x in points], axis=1)
+            s_x = np.stack([og4.perm.right_mult_map(group, x) for x in points], axis=1)
+            for s in range(group.order):
+                assert np.array_equal(og4.perm._word_map(group, s, points), x_s[s]), (name, s)
+                assert np.array_equal(og4.perm._word_map(group, s, points, left=True),
+                                      s_x[s]), (name, s)
+
+    def test_sampled_full_maps(self, narrow_groups, tw_pair, pa_pair, cs_pair, sym7_pair):
+        """Whole maps of 64 sampled elements of the tw and pa lattice groups
+        (whose search is renumbered from the small action's) and the coset
+        groups, and of 4 elements of every narrow group."""
+        rng = random.Random(17)
+        groups = [("tw lattice", og4.perm._lattice(tw_pair.group), 64),
+                  ("pa lattice", og4.perm._lattice(pa_pair.group), 64)]
+        groups += [(name, pair.group.action, 64) for name, pair in
+                   [("pa G", pa_pair), ("coset_simple G", cs_pair), ("Sym(7)", sym7_pair)]]
+        groups += [(name, group, 4) for name, group in narrow_groups]
+        for name, group, n in groups:
+            for s in rng.sample(range(group.order), min(n, group.order)):
+                assert np.array_equal(og4.perm._word_map(group, s),
+                                      og4.perm.right_mult_map(group, s)), (name, s)
+                assert np.array_equal(og4.perm._word_map(group, s, left=True),
+                                      og4.perm.left_mult_map(group, s)), (name, s)
+
+    def test_search_needs_generating_set(self, alt5):
+        """A group whose given generators reach only part of its table has no
+        word for the rest, so its search refuses instead of composing maps."""
+        group = og4.PermGroup(5, alt5.generators[:1], alt5.table)
+        with pytest.raises(og4.InvariantViolation, match="do not generate"):
+            og4.perm._word_map(group, group.order - 1)
 
 
 class TestAutomorphisms:

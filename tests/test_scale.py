@@ -1,0 +1,65 @@
+"""The paper's tw and pa families over PSL(2,7), past the Alt(5) corpus.
+
+T = PSL(2,7) acts on the projective line over F_7, with x -> point x + 1 and
+infinity -> point 8.  Its generators are x -> x + 1, x -> 2x (2 = 3^2
+generates the nonzero squares) and x -> -1/x; x -> 3x adds PGL(2,7), the
+inventory of Aut(T).  The constructions give closed forms: tw has
+|V| = |T|^2, pa has |V| = |T|^2 / 2, and both act by a group G of order
+2|T|^2 whose only minimal normal subgroup is T x T, transitive on the
+vertices, so both pairs are quasiprimitive.  Each member is constructed,
+its emitted pair verified and its spec classified through the CLI, under a
+generous time bound.
+"""
+
+import json
+import time
+
+import pytest
+
+from og4.cli import main
+
+PSL27 = ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)", "(1 8)(2 7)(3 4)(5 6)"]
+PGL27 = PSL27 + ["(2 4 3 7 5 6)"]
+T_ORDER = 168
+
+SPECS = {
+    "tw": {"family": "tw_cayley", "degree": 8, "generators": PSL27,
+           "a": "(2 7 5)(3 4 8)", "b": "(1 4 6 2)(3 8 7 5)",
+           "aut_supergroup_generators": PGL27},
+    "pa": {"family": "pa", "degree": 8, "generators": PSL27,
+           "a": "(1 4)(2 5)(3 8)(6 7)", "b": "(2 3 8 6 7 5 4)",
+           "centralizer_supergroup_generators": PGL27},
+}
+N_VERTICES = {"tw": T_ORDER ** 2, "pa": T_ORDER ** 2 // 2}
+SECONDS = 30.0  # all three commands of one member; about 1.5 s on 2 cores
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_psl27_member(capsys, tmp_path, family):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS[family]))
+    cap = ["--max-order", str(10 ** 7)]
+
+    def run(*argv):
+        status = main([*argv, *cap])
+        out = capsys.readouterr().out
+        assert status == 0, (argv, out)
+        return json.loads(out)
+
+    t0 = time.perf_counter()
+    built = run("construct", str(spec))
+    (tmp_path / "pair.json").write_text(json.dumps(built["pair"]))
+    verified = run("verify", str(tmp_path / "pair.json"))
+    classified = run("classify", str(spec))
+    elapsed = time.perf_counter() - t0
+
+    assert built["pair"]["n_vertices"] == N_VERTICES[family]
+    for report in (built, verified, classified):
+        assert report["certificate"]["group_order"] == 2 * T_ORDER ** 2
+    assert verified["ok"] is True
+    assert classified["basic_type"] == "Quasiprimitive"
+    # the nontrivial normal subgroups are T x T and G: T x T is the one
+    # minimal normal subgroup, and it is transitive (one block)
+    assert [(q["normal_subgroup_order"], q["n_blocks"]) for q in classified["quotients"]] \
+        == [(T_ORDER ** 2, 1), (2 * T_ORDER ** 2, 1)]
+    assert elapsed < SECONDS, f"{family}: {elapsed:.1f} s"
