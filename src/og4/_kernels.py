@@ -1,5 +1,6 @@
 """Hot array kernels: group closure by a stabiliser chain, base-image keys,
-orbit partitions, connected components of index maps, and arc orbits.
+orbit partitions and block systems, connected components of index maps,
+closures of sets of conjugacy classes, and arc orbits.
 
 All kernels work on ``int32`` image rows: a permutation of degree ``n`` is a
 row ``r`` with ``r[x]`` the image of ``x``, and the product "apply ``p`` then
@@ -683,6 +684,111 @@ def component_labels(maps, size: int) -> np.ndarray:
         if np.array_equal(new, labels):
             return labels
         labels = new
+
+
+def label_partition(labels: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """(blocks, each point's block) for the blocks of equal labels, each
+    block ascending and the blocks ordered by their least points.  A stable
+    sort by label lists each block's points in ascending order, so its first
+    point is its least; the blocks are then ranked by those least points.
+    Both sorts are stable sorts of intp, as ``conjugacy_classes``'s is: a
+    sort of another kind or width maps numpy's code for it into memory."""
+    by_label = np.argsort(labels.astype(np.intp), kind="stable")
+    starts = run_starts(labels[by_label])
+    order = np.argsort(by_label[starts], kind="stable")  # the blocks by least point
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    point_block = np.empty(labels.size, dtype=np.int32)
+    point_block[by_label] = rank[np.cumsum(starts) - 1]
+    point_block.setflags(write=False)
+    points, cuts = by_label.tolist(), np.append(np.flatnonzero(starts), labels.size).tolist()
+    runs = [tuple(points[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return tuple(runs[i] for i in order.tolist()), point_block
+
+
+def label_blocks(gen_rows: np.ndarray, block: np.ndarray, labels: np.ndarray) -> None:
+    """Label each image of ``block`` under the group the rows generate by
+    its least point, in ``labels``, which must be -1 at every such image.
+    The block must be a block of the group's action, so two images are
+    equal or disjoint.  Each round maps the blocks the last one found by
+    every row and keeps one row of each block not yet labelled."""
+    frontier, last = block[None, :], np.empty(labels.size, dtype=np.intp)
+    labels[block] = block.min()
+    while frontier.size:
+        images = gen_rows[:, frontier].reshape(-1, block.size)
+        images = images[labels[images[:, 0]] < 0]
+        least = images.min(axis=1)
+        labels[images] = least[:, None]
+        last[least] = np.arange(least.size)  # the last row of each block
+        keep = np.zeros(least.size, dtype=bool)
+        keep[last[least]] = True
+        frontier = images[keep]
+
+
+def close_class_sets(products: list, closed: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """The least set of conjugacy classes closed under products that holds
+    ``closed``, a class set already so closed, and the classes ``added``, as
+    a bool vector over the classes.  ``products[i]`` is a pair (src, dst) of
+    arrays: the product of class src[e] and class i meets class dst[e].  A
+    finite union of classes closed under products is a normal subgroup.
+    Each round multiplies the classes the last one added by every class
+    held; C_i * C_j = C_j * C_i, and earlier pairs were multiplied before."""
+    held = closed | added
+    while added.any():
+        pairs = [products[c] for c in np.flatnonzero(added).tolist()]
+        added = np.zeros_like(held)
+        added[np.concatenate([dst[held[src]] for src, dst in pairs])] = True
+        added &= ~held
+        held |= added
+    return held
+
+
+def class_atoms(products: list) -> np.ndarray:
+    """The closure (``close_class_sets``) of each nontrivial class, class 0
+    being the identity's, deduplicated, in class order: one row each."""
+    k = len(products)
+    trivial, atoms = np.arange(k) == 0, {}
+    for c in range(1, k):
+        atom = close_class_sets(products, trivial, np.arange(k) == c)
+        atoms.setdefault(atom.tobytes(), atom)
+    return np.array(list(atoms.values()), dtype=bool).reshape(-1, k)
+
+
+def class_joins(products: list, sizes: np.ndarray, atoms: np.ndarray, limit: int) -> np.ndarray:
+    """Every join of the atoms (``class_atoms``) and the trivial class set,
+    one row each, in the order found; ``sizes`` are the classes' sizes.
+    Raises past ``limit`` rows.
+
+    Joins are taken from the trivial set up, of each set found with each
+    atom A.  |N ∩ A| is the size of the classes N and A share, so
+    |NA| = |N||A| / |N ∩ A| is exact: a set already known (found, or an
+    atom) that holds both and has that size is their join, and only any
+    other join is closed from their classes (``close_class_sets``)."""
+    known = [np.arange(sizes.size) == 0, *atoms]  # the trivial set, the atoms, joins closed
+    by_order: dict[int, list[int]] = {}  # the rows of known by their sets' sizes
+    for row, n_set in enumerate(known):
+        by_order.setdefault(int(sizes[n_set].sum()), []).append(row)
+    atom_orders = np.where(atoms, sizes, 0).sum(axis=1)
+    found, seen = [0], {0}  # the rows of known found to be joins, in the order found
+    for row in found:  # found grows as new joins turn up
+        sub = known[row]
+        orders = int(sizes[sub].sum()) * atom_orders // np.where(atoms & sub, sizes, 0).sum(axis=1)
+        for i in np.flatnonzero((atoms > sub).any(axis=1)).tolist():  # atoms not inside sub
+            held, order = sub | atoms[i], int(orders[i])
+            join = next((r for r in by_order.get(order, ()) if (known[r] >= held).all()), None)
+            if join is None:
+                known.append(close_class_sets(products, sub, held & ~sub))
+                if int(sizes[known[-1]].sum()) != order:
+                    raise InvariantViolation("a join's order is not |N||A| / |N ∩ A|")
+                join = len(known) - 1
+                by_order.setdefault(order, []).append(join)
+            if join not in seen:
+                if len(found) >= limit:
+                    raise OG4Error(
+                        f"normal-subgroup lattice exceeds the limit of {limit} candidates")
+                seen.add(join)
+                found.append(join)
+    return np.array([known[row] for row in found])
 
 
 def arc_orbit_labels(gen_rows, arcs_enc, n):

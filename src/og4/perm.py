@@ -34,14 +34,16 @@ generating sets all go through it.
 A subgroup found inside a group (a stabilizer, a normal subgroup, a kernel)
 is held as a boolean mask over the parent's element indices.  Its table, the
 slice of the parent's sorted table at the mask, is gathered only when read;
-a subgroup found by closing seeds also keeps the seeds it kept, which give
-its orbits.  Its canonical generating set is derived only when something
-reads ``generators``.  Closures, conjugacy classes, normality tests and the
-normal-subgroup lattice work on element indices: multiplying or conjugating
-every element by a generator is a gather of the base columns and one batch
-lookup, multiplying by any other element composes the generators' maps
-along its word in a search tree (``_word_map``), and a subgroup being built
-is a boolean mask.
+a normal subgroup reads its orbits from the parent's (``_orbit_labels``).
+Its canonical generating set is derived only when something reads
+``generators``.  Closures, conjugacy classes and normality tests work on
+element indices: multiplying or conjugating every element by a generator is
+a gather of the base columns and one batch lookup, multiplying by any other
+element composes the generators' maps along its word in a search tree
+(``_word_map``), and a subgroup being built is a boolean mask.  The
+normal-subgroup lattice works on conjugacy classes: a normal subgroup is the
+set of classes it is the union of, closed under the class products
+(``_class_lattice``).
 
 They run in the group's small faithful action when it has one (``action``,
 a group whose generators are paired one for one with the group's; see
@@ -270,8 +272,9 @@ class PermGroup:
     drops the chain; until then ``order``, ``base``, single rows and
     ``point_stabilizer`` of the first base point come from the chain.  A
     group made with a ``parent`` and a ``mask`` gathers the parent's rows at
-    the mask when its table is read; ``kept``, if given, are rows of
-    elements that generate it.  With ``generators=None`` a greedy generating
+    the mask when its table is read; with ``normal`` it is a normal subgroup
+    of the parent, whose orbits are read from the parent's.  With
+    ``generators=None`` a greedy generating
     set is derived from the table on first read.  ``index`` (a
     ``BaseKeys``) is the group's one element index, built on first use.
 
@@ -288,12 +291,12 @@ class PermGroup:
         chain: Optional[_kernels.StabiliserChain] = None,
         parent: Optional["PermGroup"] = None,
         mask: Optional[np.ndarray] = None,
-        kept: Optional[np.ndarray] = None,
+        normal: bool = False,
     ):
         self.degree = degree
         self._generators = None if generators is None else tuple(generators)
         self._chain = chain
-        self._parent, self._mask, self._kept = parent, mask, kept
+        self._parent, self._mask, self._normal = parent, mask, normal
         self._table: Optional[np.ndarray] = None
         if table is not None:
             self._table = _read_only(table)
@@ -303,10 +306,9 @@ class PermGroup:
         self.action: Optional[PermGroup] = None
         self._lattice: Optional[PermGroup] = None
         self._index: Optional[BaseKeys] = None
-        self._right_mult: dict[int, np.ndarray] = {}
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
-        self._closures: Optional[list[tuple[np.ndarray, list[int]]]] = None
+        self._class_lattice: Optional[tuple] = None
         self._tree: Optional[_SearchTree] = None
         self._columns: dict[int, np.ndarray] = {}
 
@@ -470,16 +472,13 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
     return PermGroup(degree, gens, chain=chain)
 
 
-def _subgroup(parent: PermGroup, mask: np.ndarray,
-              kept: Optional[Sequence[int]] = None) -> PermGroup:
+def _subgroup(parent: PermGroup, mask: np.ndarray, normal: bool = False) -> PermGroup:
     """The subgroup at a boolean mask over ``parent``'s element indices.  Its
     table, when read, is the sorted selection of the parent's sorted table,
-    and the whole group shares the parent's (read-only) table.  ``kept``
-    are element indices that generate it; their rows give its orbits."""
-    rows = None
-    if kept is not None:
-        rows = np.asarray([parent.row(i) for i in kept], dtype=np.int32).reshape(-1, parent.degree)
-    return PermGroup(parent.degree, None, parent=parent, mask=mask, kept=rows)
+    and the whole group shares the parent's (read-only) table.  ``normal``
+    states that it is normal in ``parent``; its orbits are then read from
+    the parent's (``_normal_orbit_labels``)."""
+    return PermGroup(parent.degree, None, parent=parent, mask=mask, normal=normal)
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +494,8 @@ class BlockPartition:
 
     @staticmethod
     def from_labels(labels: np.ndarray) -> "BlockPartition":
-        n = labels.size
-        raw: dict[int, list[int]] = {}
-        for v in range(n):
-            raw.setdefault(int(labels[v]), []).append(v)
-        blocks = sorted((tuple(b) for b in raw.values()), key=lambda b: b[0])
-        point_block = np.empty(n, dtype=np.int32)
-        for i, b in enumerate(blocks):
-            for v in b:
-                point_block[v] = i
-        point_block.setflags(write=False)
-        return BlockPartition(tuple(blocks), point_block)
+        """The blocks of equal labels (``_kernels.label_partition``)."""
+        return BlockPartition(*_kernels.label_partition(labels))
 
     @property
     def n_blocks(self) -> int:
@@ -515,13 +505,38 @@ class BlockPartition:
         return [len(b) for b in self.blocks]
 
 
-def _orbit_rows(group: PermGroup) -> np.ndarray:
-    """Rows that generate the group: its kept seeds, else ``generators``."""
-    return group._kept if group._kept is not None else group.gen_rows()
+def _orbit_labels(group: PermGroup) -> np.ndarray:
+    """Each point's least orbit point: from the parent's orbits for a normal
+    subgroup held as a mask (``_normal_orbit_labels``), from the generators'
+    rows otherwise."""
+    if group._normal:
+        return _normal_orbit_labels(group._parent, group._mask)
+    return _kernels.point_orbit_labels(group.gen_rows())
+
+
+def _normal_orbit_labels(parent: PermGroup, mask: np.ndarray) -> np.ndarray:
+    """Each point's least orbit point under the normal subgroup N of
+    ``parent`` at ``mask``.
+
+    The N-orbits form a block system of G = ``parent``: the image of an
+    N-orbit under g is an N-orbit, (p^N)^g = (p^g)^N.  So in each G-orbit,
+    with least point p, the N-orbit of p is read from every element's image
+    of p (``_point_images``) at N's mask, and every other N-orbit of that
+    G-orbit is found as an image of one already found under G's generators,
+    round by round.  No generating set of N is needed."""
+    rows = parent.gen_rows()
+    out = np.where((rows == np.arange(parent.degree)).all(axis=0), np.arange(parent.degree), -1)
+    while (out < 0).any():
+        p = int(np.argmax(out < 0))  # the least point of a G-orbit not yet labelled
+        n_orbit = np.zeros(parent.degree, dtype=bool)
+        n_orbit[_point_images(parent, [p])[mask, 0]] = True
+        _kernels.label_blocks(rows, np.flatnonzero(n_orbit), out)
+    return out
 
 
 def orbits(group: PermGroup) -> BlockPartition:
-    return BlockPartition.from_labels(_kernels.point_orbit_labels(_orbit_rows(group)))
+    """The group's orbits on points (``_orbit_labels``)."""
+    return BlockPartition.from_labels(_orbit_labels(group))
 
 
 @dataclass(frozen=True)
@@ -533,10 +548,10 @@ class TransitivityProfile:
 
 
 def transitivity_profile(group: PermGroup) -> TransitivityProfile:
-    """Orbits and regularity, from the orbits of a generating set.  The
-    group is semiregular when every point stabiliser is trivial, that is
-    when every orbit has |G| points (orbit-stabiliser)."""
-    labels = _kernels.point_orbit_labels(_orbit_rows(group))
+    """Orbits and regularity, from the group's orbits (``_orbit_labels``).
+    The group is semiregular when every point stabiliser is trivial, that
+    is when every orbit has |G| points (orbit-stabiliser)."""
+    labels = _orbit_labels(group)
     sizes = np.bincount(labels, minlength=group.degree)
     sizes = sizes[labels == np.arange(group.degree)]  # at the least point of each orbit
     transitive = sizes.size == 1
@@ -599,19 +614,14 @@ def left_mult_map(group: PermGroup, s: int) -> np.ndarray:
 
 
 def _right_mult_map(group: PermGroup, s: int) -> np.ndarray:
-    """``right_mult_map``, cached on the group for closure generators.  A
-    group that asks only for its generators' maps looks them up and builds
-    no search tree; any other map is composed along s's word (``_word_map``)."""
-    m = group._right_mult.get(s)
-    if m is None:
-        gens = group._generators
-        if group._tree is None and (
-                gens is None or any(np.array_equal(group.row(s), g.images) for g in gens)):
-            m = right_mult_map(group, s)
-        else:
-            m = _word_map(group, s)
-        group._right_mult[s] = m
-    return m
+    """``right_mult_map``.  A group that asks only for its generators' maps
+    looks them up and builds no search tree; any other map is composed along
+    s's word (``_word_map``).  Nothing is cached."""
+    gens = group._generators
+    if group._tree is None and (
+            gens is None or any(np.array_equal(group.row(s), g.images) for g in gens)):
+        return right_mult_map(group, s)
+    return _word_map(group, s)
 
 
 def _word_map(group: PermGroup, s: int, points: Optional[np.ndarray] = None,
@@ -815,14 +825,16 @@ def _grow(group: PermGroup, mask: np.ndarray, gens: list[int], seeds: Iterable[i
     old members times the seed form the first new coset, and each new
     frontier is multiplied on the right by every generator until nothing
     new turns up.  A kept generator's map is composed from the group's
-    generators' maps along its word (``_right_mult_map``), not looked up.
+    generators' maps along its word (``_right_mult_map``), not looked up,
+    and held only while the mask grows.
     """
+    maps = [_right_mult_map(group, g) for g in gens]
     for s in seeds:
         s = int(s)
         if mask[s]:
             continue
         gens.append(s)
-        maps = [_right_mult_map(group, g) for g in gens]
+        maps.append(_right_mult_map(group, s))
         new = np.zeros_like(mask)
         new[maps[-1][np.flatnonzero(mask)]] = True
         while new.any():
@@ -839,9 +851,7 @@ def _generate_in_parent(
 ) -> tuple[np.ndarray, list[int]]:
     """Subgroup generated by the given parent elements, as a mask over the
     parent's table, and the seeds that were kept as its generators."""
-    mask = np.zeros(parent.order, dtype=bool)
-    mask[parent.identity_index] = True
-    gens: list[int] = []
+    mask, gens = np.arange(parent.order) == parent.identity_index, []
     _grow(parent, mask, gens, seed_indices)
     return mask, gens
 
@@ -849,7 +859,7 @@ def _generate_in_parent(
 def normal_closure(group: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     """Least normal subgroup of ``group`` containing the seeds."""
     seed_idx = sorted({group.index_of(s) for s in seeds})
-    return _subgroup(group, *_normal_closure_mask(_lattice(group), seed_idx))
+    return _subgroup(group, _normal_closure_mask(_lattice(group), seed_idx)[0], normal=True)
 
 
 def _normal_closure_mask(group: PermGroup, seed_idx: Iterable[int]) -> tuple[np.ndarray, list[int]]:
@@ -881,87 +891,72 @@ def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
     return lattice._classes
 
 
-def _class_closures(group: PermGroup) -> list[tuple[np.ndarray, list[int]]]:
-    """Normal closure of each nontrivial conjugacy class, deduplicated, as
-    (mask, kept generators) in the lattice group.  <class> is normal since
-    conjugation permutes the class."""
-    lattice = _lattice(group)
-    if lattice._closures is not None:
-        return lattice._closures
-    closures = []
-    seen: set[bytes] = set()
-    ident = lattice.identity_index
-    for cls in conjugacy_classes(lattice):
-        if cls.size == 1 and int(cls[0]) == ident:
-            continue
-        mask, gens = _generate_in_parent(lattice, cls)
-        key = mask.tobytes()
-        if key in seen:
-            # classes are disjoint, so no other closure was grown by these
-            for s in gens:
-                del lattice._right_mult[s]
-        else:
-            seen.add(key)
-            closures.append((mask, gens))
-    lattice._closures = closures
-    return closures
+def _class_lattice(lattice: PermGroup) -> tuple[np.ndarray, list, np.ndarray]:
+    """(each element's class, class products, atoms), classes numbered as
+    ``conjugacy_classes`` lists them; a class set is a bool vector over them,
+    and the atoms are a row each.
+
+    Each class of C_i * C_j meets C_j * r_i for any r_i in C_i: c * y with
+    c = r_i^g is conjugate to r_i * y', y' = y^(g^-1), and that to y' * r_i
+    (Hulpke, "Computing normal subgroups", ISSAC 1998).  So one right map
+    x -> x * r_i (``_word_map``), read once and dropped, gives the pairs
+    (j, l) of class i's products (``_kernels.close_class_sets``): C_j * r_i
+    meets C_l.  Each pair is kept once (a k x k bool buffer), and the buffer
+    and the pairs kept are checked against ``_kernels.TABLE_BYTES`` before
+    they are allocated or stored.
+    The atoms are the normal closures of the classes (``_kernels.class_atoms``)."""
+    if lattice._class_lattice is None:
+        classes = conjugacy_classes(lattice)
+        k = len(classes)
+        _kernels.check_table_bytes(k, k // 4 + 1)  # the k x k buffer
+        cls_of = np.empty(lattice.order, dtype=np.intp)
+        cls_of[np.concatenate(classes)] = np.repeat(np.arange(k), [c.size for c in classes])
+        seen = np.zeros(k * k, dtype=bool)
+        products = [(cls_of[:0], cls_of[:0])]  # the identity's class adds nothing
+        stored = 0
+        for cls in classes[1:]:
+            seen[cls_of * k + cls_of[_word_map(lattice, int(cls[0]))]] = True
+            stored += int(np.count_nonzero(seen))
+            _kernels.check_table_bytes(stored, 4)  # two intp arrays
+            pairs = np.flatnonzero(seen)
+            seen[pairs] = False
+            products.append(np.divmod(pairs, k))
+        lattice._class_lattice = (cls_of, products, _kernels.class_atoms(products))
+    return lattice._class_lattice
 
 
 def all_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every normal subgroup, ordered by (order, element index tuple).
 
-    The lattice is generated by closing the normal closures of the conjugacy
-    classes under joins; every normal subgroup is the join of the closures of
-    the classes it contains, and every such join is normal.  The join of a
-    normal N with an atom <S> is N<S>, grown from N's mask by the seeds S.
+    Normal subgroups are unions of conjugacy classes, each held as the set
+    of its classes.  Each is the join of the atoms (``_class_lattice``) of
+    the classes it contains, so the lattice is the closure of the atoms
+    under joins (``_kernels.class_joins``), where a join's order is known
+    before it is formed: |NA| = |N||A| / |N ∩ A|.
     """
-    lattice = _lattice(group)
-    atoms = _class_closures(lattice)
-    trivial, _ = _generate_in_parent(lattice, ())
-    found = {trivial.tobytes(): (trivial, [])}
-    frontier = [(trivial, [])]
-    while frontier:
-        nxt = []
-        for sub, gens in frontier:
-            for atom, seeds in atoms:
-                if not (atom & ~sub).any():
-                    continue
-                joined, kept = sub.copy(), []
-                _grow(lattice, joined, kept, seeds)
-                key = joined.tobytes()
-                if key not in found:
-                    if len(found) >= DEFAULT_NORMAL_SUBGROUP_LIMIT:
-                        raise OG4Error(
-                            "normal-subgroup lattice exceeds the limit of "
-                            f"{DEFAULT_NORMAL_SUBGROUP_LIMIT} candidates"
-                        )
-                    found[key] = (joined, gens + kept)
-                    nxt.append(found[key])
-        frontier = nxt
-    return _subgroups_by_order(group, found.values())
+    cls_of, products, atoms = _class_lattice(_lattice(group))
+    joins = _kernels.class_joins(products, np.bincount(cls_of), atoms,
+                                 DEFAULT_NORMAL_SUBGROUP_LIMIT)
+    return _subgroups_by_order(group, cls_of, joins)
 
 
 def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
-    """Minimal nontrivial normal subgroups.
-
-    Every minimal normal subgroup is the normal closure of any of its
-    nonidentity elements, so the minimal elements among the class closures
-    are exactly the minimal normal subgroups.
+    """Minimal nontrivial normal subgroups: the atoms (``_class_lattice``)
+    holding no other atom's classes, since every minimal normal subgroup is
+    the normal closure of any of its nonidentity elements.
     """
-    closures = _class_closures(group)
-    minimal = [
-        (c, gens) for c, gens in closures
-        if not any(other is not c and not (other & ~c).any() for other, _ in closures)
-    ]
-    return _subgroups_by_order(group, minimal)
+    cls_of, _, atoms = _class_lattice(_lattice(group))
+    minimal = [(atoms <= atom).all(axis=1).sum() == 1 for atom in atoms]  # holding only itself
+    return _subgroups_by_order(group, cls_of, atoms[minimal])
 
 
-def _subgroups_by_order(group: PermGroup,
-                        found: Iterable[tuple[np.ndarray, list[int]]]) -> list[PermGroup]:
-    """Subgroups at the given (mask, kept generators), ordered by (order,
-    element indices)."""
-    found = sorted(found, key=lambda f: (int(f[0].sum()), np.flatnonzero(f[0]).tolist()))
-    return [_subgroup(group, mask, gens) for mask, gens in found]
+def _subgroups_by_order(group: PermGroup, cls_of: np.ndarray,
+                        class_sets: Iterable[np.ndarray]) -> list[PermGroup]:
+    """The normal subgroups at the class sets, ordered by (order, element
+    indices); ``cls_of`` is each element's class."""
+    masks = sorted((n_set[cls_of] for n_set in class_sets),
+                   key=lambda m: (int(np.count_nonzero(m)), np.flatnonzero(m).tolist()))
+    return [_subgroup(group, mask, normal=True) for mask in masks]
 
 
 def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
@@ -1009,7 +1004,7 @@ def is_nonabelian_simple(group: PermGroup) -> bool:
     """Exhaustive check: nontrivial, nonabelian, no proper nontrivial normals."""
     if group.order == 1 or _is_abelian(group):
         return False
-    return all(mask.all() for mask, _ in _class_closures(group))
+    return bool(_class_lattice(_lattice(group))[2].all())
 
 
 # ---------------------------------------------------------------------------

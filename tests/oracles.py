@@ -7,7 +7,9 @@ transversal rows that its column blocks replaced, the table reads
 (transitivity, point stabilisers, the orbit of an arc, point orbits, block
 kernels) that the chain, generating sets and the arc-orbit kernel now
 answer, the normal-subgroup lattice on the vertex table that the small
-faithful action replaced, the per-arc neighbour loops, the per-arc
+faithful action replaced, the element-by-element mask lattice that the
+lattice over conjugacy classes replaced, the per-point block partition that
+a sort by label replaced, the per-arc neighbour loops, the per-arc
 alternating-cycle walk and multicover ``Counter`` that orbit labels and
 sorted arc codes replaced, the per-point cycle-notation parser and
 printer, the per-entry arc checks and tuple-set graph that whole-array
@@ -857,6 +859,61 @@ class VertexLattice:
         kernel = np.flatnonzero((induced == np.arange(len(reps))).all(axis=1)).tolist()
         distinct = {row.tobytes(): row for row in induced}
         return kernel, sorted_table(np.asarray(list(distinct.values()), dtype=np.int32))
+
+
+class MaskLattice:
+    """The normal-subgroup lattice as og4 computed it before it moved to
+    conjugacy classes: in the lattice group's index space
+    (``og4.perm._lattice``), the normal closure of each nontrivial class is
+    a boolean mask grown element by element (``og4.perm._generate_in_parent``),
+    and each join N<S> of a subgroup found with a closure's kept seeds S is
+    grown from N's mask (``og4.perm._grow``), from the trivial group up.
+    Results are element-index lists, ordered by (order, indices)."""
+
+    def __init__(self, group):
+        self.lattice = og4.perm._lattice(group)
+        self.closures, seen = [], set()
+        for cls in og4.conjugacy_classes(self.lattice)[1:]:  # the identity's class is the first
+            mask, gens = og4.perm._generate_in_parent(self.lattice, cls)
+            if mask.tobytes() not in seen:
+                seen.add(mask.tobytes())
+                self.closures.append((mask, gens))
+
+    def normal_subgroups(self):
+        trivial = np.arange(self.lattice.order) == 0
+        found = {trivial.tobytes(): trivial}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                for atom, seeds in self.closures:
+                    if (atom & ~sub).any():
+                        joined = sub.copy()
+                        og4.perm._grow(self.lattice, joined, [], seeds)
+                        if joined.tobytes() not in found:
+                            found[joined.tobytes()] = joined
+                            nxt.append(joined)
+            frontier = nxt
+        return VertexLattice._sorted(found.values())
+
+    def minimal_normal_subgroups(self):
+        masks = [m for m, _ in self.closures]
+        return VertexLattice._sorted(m for m in masks
+                                     if not any(o is not m and not (o & ~m).any() for o in masks))
+
+
+def block_partition(labels):
+    """(blocks, point -> block) of equal labels, by a loop over the points:
+    each block in ascending order, the blocks sorted by least point."""
+    raw = {}
+    for v in range(labels.size):
+        raw.setdefault(int(labels[v]), []).append(v)
+    blocks = sorted((tuple(b) for b in raw.values()), key=lambda b: b[0])
+    point_block = np.empty(labels.size, dtype=np.int32)
+    for i, b in enumerate(blocks):
+        for v in b:
+            point_block[v] = i
+    return tuple(blocks), point_block
 
 
 def neighbors(graph):

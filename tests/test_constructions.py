@@ -1,7 +1,11 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import og4
+import og4.cli
 from og4 import ConstructionRefuted, compose, parse_permutation as P
 from og4.constructions import (
     CayleySpec,
@@ -16,6 +20,9 @@ from og4.constructions import (
 from og4.perm import GroupAutomorphism
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestLexCycle:
@@ -328,3 +335,34 @@ class TestTwNormalizedForm:
         s0 = og4.embed_pair(a, b)
         assert og4.conjugate(s0, swap) == og4.embed_pair(b, a)
         assert og4.reverify(tw_pair).ok
+
+
+class TestHeldMaps:
+    """After ``build_from_document``, a coset pair's groups hold no
+    multiplication map beyond their search trees' generator maps and their
+    conjugation maps.  The maps that ``_span`` composed for one-off
+    membership checks (<(a, a), iota>, <H, s>, <g, g^h>) were kept in a
+    cache on the group for the pair's whole life: 5 maps on pa's small
+    action and 6 on coset_simple's."""
+
+    @staticmethod
+    def held_maps(group):
+        """The bijections of the element indices that the group and its
+        search tree hold in their attributes, lists, tuples and dicts."""
+        values = list(vars(group).values())
+        if group._tree is not None:
+            values += list(vars(group._tree).values())
+        flat = [w for v in values for w in (
+            v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else [v])]
+        return [a for a in flat if isinstance(a, np.ndarray) and a.shape == (group.order,)
+                and a.dtype == np.intp and np.bincount(a, minlength=group.order).all()]
+
+    @pytest.mark.parametrize("family", ["pa", "coset_simple", "sym_bigstab(7)"])
+    def test_only_generator_maps(self, family):
+        pair = og4.cli.build_from_document(workloads.spec(family, [1, 2, 3, 4, 5]))
+        for group in (pair.group, pair.group.action):
+            tree = group._tree
+            allowed = [] if tree is None else tree.right + (tree.left or [])
+            allowed += group._conjugation or []
+            held = self.held_maps(group)
+            assert {id(m) for m in held} <= {id(m) for m in allowed}, (family, len(held))

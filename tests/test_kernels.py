@@ -34,9 +34,9 @@ def bfs_point_orbit_labels(gen_rows, n):
 
 
 def assert_orbits_match_oracle(group):
-    """The kernel on the generators, ``og4.orbits`` (a lattice subgroup's
-    kept seeds) and the table-column labelling all give the search's
-    orbits."""
+    """The kernel on the generators, ``og4.orbits`` (for a lattice subgroup,
+    read from its parent's orbits) and the table-column labelling all give
+    the search's orbits."""
     want = BlockPartition.from_labels(bfs_point_orbit_labels(group.gen_rows(), group.degree))
     for labels in (_kernels.point_orbit_labels(group.gen_rows()),
                    oracles.point_orbit_labels(group.table)):
@@ -135,3 +135,31 @@ class TestPointOrbits:
         assert_orbits_match_oracle(corpus_group)
         for n_sub in og4.all_normal_subgroups(corpus_group):
             assert_orbits_match_oracle(n_sub)
+
+
+class TestLabelPartition:
+    """``_kernels.label_partition`` (a sort by label) against the loop over
+    the points it replaced (``oracles.block_partition``)."""
+
+    @staticmethod
+    def check(labels):
+        blocks, point_block = _kernels.label_partition(labels)
+        want_blocks, want_point_block = oracles.block_partition(labels)
+        assert blocks == want_blocks
+        assert point_block.tolist() == want_point_block.tolist()
+        assert point_block.dtype == np.int32 and not point_block.flags.writeable
+
+    def test_every_corpus_orbit_partition(self, corpus_groups, pairs_and_covers):
+        """The orbits of every normal subgroup of every corpus group and
+        cover quotient's group, and of each group itself."""
+        groups = corpus_groups + [(name, pair.group) for name, pair in pairs_and_covers]
+        for name, group in groups:
+            for sub in [group] + og4.all_normal_subgroups(group):
+                self.check(og4.perm._orbit_labels(sub))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arbitrary_labels(self, seed):
+        """Labels that are not least points, in any order, with gaps."""
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 40))
+        self.check(rng.integers(-5, int(rng.integers(1, 12)), n) * 7)

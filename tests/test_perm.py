@@ -293,6 +293,53 @@ class TestStructure:
             og4.all_normal_subgroups(og4.lexicographic_cycle(4).group)
 
 
+class TestNormalOrbits:
+    """A lattice subgroup N of G reads its orbits from G's: the orbit of the
+    least point of each G-orbit from every element's image of it at N's
+    mask, and the other N-orbits as images of that one under G's
+    generators.  Orbits and transitivity profiles equal those of a
+    generating set of N."""
+
+    GROUPS = {
+        # V4 is one class of Alt(4) plus the identity; its class
+        # representative generates only a group of order 2
+        "Alt(4)": (["(1 2 3)", "(1 2)(3 4)"], 4),
+        "Alt(4) with two fixed points": (["(1 2 3)", "(1 2)(3 4)"], 6),
+        "Alt(4) x C3 on 4 + 3 points": (["(1 2 3)", "(1 2)(3 4)", "(5 6 7)"], 7),
+        "Alt(4) on 4 + 6 points": (["(1 2 3)(5 6 7)(8 9 10)", "(1 2)(3 4)(5 8)(7 10)"], 10),
+        "order 16 on 4 + 4 points": (["(1 2 3 4)(5 6 7 8)", "(2 4)"], 8),
+    }
+
+    @staticmethod
+    def check(group, name):
+        for n_sub in og4.all_normal_subgroups(group):
+            plain = og4.PermGroup(n_sub.degree, n_sub.generators, n_sub.table)
+            want = BlockPartition.from_labels(og4._kernels.point_orbit_labels(plain.gen_rows()))
+            assert og4.orbits(n_sub).blocks == want.blocks, (name, n_sub.order)
+            assert og4.transitivity_profile(n_sub) == og4.transitivity_profile(plain), \
+                (name, n_sub.order)
+
+    def test_alt4_class_representatives_miss_v4(self):
+        alt4 = enumerate_group([parse_permutation(c, 4) for c in self.GROUPS["Alt(4)"][0]])
+        v4 = next(n for n in og4.all_normal_subgroups(alt4) if n.order == 4)
+        classes = [c for c in og4.conjugacy_classes(alt4) if v4._mask[c].all()]
+        assert [c.size for c in classes] == [1, 3]
+        assert enumerate_group([alt4.element(int(c[0])) for c in classes]).order == 2
+        assert og4.orbits(v4).blocks == ((0, 1, 2, 3),)
+        assert og4.transitivity_profile(v4).regular
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_small_groups(self, name):
+        gens, degree = self.GROUPS[name]
+        self.check(enumerate_group([parse_permutation(c, degree) for c in gens]), name)
+
+    def test_corpus_groups(self, narrow_groups):
+        """Every normal subgroup of the corpus groups of order at most 2048."""
+        for name, group in narrow_groups:
+            if group.order <= 2048:
+                self.check(group, name)
+
+
 class TestSubgroupSlices:
     """Subgroups are slices of the parent's table; their generating sets are
     derived only when read."""

@@ -314,6 +314,68 @@ class TestSmallAction:
                 assert index_sets([kernel]) == [want_kernel], (name, n_sub.order)
                 assert image.table.tobytes() == want_image.tobytes(), (name, n_sub.order)
 
+    def test_class_sets_match_mask_lattice(self, pairs_and_covers, all_pairs):
+        """The lattice over conjugacy classes gives the normal and minimal
+        normal subgroups, in the same order, that the element-by-element
+        mask lattice (``oracles.MaskLattice``) gives on every corpus pair and
+        every cover quotient, and that the vertex-table lattice gives on the
+        covers (``test_matches_vertex_table`` checks the corpus pairs)."""
+        for i, (name, pair) in enumerate(pairs_and_covers):
+            group = pair.group
+
+            def index_sets(subs):
+                return [group.index.indices_of(n.table).tolist() for n in subs]
+
+            normals = index_sets(og4.all_normal_subgroups(group))
+            minimal = index_sets(og4.minimal_normal_subgroups(group))
+            oracle = oracles.MaskLattice(group)
+            assert normals == oracle.normal_subgroups(), name
+            assert minimal == oracle.minimal_normal_subgroups(), name
+            if i >= len(all_pairs):
+                vertex = oracles.VertexLattice(group)
+                assert normals == vertex.normal_subgroups(), name
+                assert minimal == vertex.minimal_normal_subgroups(), name
+
+    def test_closures_under_classify(self, monkeypatch, tmp_path):
+        """``classify`` of lex_cycle(8): the lattice closes each of the 55
+        nontrivial classes once for the atoms and at most one join per
+        normal subgroup (25 of 26 joins are settled by their order), and
+        grows no mask.  The mask lattice grew 56 class closures and 254
+        joins element by element."""
+        counts = dict.fromkeys(["close", "grow", "normal"], 0)
+        real_close, real_grow, real_lattice = og4._kernels.close_class_sets, perm._grow, \
+            perm.all_normal_subgroups
+        inside = []
+
+        def close(*args):
+            counts["close"] += 1
+            return real_close(*args)
+
+        def grow(*args):
+            counts["grow"] += bool(inside)
+            return real_grow(*args)
+
+        def lattice(group):
+            inside.append(group)
+            try:
+                subs = real_lattice(group)
+            finally:
+                inside.pop()
+            counts["normal"] += len(subs)
+            return subs
+
+        monkeypatch.setattr(og4._kernels, "close_class_sets", close)
+        monkeypatch.setattr(perm, "_grow", grow)
+        for module in (perm, quotient):
+            monkeypatch.setattr(module, "all_normal_subgroups", lattice)
+        doc = tmp_path / "lex8.json"
+        doc.write_text(json.dumps({"family": "lex_cycle", "r": 8}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert og4.cli.main(["classify", str(doc)]) == 0
+        classes = len(og4.conjugacy_classes(og4.lexicographic_cycle(8).group))
+        assert (classes, counts["normal"], counts["grow"]) == (56, 26, 0)
+        assert counts["close"] <= classes - 1 + counts["normal"]
+
     def test_chain_base_is_the_table_base(self, all_pairs):
         """The small table is sorted by the images of the vertex chain's
         base, which is the base read off the vertex table."""

@@ -1,4 +1,5 @@
-"""The paper's tw and pa families over PSL(2,7), past the Alt(5) corpus.
+"""The paper's tw and pa families over PSL(2,7) and PSL(2,9), past the Alt(5)
+corpus.
 
 T = PSL(2,7) acts on the projective line over F_7, with x -> point x + 1 and
 infinity -> point 8.  Its generators are x -> x + 1, x -> 2x (2 = 3^2
@@ -9,6 +10,13 @@ inventory of Aut(T).  The constructions give closed forms: tw has
 vertices, so both pairs are quasiprimitive.  Each member is constructed,
 its emitted pair verified and its spec classified through the CLI, under a
 generous time bound.
+
+T = PSL(2,9) = Alt(6) acts on the projective line over F_9 = F_3[i],
+i^2 = -1, with a + bi -> point 1 + a + 3b and infinity -> point 10.  Its
+generators are x -> x + 1, x -> -ix (-i = (1 + i)^2 generates the nonzero
+squares) and x -> -1/x; x -> (1 + i)x and the Frobenius x -> x^3 add
+PGammaL(2,9), all of Aut(T), the inventory.  Its pa member, with |V| = 64,800 and
+|G| = 259,200, is constructed and classified.
 """
 
 import json
@@ -63,3 +71,38 @@ def test_psl27_member(capsys, tmp_path, family):
     assert [(q["normal_subgroup_order"], q["n_blocks"]) for q in classified["quotients"]] \
         == [(T_ORDER ** 2, 1), (2 * T_ORDER ** 2, 1)]
     assert elapsed < SECONDS, f"{family}: {elapsed:.1f} s"
+
+
+PSL29 = ["(1 2 3)(4 5 6)(7 8 9)", "(2 7 3 4)(5 8 9 6)", "(1 10)(2 3)(5 8)(6 9)"]
+PGAMMAL29 = PSL29 + ["(2 5 7 8 3 9 4 6)", "(4 7)(5 8)(6 9)"]
+PA29 = {"family": "pa", "degree": 10, "generators": PSL29,
+        "a": "(2 3)(4 7)(5 9)(6 8)", "b": "(1 6 2 4 7)(3 10 5 9 8)",
+        "centralizer_supergroup_generators": PGAMMAL29}
+T29_ORDER = 360
+SECONDS_29 = 30.0  # construct and classify; about 4 s on 2 cores
+
+
+def test_psl29_pa_member(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PA29))
+    cap = ["--max-order", str(10 ** 7)]
+
+    def run(*argv):
+        status = main([*argv, *cap])
+        out = capsys.readouterr().out
+        assert status == 0, (argv, out)
+        return json.loads(out)
+
+    t0 = time.perf_counter()
+    built = run("construct", str(spec))
+    classified = run("classify", str(spec))
+    elapsed = time.perf_counter() - t0
+
+    assert built["pair"]["n_vertices"] == T29_ORDER ** 2 // 2 == 64_800
+    for report in (built, classified):
+        assert report["certificate"]["group_order"] == 2 * T29_ORDER ** 2 == 259_200
+    assert classified["basic_type"] == "Quasiprimitive"
+    # T x T is the one minimal normal subgroup, and it is transitive
+    assert [(q["normal_subgroup_order"], q["n_blocks"]) for q in classified["quotients"]] \
+        == [(T29_ORDER ** 2, 1), (2 * T29_ORDER ** 2, 1)]
+    assert elapsed < SECONDS_29, f"pa over PSL(2,9): {elapsed:.1f} s"
