@@ -29,7 +29,6 @@ from .constructions import (
     cyclic_group,
     double_coset_graph,
     embed_pair,
-    find_swapping_automorphism,
     lexicographic_cycle,
     pa_construction,
     pgl2,
@@ -68,7 +67,6 @@ from .perm import (
     Permutation,
     TableBudgetExceeded,
     TransitivityProfile,
-    all_automorphisms,
     all_normal_subgroups,
     compose,
     conjugacy_classes,

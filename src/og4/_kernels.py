@@ -61,19 +61,26 @@ class InvariantViolation(OG4Error):
 
 
 class TableBudgetExceeded(OG4Error):
-    def __init__(self, rows: int, degree: int):
+    """``what`` would take ``nbytes`` bytes, more than ``TABLE_BYTES``."""
+
+    def __init__(self, what: str, nbytes: int):
         super().__init__(
-            f"an element table of {rows} rows at degree {degree} needs "
-            f"{(rows * degree * 4 + 2**19) // 2**20} MB, over the budget of "
+            f"{what} needs {(nbytes + 2**19) // 2**20} MB, over the budget of "
             f"{TABLE_BYTES // 2**20} MB")  # integers: a degree past 10^308 has no float
-        self.rows, self.degree = rows, degree
+        self.nbytes = nbytes
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse an allocation of ``nbytes`` bytes, named by ``what``, before it
+    is made, if it would take more than ``TABLE_BYTES``."""
+    if nbytes > TABLE_BYTES:
+        raise TableBudgetExceeded(what, nbytes)
 
 
 def check_table_bytes(rows: int, degree: int) -> None:
     """Refuse an int32 table of ``rows`` rows at ``degree`` before it is
     allocated, if it would take more than ``TABLE_BYTES``."""
-    if rows * degree * 4 > TABLE_BYTES:
-        raise TableBudgetExceeded(rows, degree)
+    check_bytes(rows * degree * 4, f"an element table of {rows} rows at degree {degree}")
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:

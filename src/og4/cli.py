@@ -148,7 +148,11 @@ def build_from_document(doc: dict, cap: int = DEFAULT_CAP) -> OGPair:
         b = _doc_perm(doc, "b", group.degree)
         if "h_conjugator" in doc:
             c = _doc_perm(doc, "h_conjugator", group.degree)
-            h = cons.GroupAutomorphism.from_conjugation(group, c)
+            try:
+                h = cons.GroupAutomorphism.from_conjugation(group, c)
+            except OG4Error:
+                raise ConstructionRefuted("cayley:h_on_group",
+                                          "h is not an automorphism of N") from None
         elif "h_generator_images" in doc:
             images = _parse_gens(doc, "h_generator_images", group.degree)
             h = cons.GroupAutomorphism.from_generator_images(

@@ -10,7 +10,7 @@ hypothesis.  The group product used throughout is "left factor first":
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .perm import (
     identity,
     is_nonabelian_simple,
 )
-
-AutLike = Union[GroupAutomorphism, Permutation]
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +102,35 @@ def pgl2(p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return enumerate_group([shift, mult, invert], cap)
 
 
-def conjugation_inventory(supergroup: PermGroup) -> list[Permutation]:
-    """All conjugations inside a stated supergroup, as the conjugating
-    permutations themselves."""
-    return supergroup.elements()
+def conjugation_inventory(supergroup: PermGroup) -> np.ndarray:
+    """All conjugations inside a stated supergroup, as the rows of the
+    conjugating permutations: the supergroup's read-only table."""
+    return supergroup.table
+
+
+def _conjugates(rows: np.ndarray, x: Permutation) -> np.ndarray:
+    """x^c = c^-1 * x * c for each conjugator row c, a row each: x^c sends
+    c(j) to c(x(j))."""
+    out = np.empty_like(rows)
+    out[np.arange(rows.shape[0])[:, None], rows] = rows[:, x.images]
+    return out
+
+
+def _conjugating_rows(t_grp: PermGroup, inventory: np.ndarray,
+                      pairs: Sequence[tuple[Permutation, Permutation]]) -> np.ndarray:
+    """Mask of the inventory rows c that normalise T and conjugate x to y
+    for each (x, y) in ``pairs``.  c normalises the finite group T exactly
+    when it conjugates each of T's generators into T; a row of another
+    degree normalises nothing."""
+    found = np.zeros(inventory.shape[0], dtype=bool)
+    if inventory.shape[1] != t_grp.degree:
+        return found
+    found[:] = True
+    for g in t_grp.generators:
+        found &= t_grp.index.members(_conjugates(inventory, g))
+    for x, y in pairs:
+        found &= (_conjugates(inventory, x) == y.images).all(axis=1)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +143,6 @@ class CayleySpec:
     a: Permutation
     b: Permutation
     h: GroupAutomorphism  # involutory automorphism of N swapping a and b
-
-
-def find_swapping_automorphism(
-    group: PermGroup, a: Permutation, b: Permutation, candidates: Sequence[AutLike]
-) -> Optional[GroupAutomorphism]:
-    """First automorphism among the candidates that swaps a and b."""
-    for cand in candidates:
-        aut = _as_automorphism(group, cand)
-        if aut is None:
-            continue
-        if aut.apply(a) == b and aut.apply(b) == a:
-            return aut
-    return None
-
-
-def _as_automorphism(group: PermGroup, cand: AutLike) -> Optional[GroupAutomorphism]:
-    if isinstance(cand, GroupAutomorphism):
-        return cand
-    try:
-        return GroupAutomorphism.from_conjugation(group, cand)
-    except OG4Error:
-        return None
 
 
 def build_cayley(spec: CayleySpec, cap: int = DEFAULT_CAP) -> OGPair:
@@ -204,15 +205,17 @@ def lexicographic_cycle(r: int, cap: int = DEFAULT_CAP) -> OGPair:
 
 
 def simple_cayley(
-    t_grp: PermGroup, a: Permutation, sigma: AutLike, cap: int = DEFAULT_CAP
+    t_grp: PermGroup, a: Permutation, sigma: Permutation, cap: int = DEFAULT_CAP
 ) -> OGPair:
-    """Cayley pair on a nonabelian simple group with half-set {a, a^sigma}."""
+    """Cayley pair on a nonabelian simple group with half-set {a, a^sigma},
+    sigma a permutation that normalises it."""
     if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("simple_cayley:nonabelian_simple")
-    aut = _as_automorphism(t_grp, sigma)
-    if aut is None:
+    try:
+        aut = GroupAutomorphism.from_conjugation(t_grp, sigma)
+    except OG4Error:
         raise ConstructionRefuted("simple_cayley:sigma_normalizes",
-                                  "sigma does not induce an automorphism")
+                                  "sigma does not induce an automorphism") from None
     if not aut.is_involution() or aut.is_identity():
         raise ConstructionRefuted("simple_cayley:sigma_involution")
     if a not in t_grp:
@@ -228,22 +231,21 @@ def tw_cayley(
     t_grp: PermGroup,
     a: Permutation,
     b: Permutation,
-    aut_list: Sequence[AutLike],
+    inventory: np.ndarray,
     cap: int = DEFAULT_CAP,
 ) -> OGPair:
     """Cayley pair on T x T with half-set {(a,b), (b,a)} and the coordinate
-    swap; requires that no supplied automorphism of T interchanges a and b.
+    swap; requires that no inventory row normalising T interchanges a and b.
 
-    ``aut_list`` is the caller's inventory of Aut(T) (e.g. all conjugations
-    inside Sym(n) for T = Alt(n), n != 6).
+    ``inventory`` is the caller's inventory of Aut(T) as conjugator rows
+    (``conjugation_inventory``; e.g. Sym(n) for T = Alt(n), n != 6).
     """
     if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("tw:nonabelian_simple")
     span = _span_order(t_grp, [a, b], "tw:generates")
     if span != t_grp.order:
         raise ConstructionRefuted("tw:generates", f"<a, b> has order {span}")
-    swapper = find_swapping_automorphism(t_grp, a, b, aut_list)
-    if swapper is not None:
+    if _conjugating_rows(t_grp, inventory, [(a, b), (b, a)]).any():
         raise ConstructionRefuted(
             "tw:no_swapping_automorphism",
             "an automorphism interchanging a and b exists",
@@ -494,15 +496,15 @@ def pa_construction(
     t_grp: PermGroup,
     a: Permutation,
     b: Permutation,
-    centralizer_witness: Sequence[AutLike],
+    inventory: np.ndarray,
     cap: int = DEFAULT_CAP,
 ) -> OGPair:
     """Coset pair on (T x T) extended by the coordinate swap, over the
     Klein subgroup generated by (a, a) and the swap, with s = (b, b*a).
 
-    ``centralizer_witness`` is the caller's inventory of Aut(T); the
-    hypothesis checked is b^c != b*a for every inventory member centralizing
-    a.
+    ``inventory`` is the caller's inventory of Aut(T) as conjugator rows
+    (``conjugation_inventory``); the hypothesis checked is b^c != b*a for
+    every inventory row c that normalises T and centralises a.
     """
     if not is_nonabelian_simple(t_grp):
         raise ConstructionRefuted("pa:nonabelian_simple")
@@ -512,15 +514,11 @@ def pa_construction(
     if span != t_grp.order:
         raise ConstructionRefuted("pa:generates", f"<a, b> has order {span}")
     ba = compose(b, a)
-    for cand in centralizer_witness:
-        aut = _as_automorphism(t_grp, cand)
-        if aut is None or aut.apply(a) != a:
-            continue
-        if aut.apply(b) == ba:
-            raise ConstructionRefuted(
-                "pa:b_not_conjugate_to_ba",
-                "some automorphism centralizing a maps b to b*a",
-            )
+    if _conjugating_rows(t_grp, inventory, [(a, a), (b, ba)]).any():
+        raise ConstructionRefuted(
+            "pa:b_not_conjugate_to_ba",
+            "some automorphism centralizing a maps b to b*a",
+        )
     d = t_grp.degree
     iota = block_swap(d)
     g_gens = [embed_pair(t, identity(d)) for t in t_grp.generators] + [iota]

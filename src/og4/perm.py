@@ -365,7 +365,7 @@ class PermGroup:
         return int(idx[0])
 
     def __contains__(self, p: Permutation) -> bool:
-        return self.index.indices_of(p.images[None, :]) is not None
+        return bool(self.index.members(p.images[None, :])[0])
 
     @property
     def identity_index(self) -> int:
@@ -399,7 +399,7 @@ class BaseKeys(_kernels.SortedKeys):
     come out ascending and an element's index is the position of its key.
 
     ``lookup`` is exact only for rows known to lie in the group (products
-    and conjugates of members); ``indices_of`` also checks the full rows.
+    and conjugates of members); ``members`` also checks the full rows.
     """
 
     def __init__(self, table: np.ndarray):
@@ -412,22 +412,26 @@ class BaseKeys(_kernels.SortedKeys):
         """Element indices of rows with the given (m, len(base)) base images."""
         return self.positions(base_images)
 
+    def members(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row is an element: its base images are looked up and
+        the element found is compared in full, in blocks of about 2^16
+        entries.  Rows of another degree are no members."""
+        found = np.zeros(rows.shape[0], dtype=bool)
+        if rows.shape[1] != self.degree:
+            return found
+        step = max(1, (1 << 16) // rows.shape[1])
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo:lo + step]
+            idx = self.lookup(block[:, self.base])
+            found[lo:lo + step] = (self.table[idx] == block).all(axis=1)
+        return found
+
     def indices_of(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """Element indices of arbitrary rows, or None if one is not a member.
         Rows in table order (a sorted subgroup table) get sorted indices."""
-        if rows.shape[1] != self.degree:
+        if not self.members(rows).all():
             return None
-        idx = self.lookup(rows[:, self.base])
-        return idx if _rows_equal(self.table, idx, rows) else None
-
-
-def _rows_equal(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> bool:
-    """table[idx] == rows, compared in blocks of about 2^16 entries."""
-    step = max(1, (1 << 16) // rows.shape[1])
-    return all(
-        np.array_equal(table[idx[lo:lo + step]], rows[lo:lo + step])
-        for lo in range(0, idx.size, step)
-    )
+        return self.lookup(rows[:, self.base])
 
 
 class _ReorderedKeys(BaseKeys):
@@ -908,7 +912,7 @@ def _class_lattice(lattice: PermGroup) -> tuple[np.ndarray, list, np.ndarray]:
     if lattice._class_lattice is None:
         classes = conjugacy_classes(lattice)
         k = len(classes)
-        _kernels.check_table_bytes(k, k // 4 + 1)  # the k x k buffer
+        _kernels.check_bytes(k * k, f"a class-product buffer of {k} x {k} classes")
         cls_of = np.empty(lattice.order, dtype=np.intp)
         cls_of[np.concatenate(classes)] = np.repeat(np.arange(k), [c.size for c in classes])
         seen = np.zeros(k * k, dtype=bool)
@@ -917,7 +921,8 @@ def _class_lattice(lattice: PermGroup) -> tuple[np.ndarray, list, np.ndarray]:
         for cls in classes[1:]:
             seen[cls_of * k + cls_of[_word_map(lattice, int(cls[0]))]] = True
             stored += int(np.count_nonzero(seen))
-            _kernels.check_table_bytes(stored, 4)  # two intp arrays
+            # the pairs are two intp arrays
+            _kernels.check_bytes(16 * stored, f"a store of {stored} class-product pairs")
             pairs = np.flatnonzero(seen)
             seen[pairs] = False
             products.append(np.divmod(pairs, k))
@@ -1064,10 +1069,13 @@ class GroupAutomorphism:
         group: PermGroup, gens: Sequence[Permutation], images: Sequence[Permutation]
     ) -> Optional["GroupAutomorphism"]:
         """Extend gens -> images to an automorphism, or None if impossible.
+        Lists of different lengths are refused.
 
         f(x * g) = f(x) * h is imposed frontier by frontier, from f(1) = 1,
         by the right multiplications by each g and its image h.
         """
+        if len(gens) != len(images):
+            raise OG4Error(f"{len(gens)} generators but {len(images)} generator images")
         maps = [
             (right_mult_map(group, group.index_of(g)), right_mult_map(group, group.index_of(h)))
             for g, h in zip(gens, images)
@@ -1117,37 +1125,3 @@ def _check_automorphism(group: PermGroup, index_map: np.ndarray) -> None:
         by_fg = right_mult_map(group, int(index_map[gidx]))
         if not np.array_equal(index_map[right_mult_map(group, gidx)], by_fg[index_map]):
             raise OG4Error("index map is not a homomorphism")
-
-
-def all_automorphisms(group: PermGroup, max_candidates: int = 2_000_000) -> list[GroupAutomorphism]:
-    """Brute-force automorphism enumeration, for small groups.
-
-    Candidates assign, to each member of a small generating set, an image of
-    the same element order; each candidate is extended by closure.
-    """
-    gens = list(group.generators)
-    orders = _element_orders(group.table)
-    pools = [np.flatnonzero(orders == orders[group.index_of(g)]).tolist() for g in gens]
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > max_candidates:
-        raise OG4Error(f"automorphism search space {total} exceeds {max_candidates}")
-    out = []
-    seen: set[bytes] = set()
-
-    def rec(k: int, chosen: list[int]) -> None:
-        if k == len(gens):
-            images = [group.element(i) for i in chosen]
-            aut = GroupAutomorphism.from_generator_images(group, gens, images)
-            if aut is not None:
-                key = aut.index_map.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(aut)
-            return
-        for i in pools[k]:
-            rec(k + 1, chosen + [i])
-
-    rec(0, [])
-    return out

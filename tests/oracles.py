@@ -13,7 +13,9 @@ a sort by label replaced, the per-arc neighbour loops, the per-arc
 alternating-cycle walk and multicover ``Counter`` that orbit labels and
 sorted arc codes replaced, the per-point cycle-notation parser and
 printer, the per-entry arc checks and tuple-set graph that whole-array
-document reads replaced, and the ``json.dumps`` that writes every report.
+document reads replaced, the per-candidate automorphism loop that the
+array test of an inventory's conjugator rows replaced, and the
+``json.dumps`` that writes every report.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -208,6 +210,23 @@ def from_conjugation(group, c):
             raise OG4Error("conjugating permutation does not normalize the group")
         index_map[i] = j
     return index_map
+
+
+def conjugating_rows(group, inventory, pairs):
+    """Mask of the inventory rows c that normalise the group and send x to y
+    for each (x, y) in ``pairs``: each row made a ``Permutation``, its
+    conjugation map built if it normalises, and each x looked up in it."""
+    idx = byte_index(group)
+    found = []
+    for row in inventory:
+        c = Permutation(row)
+        try:
+            aut = from_conjugation(group, c) if c.degree == group.degree else None
+        except OG4Error:
+            aut = None
+        found.append(aut is not None and all(
+            aut[idx[x.images.tobytes()]] == idx[y.images.tobytes()] for x, y in pairs))
+    return np.array(found, dtype=bool)
 
 
 def from_generator_images(group, gens, images):

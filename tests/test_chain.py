@@ -602,6 +602,16 @@ class TestTableBudget:
         assert run_cli(tmp_path, "construct", PA_DOC)[0] == 0
         assert run_cli(tmp_path, "classify", PA_DOC)[0] == 0
 
+    def test_class_products_refused(self, monkeypatch, tmp_path, capsys):
+        """lex_cycle(8)'s element table is 131,072 bytes; under a budget of
+        140,000 bytes only the class products that ``classify`` stores pass
+        it, and the refusal names them."""
+        monkeypatch.setattr(_kernels, "TABLE_BYTES", 140_000)
+        status, out = run_cli(tmp_path, "classify", {"family": "lex_cycle", "r": 8})
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == ("error: a store of 8869 class-product pairs "
+                                           "needs 0 MB, over the budget of 0 MB\n")
+
     def test_level_tables(self, monkeypatch):
         """Sym(7) on 7 points has level tables of 720, 120, ... rows below
         its top; a budget of 2 KB refuses the first one over it while the
@@ -610,8 +620,8 @@ class TestTableBudget:
         monkeypatch.setattr(_kernels, "TABLE_BYTES", 2048)
         with pytest.raises(og4.TableBudgetExceeded) as exc:
             _kernels.stabiliser_chain(gens, 5040)
-        assert exc.value.rows * exc.value.degree * 4 > 2048
-        assert exc.value.rows < 5040
+        assert exc.value.nbytes > 2048
+        assert exc.value.nbytes < 5040 * 7 * 4
 
 
 class TestKnownOrder:

@@ -141,6 +141,20 @@ class TestVerifyRoundTrip:
         assert status == 1
 
 
+ALT5, SYM5 = ["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5)"]
+# conjugation by (1 4)(2 5) on Alt(5)'s generators
+RAW_CAYLEY_SPEC = {"family": "raw_cayley", "degree": 5, "generators": ALT5,
+                   "a": "(1 2 3)", "b": "(3 4 5)",
+                   "h_generator_images": ["(3 4 5)", "(1 2 4 5 3)"]}
+INVENTORY_SPECS = [
+    {"family": "tw_cayley", "degree": 5, "generators": ALT5, "a": "(1 2 3)",
+     "b": "(1 2 3 4 5)", "aut_supergroup_generators": SYM5},
+    {"family": "pa", "degree": 5, "generators": ALT5, "a": "(1 2)(3 4)",
+     "b": "(1 5 4 3 2)", "centralizer_supergroup_generators": SYM5},
+    RAW_CAYLEY_SPEC,
+]
+
+
 class TestMalformedDocuments:
     """Malformed fields exit 2 with a one-line error, never a traceback."""
 
@@ -154,6 +168,12 @@ class TestMalformedDocuments:
         assert status == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("images", [RAW_CAYLEY_SPEC["h_generator_images"] + ["(1 2)"],
+                                        RAW_CAYLEY_SPEC["h_generator_images"][:1]])
+    def test_h_generator_images_one_per_generator(self, capsys, tmp_path, images):
+        doc = {**RAW_CAYLEY_SPEC, "h_generator_images": images}
+        self.assert_usage_error(capsys, tmp_path, "construct", doc)
 
     def test_string_n_vertices(self, capsys, tmp_path, lex3_pair):
         doc = {**lex3_pair, "n_vertices": "6"}
@@ -264,7 +284,20 @@ class TestFuzzedDocuments:
                lambda doc: st.tuples(st.just(doc), st.sampled_from(sorted(doc)), JSON)),
            st.sampled_from(["verify", "construct", "classify"]))
     def test_one_field_replaced(self, case, command):
-        doc, field, value = case
+        self.check_replaced(*case, command)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(INVENTORY_SPECS).flatmap(
+               lambda doc: st.tuples(st.just(doc), st.sampled_from(sorted(doc)), JSON)),
+           st.sampled_from(["verify", "construct", "classify"]))
+    def test_one_field_of_inventory_spec_replaced(self, case, command):
+        """The tw and pa specs, whose supergroups are tested as conjugator
+        rows, and the raw_cayley spec with generator images.  Under
+        ``--max-order 1000`` tw and pa stop at the cap after that test."""
+        self.check_replaced(*case, command)
+
+    @staticmethod
+    def check_replaced(doc, field, value, command):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps({**doc, field: value}))
@@ -519,6 +552,13 @@ class TestUsage:
         status, out, _ = run(capsys, "construct", path)
         assert status == 0
         assert json.loads(out)["pair"]["n_vertices"] == 60
+
+    def test_raw_cayley_conjugator_not_normalising_refuted(self, capsys, tmp_path):
+        doc = {"family": "raw_cayley", "degree": 5, "generators": ["(1 2 3 4 5)"],
+               "a": "(1 2 3 4 5)", "b": "(1 3 5 2 4)", "h_conjugator": "(1 2)"}
+        status, out, err = run(capsys, "construct", write_doc(tmp_path, "rawc.json", doc))
+        assert (status, err) == (1, "")
+        assert json.loads(out)["clause"] == "cayley:h_on_group"
 
     def test_raw_coset_subgroup_outside_group_refuted(self, capsys, tmp_path):
         doc = {

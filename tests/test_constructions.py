@@ -11,15 +11,16 @@ from og4.constructions import (
     CayleySpec,
     CosetSpec,
     block_swap,
+    _conjugating_rows,
     _core_mask,
     build_cayley,
     build_coset_graph,
     double_coset_graph,
-    find_swapping_automorphism,
 )
 from og4.perm import GroupAutomorphism
 
 import oracles
+from test_scale import PGL27, SPECS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -81,12 +82,14 @@ class TestBuildCayley:
             build_cayley(CayleySpec(z5, a, b, h))
         assert exc.value.clause == "cayley:ab_ne_1"
 
-    def test_z5_no_swapping_automorphism(self):
-        # no automorphism of Z5 interchanges shift^1 and shift^2
+    def test_z5_no_swapping_automorphism(self, sym5):
+        # no automorphism of Z5 interchanges shift^1 and shift^2: the 20 rows
+        # of Sym(5) that normalise Z5 induce all of Aut(Z5), and none swaps
         z5 = og4.cyclic_group(5)
         a, b = z5.element(1), z5.element(2)
-        auts = og4.all_automorphisms(z5)
-        assert find_swapping_automorphism(z5, a, b, auts) is None
+        inventory = og4.conjugation_inventory(sym5)
+        assert _conjugating_rows(z5, inventory, []).sum() == 20
+        assert not _conjugating_rows(z5, inventory, [(a, b), (b, a)]).any()
 
     def test_generation_refuted(self):
         s4 = og4.symmetric_group(4)
@@ -163,6 +166,92 @@ class TestTwCayley:
              og4.embed_pair(P("(1 2 3 4 5)", 5), P("(1 2 3)", 5))]
         )
         assert n.order == alt5.order ** 2
+
+
+class TestInventory:
+    """The array test of an inventory's conjugator rows
+    (``_conjugating_rows``) agrees with the per-candidate oracle, which
+    builds each row's conjugation map: on the rows that normalise T, on the
+    rows swapping a and b (tw) and on the rows centralising a and sending b
+    to b*a (pa)."""
+
+    @staticmethod
+    def check(t_grp, inventory, a, b):
+        """The three masks agree with the oracle's; returns the verdicts."""
+        masks = []
+        for pairs in ([], [(a, b), (b, a)], [(a, a), (b, compose(b, a))]):
+            got = _conjugating_rows(t_grp, inventory, pairs)
+            assert np.array_equal(got, oracles.conjugating_rows(t_grp, inventory, pairs)), pairs
+            masks.append(got)
+        return [m.any() for m in masks[1:]]
+
+    def test_corpus_specs(self, alt5, sym5):
+        inventory = og4.conjugation_inventory(sym5)
+        assert self.check(alt5, inventory, P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)) \
+            == [False, False]
+        assert self.check(alt5, inventory, P("(1 2)(3 4)", 5), P("(1 5 4 3 2)", 5)) \
+            == [False, False]
+
+    def test_alt5_pairs(self, alt5, sym5):
+        rng = np.random.default_rng(18)
+        inventory = og4.conjugation_inventory(sym5)
+        verdicts = {(tw, pa) for tw, pa in (
+            self.check(alt5, inventory, alt5.element(i), alt5.element(j))
+            for i, j in rng.integers(alt5.order, size=(40, 2)))}
+        assert {tw for tw, _ in verdicts} == {False, True}
+        assert {pa for _, pa in verdicts} == {False, True}
+
+    def test_psl27_members(self):
+        psl27 = og4.enumerate_group([P(g, 8) for g in SPECS["tw"]["generators"]])
+        inventory = og4.conjugation_inventory(og4.enumerate_group([P(g, 8) for g in PGL27]))
+        assert _conjugating_rows(psl27, inventory, []).all()
+        for family in ("tw", "pa"):
+            a, b = P(SPECS[family]["a"], 8), P(SPECS[family]["b"], 8)
+            tw, pa = self.check(psl27, inventory, a, b)
+            assert not (tw if family == "tw" else pa)
+
+    def test_alt4_on_five_points(self, sym5):
+        alt4 = og4.enumerate_group([P("(1 2 3)", 5), P("(2 3 4)", 5)])
+        inventory = og4.conjugation_inventory(sym5)
+        assert _conjugating_rows(alt4, inventory, []).sum() == 24
+        self.check(alt4, inventory, P("(1 2 3)", 5), P("(1 2)(3 4)", 5))
+
+    def test_other_degree(self, alt5):
+        inventory = og4.conjugation_inventory(og4.symmetric_group(6))
+        assert not _conjugating_rows(alt5, inventory, []).any()
+        assert self.check(alt5, inventory, P("(1 2 3)", 5), P("(3 4 5)", 5)) == [False, False]
+
+    @pytest.mark.parametrize("family", ["tw_cayley", "pa"])
+    def test_calls_under_construct(self, monkeypatch, family):
+        """``construct`` of tw builds one conjugation map (its iota) and of
+        pa none, and the inventory reads the supergroup's table whole, with
+        no chain row walk per member."""
+        calls = {"from_conjugation": 0, "row": 0, "row_in_inventory": 0}
+        from_conjugation = og4.perm.GroupAutomorphism.from_conjugation
+        row = og4._kernels.StabiliserChain.row
+        inventory = og4.constructions.conjugation_inventory
+
+        def counted_conjugation(group, c):
+            calls["from_conjugation"] += 1
+            return from_conjugation(group, c)
+
+        def counted_row(self, i):
+            calls["row"] += 1
+            return row(self, i)
+
+        def counted_inventory(supergroup):
+            before = calls["row"]
+            out = inventory(supergroup)
+            calls["row_in_inventory"] += calls["row"] - before
+            return out
+
+        monkeypatch.setattr(og4.perm.GroupAutomorphism, "from_conjugation",
+                            staticmethod(counted_conjugation))
+        monkeypatch.setattr(og4._kernels.StabiliserChain, "row", counted_row)
+        monkeypatch.setattr(og4.constructions, "conjugation_inventory", counted_inventory)
+        og4.cli.build_from_document(workloads.spec(family, [1, 2, 3, 4, 5]))
+        assert calls["from_conjugation"] == (1 if family == "tw_cayley" else 0)
+        assert calls["row_in_inventory"] == 0
 
 
 class TestCosetGraph:

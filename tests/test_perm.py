@@ -508,7 +508,8 @@ class TestIndexSpace:
         assert Permutation(row) not in group
         with pytest.raises(og4.OG4Error, match="not in group"):
             group.index_of(Permutation(row))
-        monkeypatch.setattr(og4.perm, "_rows_equal", lambda table, idx, rows: True)
+        monkeypatch.setattr(og4.perm.BaseKeys, "members",
+                            lambda self, rows: np.ones(rows.shape[0], dtype=bool))
         assert og4.is_normal_in(outsider, group)
 
 
@@ -647,16 +648,6 @@ class TestComposedMaps:
 
 
 class TestAutomorphisms:
-    def test_cyclic5_has_four(self):
-        auts = og4.all_automorphisms(og4.cyclic_group(5))
-        assert len(auts) == 4
-
-    def test_klein_has_six(self):
-        v4 = enumerate_group(
-            [parse_permutation("(1 2)(3 4)"), parse_permutation("(1 3)(2 4)")]
-        )
-        assert len(og4.all_automorphisms(v4)) == 6
-
     def test_from_conjugation(self):
         a5 = og4.alternating_group(5)
         aut = GroupAutomorphism.from_conjugation(a5, parse_permutation("(1 2)", 5))
@@ -678,6 +669,13 @@ class TestAutomorphisms:
         gens, images = [z6.element(1), z6.element(2)], [z6.element(1), z6.element(4)]
         assert oracles.from_generator_images(z6, gens, images) is None
         assert GroupAutomorphism.from_generator_images(z6, gens, images) is None
+
+    def test_from_generator_images_length_mismatch(self):
+        a5 = og4.alternating_group(5)
+        gens = list(a5.generators)
+        for images in (gens + [parse_permutation("(1 2)", 5)], gens[:1]):
+            with pytest.raises(og4.OG4Error, match="2 generators but"):
+                GroupAutomorphism.from_generator_images(a5, gens, images)
 
     def test_from_generator_images_success(self):
         z5 = og4.cyclic_group(5)
