@@ -17,13 +17,13 @@ is a base point.  Sorting by the base columns therefore gives the
 lexicographic order, and in a sorted table the base is read off a few rows
 (``ascending_base``).
 
-A caller that has proved an upper bound on the group's order passes it as
-``order`` to ``close_under_products``.  Random elements are then sifted down
-the chain until the product of its orbit sizes reaches the bound, which
-proves the chain complete with no Schreier check (``known_order_chain``).
-If ``RANDOM_ELEMENTS`` elements do not reach it, or the bound exceeds the
-element cap, the Schreier-checked ``stabiliser_chain`` builds the chain
-instead; a product past the bound raises ``InvariantViolation``.
+``close_under_products`` is the one chain builder.  A caller that has proved
+an upper bound on the group's order passes it as ``order``: random elements
+are then sifted down the levels until the product of the orbit sizes reaches
+the bound, which proves the chain complete, and the levels are gathered with
+no Schreier check.  If ``RANDOM_ELEMENTS`` elements do not reach it, the
+Schreier check verifies the levels they built, with no restart; a product
+past the bound raises ``InvariantViolation``.
 
 Memory is bounded before it is allocated.  A stabiliser chain keeps only
 its Schreier trees and level tables; it reads a level's transversal rows in
@@ -47,7 +47,7 @@ BACKEND = "python"
 _KEY_LIMIT = 1 << 62
 _BLOCK = 1 << 18  # entries per block of gathered columns or rows
 TABLE_BYTES = 1 << 30  # the most one gathered element table may take
-RANDOM_ELEMENTS = 64  # random elements a known-order chain sifts before it falls back
+RANDOM_ELEMENTS = 64  # random elements sifted under an order bound before the check
 _CONFIRMATIONS = 8  # further elements it sifts once its bound is met
 
 
@@ -61,12 +61,15 @@ class InvariantViolation(OG4Error):
 
 
 class TableBudgetExceeded(OG4Error):
-    """``what`` would take ``nbytes`` bytes, more than ``TABLE_BYTES``."""
+    """``what`` would take ``nbytes`` bytes, more than ``TABLE_BYTES``; both
+    in bytes if either is below 1 MB, else in whole MB."""
 
     def __init__(self, what: str, nbytes: int):
-        super().__init__(
-            f"{what} needs {(nbytes + 2**19) // 2**20} MB, over the budget of "
-            f"{TABLE_BYTES // 2**20} MB")  # integers: a degree past 10^308 has no float
+        if min(nbytes, TABLE_BYTES) < 2**20:
+            need, budget = f"{nbytes} bytes", f"{TABLE_BYTES} bytes"
+        else:  # integers: a degree past 10^308 has no float
+            need, budget = f"{(nbytes + 2**19) // 2**20} MB", f"{TABLE_BYTES // 2**20} MB"
+        super().__init__(f"{what} needs {need}, over the budget of {budget}")
         self.nbytes = nbytes
 
 
@@ -485,16 +488,18 @@ class StabiliserChain:
     Algorithms*, ch. 4; Holt, Eick and O'Brien, *Handbook of Computational
     Group Theory*, ch. 4).
 
-    Levels are verified from the bottom up.  Level i's candidate group is
-    T(i) = T(i+1) * U(i): the verified group below followed by the
-    transversal.  By Schreier's lemma it is the level's group exactly when
-    every product u_x * s of a transversal row and a level generator lies in
-    it; a tree edge u_x * s = u_y always does.  Each product is looked up by
-    its base images and compared with its match on every point, one column
-    block at a time (``_Candidate.first_failure``).  A product outside is
-    divided down the chain (``_sift``), and its residue becomes a new strong
-    generator; the base is recomputed from the strong generators, and the
-    levels it changed are verified again.  The top level checks only the given
+    Levels are verified from the bottom up, with no check once an order
+    bound has proved them complete (``_random_levels``).  Level i's
+    candidate group is T(i) = T(i+1) * U(i): the verified group below
+    followed by the transversal.  By Schreier's lemma it is the level's
+    group exactly when every product u_x * s of a transversal row and a
+    level generator lies in it; a tree edge u_x * s = u_y always does.
+    Each product is looked up by its base images and compared with its
+    match on every point, one column block at a time
+    (``_Candidate.first_failure``).  A product outside is divided down the
+    chain (``_sift``), and its residue becomes a new strong generator; the
+    base is recomputed from the strong generators, and the levels it
+    changed are verified again.  The top level checks only the given
     generators: once T(1) * s lies in T(1) for each of them, T(1) is closed
     under them and is the whole group.
 
@@ -536,43 +541,6 @@ class StabiliserChain:
         return self.top.below
 
 
-def stabiliser_chain(gen_rows: np.ndarray, cap: int) -> Optional[StabiliserChain]:
-    """The verified chain of the group the rows generate, or None once the
-    orbit sizes show it has more than ``cap`` elements; that is checked
-    while each level's orbit is searched (``_levels``), before any column of
-    a level's transversal is gathered.  Raises
-    ``TableBudgetExceeded`` before gathering a level table over
-    ``TABLE_BYTES``."""
-    gen_rows = np.asarray(gen_rows, dtype=np.int32)
-    ident = np.arange(gen_rows.shape[1], dtype=np.int32)
-    strong = gen_rows[(gen_rows != ident).any(axis=1)]
-    n_given = strong.shape[0]
-    levels = _levels(strong, n_given, [], cap)
-    if levels is None:
-        return None
-    below = {len(levels): ident[None, :]}  # verified level groups, sorted
-    i, top = len(levels) - 1, None
-    while i >= 0:
-        cand = _Candidate(levels[i], below[i + 1], levels[i + 1:])
-        failed = cand.first_failure()
-        if failed is None:
-            if i:
-                below[i] = cand.table()
-            else:
-                top = cand
-            i -= 1
-            continue
-        strong = np.vstack([strong, _sift(failed, levels[i:])])
-        new = _levels(strong, n_given, levels, cap)
-        if new is None:
-            return None
-        i = max(j for j in range(len(new)) if j >= len(levels) or new[j] is not levels[j])
-        levels = new
-        below = {j: t for j, t in below.items() if i < j < len(levels)}
-        below[len(levels)] = ident[None, :]
-    return StabiliserChain(levels, top, gen_rows.shape[1])
-
-
 def _random_elements(gen_rows: np.ndarray):
     """Endless random elements of the group the rows generate, by product
     replacement with an accumulator (Celler, Leedham-Green, Murray, Niemeyer
@@ -593,47 +561,40 @@ def _random_elements(gen_rows: np.ndarray):
             yield acc
 
 
-def known_order_chain(gen_rows: np.ndarray, order: int) -> Optional[StabiliserChain]:
-    """The chain of the group G the rows generate, closed by an order proof,
-    or None if ``RANDOM_ELEMENTS`` random elements do not close it.
+def _random_levels(strong: np.ndarray, n_given: int, levels: Optional[list[_Level]],
+                   order: int) -> tuple[np.ndarray, list[_Level], bool]:
+    """Sift random elements of the group G the strong generators generate
+    down the levels (``_sift``); each residue that is not the identity
+    becomes a strong generator.  (strong, levels, proved): proved once the
+    product of the orbit sizes equals ``order``, a proved upper bound on
+    |G|, and ``_CONFIRMATIONS`` more elements sift to the identity; not
+    proved if ``RANDOM_ELEMENTS`` elements leave it below.
 
-    ``order`` must be an upper bound on |G| that the caller has proved.
-    Random elements are sifted down the levels (``_sift``), and each
-    residue that is not the identity becomes a strong generator, as in the
-    deterministic chain.  Level i's group is generated by the strong
-    generators fixing the base points before it, and level i + 1's lies in
-    its stabiliser of the level's point, so the product of the orbit sizes
-    is at most |G| (Seress, *Permutation Group Algorithms*, ch. 4).  Once it
-    equals ``order`` every one of those inequalities is an equality: |G| is
+    Level i's group is generated by the strong generators fixing the base
+    points before it, and level i + 1's lies in its stabiliser of the
+    level's point, so the product of the orbit sizes is at most |G|
+    (Seress, *Permutation Group Algorithms*, ch. 4).  Once it equals
+    ``order`` every one of those inequalities is an equality: |G| is
     ``order`` and each level's group is the full stabiliser, so no Schreier
-    check is needed.  The tables below the top are then gathered as the
-    deterministic chain gathers them.  Randomness decides only how soon the
-    product reaches ``order``, never the chain.
+    check is needed.  Randomness decides only how soon the product reaches
+    ``order``, never the chain.
 
-    A product above ``order`` refutes the bound and raises
-    ``InvariantViolation``.  A bound below |G| can also be met early, so
-    ``_CONFIRMATIONS`` more elements are sifted once it is met.  Under a
-    true bound the chain is then complete and every element sifts to the
-    identity, so a residue among them refutes the bound too and raises.
+    A product above ``order`` (``levels`` None) refutes the bound and
+    raises ``InvariantViolation``.  A bound below |G| can also be met
+    early; under a true bound the chain is then complete and every element
+    sifts to the identity, so a residue among the confirmations refutes
+    the bound too and raises.
     """
-    gen_rows = np.asarray(gen_rows, dtype=np.int32)
-    ident = np.arange(gen_rows.shape[1], dtype=np.int32)
-    strong = gen_rows[(gen_rows != ident).any(axis=1)]
-    if not strong.size:
-        return None
-    n_given = strong.shape[0]
-    levels = _levels(strong, n_given, [], order)
-    elements = _random_elements(strong)
-    confirmed = drawn = 0
-    while confirmed < _CONFIRMATIONS:
+    ident = np.arange(strong.shape[1], dtype=np.int32)
+    confirmed = 0
+    for drawn, element in enumerate(_random_elements(strong)):
         if levels is None:
             raise InvariantViolation(
                 f"a group proved to have at most {order} elements has more")
         product = math.prod(lv.orbit.size for lv in levels)
-        if product < order and drawn == RANDOM_ELEMENTS:
-            return None
-        residue = _sift(next(elements), levels)
-        drawn += 1
+        if confirmed == _CONFIRMATIONS or (product < order and drawn == RANDOM_ELEMENTS):
+            return strong, levels, confirmed == _CONFIRMATIONS
+        residue = _sift(element, levels)
         if not (residue != ident).any():
             confirmed += product == order
         elif product == order:
@@ -643,28 +604,53 @@ def known_order_chain(gen_rows: np.ndarray, order: int) -> Optional[StabiliserCh
         else:
             strong = np.vstack([strong, residue])
             levels = _levels(strong, n_given, levels, order)
-    below = ident[None, :]
-    for i in range(len(levels) - 1, 0, -1):
-        below = _Candidate(levels[i], below, levels[i + 1:]).table()
-    return StabiliserChain(levels, _Candidate(levels[0], below, levels[1:]), gen_rows.shape[1])
 
 
 def close_under_products(gen_rows: np.ndarray, cap: int,
                          order: Optional[int] = None) -> Optional[StabiliserChain]:
     """The group the rows generate, as its verified stabiliser chain, or
-    ``None`` if it has more than ``cap`` elements.  ``table()`` gathers its
-    elements as an ``(m, n)`` int32 array of distinct rows in lexicographic
-    order, the identity first.
+    ``None`` once the orbit sizes show it has more than ``cap`` elements
+    (checked while each orbit is searched, ``_levels``).  ``table()``
+    gathers its elements as an ``(m, n)`` int32 array of distinct rows in
+    lexicographic order, the identity first.  Raises ``TableBudgetExceeded``
+    before gathering a level table over ``TABLE_BYTES``.
 
-    With ``order``, a proved upper bound on the group's order no greater
-    than ``cap``, the chain is first closed by that bound
-    (``known_order_chain``); if it does not close, or ``order`` exceeds
-    ``cap``, the Schreier-checked ``stabiliser_chain`` builds it."""
-    if order is not None and order <= cap:
-        chain = known_order_chain(gen_rows, order)
-        if chain is not None:
-            return chain
-    return stabiliser_chain(gen_rows, cap)
+    ``order``, a proved upper bound on the group's order, is tried first if
+    it is at most ``cap`` (``_random_levels``).  The levels are then
+    verified from the bottom up (``StabiliserChain``), with no Schreier
+    check if the bound proved them complete."""
+    gen_rows = np.asarray(gen_rows, dtype=np.int32)
+    ident = np.arange(gen_rows.shape[1], dtype=np.int32)
+    strong = gen_rows[(gen_rows != ident).any(axis=1)]
+    n_given = strong.shape[0]
+    bounded = order is not None and order <= cap and n_given > 0
+    levels = _levels(strong, n_given, [], order if bounded else cap)
+    proved = False
+    if bounded:
+        strong, levels, proved = _random_levels(strong, n_given, levels, order)
+    elif levels is None:
+        return None
+    below = {len(levels): ident[None, :]}  # verified level groups, sorted
+    i, top = len(levels) - 1, None
+    while i >= 0:
+        cand = _Candidate(levels[i], below[i + 1], levels[i + 1:])
+        failed = None if proved else cand.first_failure()
+        if failed is None:
+            if i:
+                below[i] = cand.table()
+            else:
+                top = cand
+            i -= 1
+            continue
+        strong = np.vstack([strong, _sift(failed, levels[i:])])
+        new = _levels(strong, n_given, levels, cap)
+        if new is None:
+            return None
+        i = max(j for j in range(len(new)) if j >= len(levels) or new[j] is not levels[j])
+        levels = new
+        below = {j: t for j, t in below.items() if i < j < len(levels)}
+        below[len(levels)] = ident[None, :]
+    return StabiliserChain(levels, top, gen_rows.shape[1])
 
 
 def point_orbit_labels(gen_rows: np.ndarray) -> np.ndarray:

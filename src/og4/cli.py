@@ -129,7 +129,7 @@ def build_from_document(doc: dict, cap: int = DEFAULT_CAP) -> OGPair:
         group = _doc_group(doc, cap)
         a = _doc_perm(doc, "a", group.degree)
         b = _doc_perm(doc, "b", group.degree)
-        sup = _doc_group(doc, cap, "aut_supergroup_generators")
+        sup = _doc_group({**doc, "degree": group.degree}, cap, "aut_supergroup_generators")
         return cons.tw_cayley(group, a, b, cons.conjugation_inventory(sup), cap)
     if family == "coset_simple":
         group = _doc_group(doc, cap)
@@ -140,7 +140,7 @@ def build_from_document(doc: dict, cap: int = DEFAULT_CAP) -> OGPair:
         group = _doc_group(doc, cap)
         a = _doc_perm(doc, "a", group.degree)
         b = _doc_perm(doc, "b", group.degree)
-        sup = _doc_group(doc, cap, "centralizer_supergroup_generators")
+        sup = _doc_group({**doc, "degree": group.degree}, cap, "centralizer_supergroup_generators")
         return cons.pa_construction(group, a, b, cons.conjugation_inventory(sup), cap)
     if family == "raw_cayley":
         group = _doc_group(doc, cap)

@@ -8,10 +8,10 @@ it, and an element's powers are gathers of its row.  Orbits of points are
 the components of a generating set's rows.
 
 A group is built from generators by a stabiliser chain
-(``_kernels.stabiliser_chain``) on its ascending base: b1 is the least point
-the group moves, and each next base point is the least point moved by the
-pointwise stabiliser of the ones before.  Two distinct elements first differ
-at a base point, so sorting by the few base columns is sorting
+(``_kernels.close_under_products``) on its ascending base: b1 is the least
+point the group moves, and each next base point is the least point moved by
+the pointwise stabiliser of the ones before.  Two distinct elements first
+differ at a base point, so sorting by the few base columns is sorting
 lexicographically, and the chain gathers its rows in that order directly.
 The table is gathered on demand, the first time something reads it; until
 then the chain answers the order, transitivity and the stabiliser of the
@@ -20,8 +20,8 @@ A table over the byte budget ``_kernels.TABLE_BYTES`` is refused
 (``TableBudgetExceeded``) before it is allocated.  A caller that has proved
 an upper bound on the order passes it to ``enumerate_group``: the chain is
 then closed when the product of its orbit sizes reaches the bound, with no
-Schreier check, and built with the check as before if it does not reach it
-within ``_kernels.RANDOM_ELEMENTS`` random elements.
+Schreier check; if it does not reach it within ``_kernels.RANDOM_ELEMENTS``
+random elements, the same builder checks the levels they made.
 The byte-keyed breadth-first closure and full-width lexsort the chain
 replaced, and the table reads it answers instead, are kept in
 ``tests/oracles.py`` and compared with it.
@@ -399,7 +399,8 @@ class BaseKeys(_kernels.SortedKeys):
     come out ascending and an element's index is the position of its key.
 
     ``lookup`` is exact only for rows known to lie in the group (products
-    and conjugates of members); ``members`` also checks the full rows.
+    and conjugates of members); ``find``, ``members`` and ``indices_of``
+    also check the full rows.
     """
 
     def __init__(self, table: np.ndarray):
@@ -412,26 +413,31 @@ class BaseKeys(_kernels.SortedKeys):
         """Element indices of rows with the given (m, len(base)) base images."""
         return self.positions(base_images)
 
-    def members(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each row is an element: its base images are looked up and
-        the element found is compared in full, in blocks of about 2^16
-        entries.  Rows of another degree are no members."""
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, found): each row's base images are looked up once, and
+        the element found is compared with the row in full, in blocks of
+        about 2^16 entries; ``found`` says where they are equal.  Rows of
+        another degree are no members."""
+        idx = np.zeros(rows.shape[0], dtype=np.intp)
         found = np.zeros(rows.shape[0], dtype=bool)
         if rows.shape[1] != self.degree:
-            return found
+            return idx, found
         step = max(1, (1 << 16) // rows.shape[1])
         for lo in range(0, rows.shape[0], step):
             block = rows[lo:lo + step]
-            idx = self.lookup(block[:, self.base])
-            found[lo:lo + step] = (self.table[idx] == block).all(axis=1)
-        return found
+            idx[lo:lo + step] = self.lookup(block[:, self.base])
+            found[lo:lo + step] = (self.table[idx[lo:lo + step]] == block).all(axis=1)
+        return idx, found
+
+    def members(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row is an element."""
+        return self.find(rows)[1]
 
     def indices_of(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """Element indices of arbitrary rows, or None if one is not a member.
         Rows in table order (a sorted subgroup table) get sorted indices."""
-        if not self.members(rows).all():
-            return None
-        return self.lookup(rows[:, self.base])
+        idx, found = self.find(rows)
+        return idx if found.all() else None
 
 
 class _ReorderedKeys(BaseKeys):
@@ -460,8 +466,8 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
     ``order`` is an upper bound on the group's order that the caller has
     proved.  The chain is then closed once the product of its orbit sizes
     reaches it, with no Schreier check; if ``_kernels.RANDOM_ELEMENTS``
-    random elements do not reach it, or it exceeds ``cap``, the chain is
-    built and checked as without it.  A product above it raises
+    random elements do not reach it, the levels they made are checked, and
+    a bound over ``cap`` is not used.  A product above it raises
     ``InvariantViolation``."""
     gens = list(generators)
     if not gens:

@@ -1,7 +1,23 @@
+from collections import Counter
+
 import pytest
 
 import og4
 from og4 import parse_permutation as P
+
+
+@pytest.fixture
+def schreier_checks(monkeypatch):
+    """A counter, by degree, of the Schreier checks of chain levels
+    (``_kernels._Candidate.first_failure`` calls) the test makes."""
+    checks, real = Counter(), og4._kernels._Candidate.first_failure
+
+    def check(cand):
+        checks[cand.below.shape[1]] += 1
+        return real(cand)
+
+    monkeypatch.setattr(og4._kernels._Candidate, "first_failure", check)
+    return checks
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,7 @@ class TestOracle:
             group = parse_pair_document(doc)[1]
             assert group.action is not None and group.action.order == group.order, name
             got = group._chain
-            want = _kernels.stabiliser_chain(group.gen_rows(), group.order)
+            want = _kernels.close_under_products(group.gen_rows(), group.order)
             assert got.base == want.base and got.order == want.order, name
             assert got.orbits[0].tobytes() == want.orbits[0].tobytes(), name
             for a, b in zip(got.orbits[1:], want.orbits[1:]):
@@ -119,7 +119,7 @@ class TestMutants:
         assert_falls_back(tmp_path, doc, ("verify", "classify"))
 
     @pytest.mark.parametrize("name", ["coset_simple", "sym_bigstab(5)"])
-    def test_bound_twice_the_order(self, tmp_path, monkeypatch, documents, name):
+    def test_bound_twice_the_order(self, tmp_path, schreier_checks, documents, name):
         """Each action generator times a transposition on two new points
         generates S x Z2: the pairing holds and proves the bound 2|X|, which
         the chain does not reach, so it is built with the Schreier check."""
@@ -128,17 +128,9 @@ class TestMutants:
         d = small.degree
         doc["action_generators"] = [t + f"({d + 1} {d + 2})" for t in doc["action_generators"]]
         assert small_group(doc).order == 2 * small.order
-        checked = Counter()
-        real = _kernels.stabiliser_chain
-
-        def counting(gen_rows, cap):
-            checked[gen_rows.shape[1]] += 1
-            return real(gen_rows, cap)
-
-        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
         group = parse_pair_document(doc)[1]
         assert group.order == small.order and group.action is None
-        assert checked[doc["n_vertices"]] == 1
+        assert schreier_checks[doc["n_vertices"]]
         assert_falls_back(tmp_path, doc, ("verify", "classify"))
 
     def test_images_miss_a_vertex(self, tmp_path, documents):
@@ -164,23 +156,16 @@ class TestMutants:
 
 class TestNoVertexDegreeWork:
     @pytest.mark.parametrize("spec", [TW_DOC, PA_DOC], ids=["tw_cayley", "pa"])
-    def test_verify_builds_no_checked_chain_at_vertex_degree(self, tmp_path, monkeypatch,
+    def test_verify_builds_no_checked_chain_at_vertex_degree(self, tmp_path, schreier_checks,
                                                               spec):
         status, out, _ = run_cli(tmp_path, "construct", spec)
         assert status == 0
         pair_doc = json.loads(out)["pair"]
-        checked = Counter()
-        real = _kernels.stabiliser_chain
-
-        def counting(gen_rows, cap):
-            checked[gen_rows.shape[1]] += 1
-            return real(gen_rows, cap)
-
-        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
+        schreier_checks.clear()
         status, out, _ = run_cli(tmp_path, "verify", pair_doc)
         assert status == 0
         assert json.loads(out)["certificate"]["group_order"] == 7200
-        assert checked == {10: 1}, checked  # S alone
+        assert schreier_checks.keys() == {10}, schreier_checks  # S alone
 
     @pytest.mark.parametrize("spec", [TW_DOC, PA_DOC], ids=["tw_cayley", "pa"])
     def test_classify_runs_in_the_small_action(self, tmp_path, monkeypatch, spec):

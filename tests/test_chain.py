@@ -1,18 +1,19 @@
-"""Element tables from the stabiliser chain (``_kernels.stabiliser_chain``)
-agree byte for byte with the breadth-first closure plus full-width lexsort
-kept in oracles.py; the chain's base is the ascending base read back from
-the table; the element cap is checked before the table is gathered; a
-construction builds a chain only for the groups it does not already hold;
-a group held as its chain answers order, transitivity, the stabiliser of
-vertex 0, walk orbits and edge transitivity as the table reads in
-oracles.py do, so construct, verify and analyze gather no wide table; the
-Schreier check over column blocks and the table written by the search
-agree with the row-based check and gather in oracles.py; no chain holds
-more than a few MB while it is built; and a chain closed by a proved order
-bound is the checked chain."""
+"""Element tables from the stabiliser chain
+(``_kernels.close_under_products``) agree byte for byte with the
+breadth-first closure plus full-width lexsort kept in oracles.py; the
+chain's base is the ascending base read back from the table; the element
+cap is checked before the table is gathered; a construction builds a chain
+only for the groups it does not already hold; a group held as its chain
+answers order, transitivity, the stabiliser of vertex 0, walk orbits and
+edge transitivity as the table reads in oracles.py do, so construct, verify
+and analyze gather no wide table; the Schreier check over column blocks and
+the table written by the search agree with the row-based check and gather
+in oracles.py; no chain holds more than a few MB while it is built; and a
+chain closed by a proved order bound is the checked chain."""
 
 import io
 import json
+import math
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
@@ -96,14 +97,15 @@ class TestMatchesOracle:
         [0, 2, ..., 14]."""
         group = lex_pairs[8].group
         assert_matches_oracle(group.gen_rows(), 10_000)
-        assert _kernels.stabiliser_chain(group.gen_rows(), 10_000).base == list(range(0, 16, 2))
+        chain = _kernels.close_under_products(group.gen_rows(), 10_000)
+        assert chain.base == list(range(0, 16, 2))
 
     @pytest.mark.parametrize("degree", [1, 2, 5])
     def test_trivial_group(self, degree):
         ident = np.arange(degree, dtype=np.int32)[None, :]
         assert_matches_oracle(ident, 1)
         assert_matches_oracle(np.repeat(ident, 3, axis=0), 1)
-        assert _kernels.stabiliser_chain(ident, 1).base == []
+        assert _kernels.close_under_products(ident, 1).base == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -172,7 +174,7 @@ class TestRowOracle:
 
         monkeypatch.setattr(_kernels._Candidate, "first_failure", checked)
         try:
-            _kernels.stabiliser_chain(np.asarray(gen_rows, dtype=np.int32), cap)
+            _kernels.close_under_products(np.asarray(gen_rows, dtype=np.int32), cap)
         finally:
             monkeypatch.undo()
         return count
@@ -200,7 +202,7 @@ class TestRowOracle:
         mapping every block into itself and keeps the base images, so each
         product matched to t differs from it on that block alone; the first,
         a middle and the last block each reject, with the oracle's product."""
-        chain = _kernels.stabiliser_chain(pa_pair.group.gen_rows(), 7200)
+        chain = _kernels.close_under_products(pa_pair.group.gen_rows(), 7200)
         top = chain.top
         blocks = top._blocks()
         assert len(blocks) == 13
@@ -218,7 +220,7 @@ class TestRowOracle:
     def test_blocks_are_unions_of_orbits(self, tw_pair):
         """tw's top level: 50 blocks of 72 or so points covering every point
         once, each mapped into itself by the stabiliser below."""
-        chain = _kernels.stabiliser_chain(tw_pair.group.gen_rows(), 7200)
+        chain = _kernels.close_under_products(tw_pair.group.gen_rows(), 7200)
         blocks = chain.top._blocks()
         assert len(blocks) == 50
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(3600))
@@ -275,9 +277,9 @@ class TestResources:
     def test_cycle_chain_peak(self):
         """A 6000-cycle's transversal is 6000 rows of degree 6000 (144 MB)."""
         cycle = np.roll(np.arange(6000, dtype=np.int32), 1)[None, :]
-        chain = _kernels.stabiliser_chain(cycle, 6000)
+        chain = _kernels.close_under_products(cycle, 6000)
         assert chain.order == 6000 and chain.base == [0]
-        peak = self._peak(lambda: _kernels.stabiliser_chain(cycle, 6000))
+        peak = self._peak(lambda: _kernels.close_under_products(cycle, 6000))
         assert peak < 16 * 2**20, peak / 2**20
 
     def test_alternating_peak(self, tw_pair):
@@ -335,7 +337,7 @@ class TestResources:
         gens = np.tile(np.arange(40, dtype=np.int32), (20, 1))
         for i in range(20):
             gens[i, [2 * i, 2 * i + 1]] = [2 * i + 1, 2 * i]
-        assert _kernels.stabiliser_chain(gens, 1000) is None
+        assert _kernels.close_under_products(gens, 1000) is None
         assert made == [2] * 10
         made.clear()
         lex = {"family": "lex_cycle", "r": 10_000}
@@ -605,12 +607,13 @@ class TestTableBudget:
     def test_class_products_refused(self, monkeypatch, tmp_path, capsys):
         """lex_cycle(8)'s element table is 131,072 bytes; under a budget of
         140,000 bytes only the class products that ``classify`` stores pass
-        it, and the refusal names them."""
+        it, and the refusal names them, in bytes: 8869 pairs of 16 bytes."""
         monkeypatch.setattr(_kernels, "TABLE_BYTES", 140_000)
         status, out = run_cli(tmp_path, "classify", {"family": "lex_cycle", "r": 8})
         assert (status, out) == (2, "")
         assert capsys.readouterr().err == ("error: a store of 8869 class-product pairs "
-                                           "needs 0 MB, over the budget of 0 MB\n")
+                                           "needs 141904 bytes, over the budget of "
+                                           "140000 bytes\n")
 
     def test_level_tables(self, monkeypatch):
         """Sym(7) on 7 points has level tables of 720, 120, ... rows below
@@ -619,17 +622,18 @@ class TestTableBudget:
         gens = og4.symmetric_group(7).gen_rows()
         monkeypatch.setattr(_kernels, "TABLE_BYTES", 2048)
         with pytest.raises(og4.TableBudgetExceeded) as exc:
-            _kernels.stabiliser_chain(gens, 5040)
+            _kernels.close_under_products(gens, 5040)
         assert exc.value.nbytes > 2048
         assert exc.value.nbytes < 5040 * 7 * 4
 
 
 class TestKnownOrder:
-    """A chain closed by a proved order bound (``_kernels.known_order_chain``)
-    is the Schreier-checked chain: the same base, order, top orbit, first
-    stabiliser and table, and the same lower orbits as sets.  A bound below
-    |G| raises; a bound above it falls back to the checked chain, which
-    gives the true order."""
+    """A chain closed by a proved order bound (``close_under_products`` with
+    ``order``) runs no Schreier check and is the checked chain: the same
+    base, order, top orbit, first stabiliser and table, and the same lower
+    orbits as sets.  A bound below |G| raises; under a bound above it the
+    check verifies the levels the random elements built, with no restart,
+    and gives the true order."""
 
     @pytest.fixture(scope="class")
     def vertex_groups(self, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair, pa_pair):
@@ -637,12 +641,14 @@ class TestKnownOrder:
                 ("sym_bigstab(5)", sym5_pair.group), ("sym_bigstab(7)", sym7_pair.group),
                 ("tw_cayley", tw_pair.group), ("pa", pa_pair.group)]
 
-    def test_matches_checked_chain(self, vertex_groups):
+    def test_matches_checked_chain(self, schreier_checks, vertex_groups):
         for name, group in vertex_groups:
             gens = group.gen_rows()
-            known = _kernels.known_order_chain(gens, group.order)
-            checked = _kernels.stabiliser_chain(gens, group.order)
-            assert known is not None, name
+            schreier_checks.clear()
+            known = _kernels.close_under_products(gens, group.order, group.order)
+            assert not schreier_checks, name
+            checked = _kernels.close_under_products(gens, group.order)
+            assert schreier_checks, name
             assert known.base == checked.base and known.order == checked.order, name
             assert known.orbits[0].tobytes() == checked.orbits[0].tobytes(), name
             assert known.first_stabiliser().tobytes() == checked.first_stabiliser().tobytes()
@@ -652,7 +658,7 @@ class TestKnownOrder:
 
     def test_same_generators_same_chain(self, pa_pair):
         gens = pa_pair.group.gen_rows()
-        one, two = (_kernels.known_order_chain(gens, 7200) for _ in range(2))
+        one, two = (_kernels.close_under_products(gens, 7200, 7200) for _ in range(2))
         assert one.base == two.base
         assert all(np.array_equal(a, b) for a, b in zip(one.orbits, two.orbits))
         assert np.array_equal(one.first_stabiliser(), two.first_stabiliser())
@@ -662,28 +668,42 @@ class TestKnownOrder:
             with pytest.raises(og4.InvariantViolation, match="at most"):
                 _kernels.close_under_products(group.gen_rows(), group.order, group.order // 2)
 
-    def test_bound_above_the_order_falls_back(self, monkeypatch, sym5_pair):
-        calls = Counter()
-        real = _kernels.stabiliser_chain
-
-        def counting(gen_rows, cap):
-            calls[cap] += 1
-            return real(gen_rows, cap)
-
-        monkeypatch.setattr(_kernels, "stabiliser_chain", counting)
+    def test_bound_above_the_order_falls_back(self, schreier_checks, sym5_pair):
         gens = sym5_pair.group.gen_rows()
-        assert _kernels.known_order_chain(gens, 240) is None
+        assert _kernels.close_under_products(gens, 120, 120).order == 120
+        assert not schreier_checks
         assert _kernels.close_under_products(gens, 240, 240).order == 120
-        assert calls == {240: 1}
-        # a bound over the cap goes to the checked chain at once
+        assert schreier_checks.keys() == {gens.shape[1]}
+        # a bound over the cap is not used: the cap refuses the group
         assert _kernels.close_under_products(gens, 119, 120) is None
+
+    def test_missed_bound_builds_levels_once(self, monkeypatch, cs_pair, sym5_pair, sym5):
+        """Under a bound the random elements cannot meet, the check goes on
+        from the levels they built: the base's levels are searched from no
+        old levels once, and the table is the unbounded chain's."""
+        fresh, real = [], _kernels._levels
+
+        def levels(strong, n_given, old, cap=math.inf):
+            fresh.append(not old)
+            return real(strong, n_given, old, cap)
+
+        monkeypatch.setattr(_kernels, "_levels", levels)
+        for group, bound in ((cs_pair.group, 2 * cs_pair.group.order),
+                             (sym5_pair.group, 2 * sym5_pair.group.order), (sym5, 240)):
+            gens = group.gen_rows()
+            fresh.clear()
+            chain = _kernels.close_under_products(gens, bound, bound)
+            assert fresh.count(True) == 1, (group, fresh)
+            want = _kernels.close_under_products(gens, bound)
+            assert chain.order == group.order
+            assert chain.table().tobytes() == want.table().tobytes()
 
     def test_unfaithful_coset_action_refuted(self, monkeypatch, alt5):
         """Alt(5) x Z2 over H = <(1 4)(2 5), z> with z central: H has core
         <z>, so the action on the 30 cosets has order 60, and the bound |G|
         passed to the vertex group's chain is twice that.  With the core
-        check hidden, the chain falls back and ``coset:faithful`` refutes,
-        naming both orders."""
+        check hidden, the chain misses the bound and is checked, and
+        ``coset:faithful`` refutes, naming both orders."""
         p = og4.parse_permutation
         z = og4.embed_pair(og4.identity(5), p("(1 2)", 2))
         group = enumerate_group([og4.embed_pair(g, og4.identity(2)) for g in alt5.generators] + [z])

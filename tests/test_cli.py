@@ -607,6 +607,38 @@ class TestUsage:
         assert report["clause"] == clause
         assert report["detail"] == "(2 3 4 5 6) is not in the group"
 
+    # T = Alt(5) and a supergroup Sym(4) that names only points 1..4: it is
+    # read at T's degree, so the verdict is the same with "degree" or
+    # without.  (1 3)(2 4) swaps tw's a and b; no row of Sym(4) fixes pa's a
+    # and sends b to b·a.
+    SHORT_INVENTORY = {
+        "tw:no_swapping_automorphism": {
+            "family": "tw_cayley", "a": "(3 4 5)", "b": "(1 2 5)",
+            "aut_supergroup_generators": ["(1 2)", "(1 2 3 4)"]},
+        "pa:b_not_conjugate_to_ba": {
+            "family": "pa", "a": "(2 3)(4 5)", "b": "(1 2 4 3 5)",
+            "centralizer_supergroup_generators": ["(1 2)", "(1 2 3 4)"]},
+    }
+
+    @pytest.mark.parametrize("degree", [None, 5])
+    @pytest.mark.parametrize("clause", sorted(SHORT_INVENTORY))
+    def test_inventory_read_at_the_degree_of_t(self, capsys, tmp_path, clause, degree):
+        doc = {"generators": ["(1 2 3)", "(1 2 3 4 5)"], **self.SHORT_INVENTORY[clause]}
+        if degree is not None:
+            doc["degree"] = degree
+        status, out, err = run(capsys, "verify", write_doc(tmp_path, "inv.json", doc))
+        assert (status, err) == (1, "")
+        assert json.loads(out)["clause"] == clause
+
+    @pytest.mark.parametrize("clause", sorted(SHORT_INVENTORY))
+    def test_inventory_past_the_degree_of_t(self, capsys, tmp_path, clause):
+        doc = {"generators": ["(1 2 3)", "(1 2 3 4 5)"], **self.SHORT_INVENTORY[clause]}
+        key = next(k for k in doc if k.endswith("_supergroup_generators"))
+        doc[key] = ["(1 2)", "(1 2 3 4 6)"]
+        status, out, err = run(capsys, "verify", write_doc(tmp_path, "inv.json", doc))
+        assert (status, out) == (2, "")
+        assert err == "error: point 6 exceeds degree 5\n"
+
     def test_raw_coset_document(self, capsys, tmp_path):
         doc = {
             "family": "raw_coset",

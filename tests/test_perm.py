@@ -508,9 +508,34 @@ class TestIndexSpace:
         assert Permutation(row) not in group
         with pytest.raises(og4.OG4Error, match="not in group"):
             group.index_of(Permutation(row))
-        monkeypatch.setattr(og4.perm.BaseKeys, "members",
-                            lambda self, rows: np.ones(rows.shape[0], dtype=bool))
+        monkeypatch.setattr(og4.perm.BaseKeys, "find", lambda self, rows: (
+            self.lookup(rows[:, self.base]), np.ones(rows.shape[0], dtype=bool)))
         assert og4.is_normal_in(outsider, group)
+
+    def test_one_lookup_per_block(self, monkeypatch, cs_pair, sym5_pair):
+        """``indices_of`` looks each block of about 2^16 entries up once, for
+        the sorted index of coset_simple's vertex group and for the index of
+        sym_bigstab(5)'s small action, reordered to the vertex group's."""
+        calls = []
+        real = og4.perm.BaseKeys.lookup
+
+        def lookup(keys, base_images):
+            calls.append(base_images.shape[0])
+            return real(keys, base_images)
+
+        monkeypatch.setattr(og4.perm.BaseKeys, "lookup", lookup)
+        lattice = og4.perm._lattice(sym5_pair.group)
+        assert isinstance(lattice.index, og4.perm._ReorderedKeys)
+        for group in (cs_pair.group, lattice):
+            keys = group.index
+            step = (1 << 16) // group.degree
+            copies = 2 * step // group.order + 1
+            rows = np.tile(keys.table, (copies, 1))
+            calls.clear()
+            got = keys.indices_of(rows)
+            assert len(calls) > 1 and sum(calls) == rows.shape[0], group
+            assert max(calls) == step, group
+            assert np.array_equal(got, np.tile(np.arange(group.order), copies)), group
 
 
 class TestOneIndex:
