@@ -151,9 +151,8 @@ def s_arc_report(pair: OGPair, max_sarcs: int = DEFAULT_SARC_CAP) -> SArcReport:
     regularity flag for the action on the max_s-arcs."""
     graph, group = pair.graph, pair.group
     n = graph.n_vertices
-    outs = graph.out_neighbors()
     counts = [n]
-    walk = [0]  # the least s-arc: each step goes to the least out-neighbour
+    walk = [0]  # the least s-arc: each step takes the least arc from its tail
     s = 0
     lower_bound = False
     while True:
@@ -161,7 +160,7 @@ def s_arc_report(pair: OGPair, max_sarcs: int = DEFAULT_SARC_CAP) -> SArcReport:
         if nxt > max_sarcs:
             lower_bound = True
             break
-        walk.append(min(outs[walk[-1]]))
+        walk.append(int(graph.arcs[np.searchsorted(graph.arcs[:, 0], walk[-1]), 1]))
         counts.append(nxt)
         if _walk_orbit_size(group, walk) != nxt:
             break

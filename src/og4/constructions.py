@@ -254,10 +254,12 @@ def tw_cayley(
     s1 = embed_pair(b, a)
     iota = block_swap(t_grp.degree)
     # N = <s0, s1> lies in T x T, and the involution iota swaps s0 and s1 by
-    # conjugation, so it normalises N: |N<iota>| <= 2|N| <= 2|T|^2
+    # conjugation, so it normalises N: |N<iota>| <= 2|N| <= 2|T|^2.  N keeps
+    # each half of the points and N iota swaps them, so N is the elements
+    # that send point 0 into the first half
     n_iota = enumerate_group([s0, s1, iota], cap, 2 * t_grp.order ** 2)
     n_grp = PermGroup(n_iota.degree, [s0, s1], parent=n_iota,
-                      mask=_span(n_iota, [s0, s1], "tw:halfset_spans_product"))
+                      mask=n_iota.table[:, 0] < t_grp.degree)
     if n_grp.order != t_grp.order ** 2:
         # cannot happen once generation + no-swap hold; kept as an honest check
         raise ConstructionRefuted("tw:halfset_spans_product",

@@ -1,5 +1,8 @@
 """Oriented graphs, orbital graphs, and OG(m) certification.
 
+A graph is its vertex count and one read-only (m, 2) array of arcs sorted
+by (tail, head); connectivity and the least out-neighbours read that array.
+
 Orbits of pairs are read from the acting group's table: the orbit of (x, y)
 is the distinct pairs in columns x and y.  Orbits of arcs are the connected
 components of the generators' maps on the sorted arc codes ``x * n + y``
@@ -41,12 +44,20 @@ class OrientedGraph:
     def __init__(self, n_vertices: int, arcs):
         if n_vertices < 1:
             raise OG4Error("graph needs at least one vertex")
+        arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
         try:
-            arr = np.array(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=np.int64)
-        except OverflowError:  # an endpoint past int64
+            arr = np.array(arcs)
+            if arr.dtype.kind in "fO":  # which Python ints past int64 make
+                np.array(arcs, dtype=np.int64)
+        except OverflowError:
             raise OG4Error("arc endpoint out of range") from None
+        except (TypeError, ValueError):  # ragged entries, or not numbers
+            raise OG4Error("arcs must be integer pairs") from None
         if arr.size == 0:
-            arr = arr.reshape(0, 2)
+            arr = np.zeros((0, 2), dtype=np.int64)
+        elif arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+            raise OG4Error("arcs must be integer pairs")
+        arr = arr.astype(np.int64, copy=False)  # uint64 past int64 turns negative
         span = int(arr.max()) + 1 if arr.size else 1  # codes x * span + y sort as the arcs
         if arr.size and (arr.min() < 0 or span > n_vertices):
             raise OG4Error("arc endpoint out of range")
@@ -63,7 +74,6 @@ class OrientedGraph:
         arr.setflags(write=False)
         self.n_vertices = n_vertices
         self.arcs = arr
-        self._lists: Optional[tuple[list[list[int]], list[list[int]]]] = None
 
     @property
     def n_arcs(self) -> int:
@@ -72,39 +82,11 @@ class OrientedGraph:
     def encoded_arcs(self) -> np.ndarray:
         return self.arcs[:, 0] * np.int64(self.n_vertices) + self.arcs[:, 1]
 
-    def out_neighbors(self) -> list[list[int]]:
-        """Each vertex's heads, in arc order; built once per graph."""
-        return self._adjacency()[0]
-
-    def in_neighbors(self) -> list[list[int]]:
-        """Each vertex's tails, in arc order; built once per graph."""
-        return self._adjacency()[1]
-
-    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Out- and in-neighbour lists.  The arcs are sorted by tail, so the
-        heads come in runs per tail; a stable argsort by head puts the tails
-        in runs per head, in arc order."""
-        if self._lists is None:
-            x, y = self.arcs[:, 0], self.arcs[:, 1]
-            by_head = np.argsort(y, kind="stable")
-            self._lists = (_runs(y, np.bincount(x, minlength=self.n_vertices)),
-                           _runs(x[by_head], np.bincount(y, minlength=self.n_vertices)))
-        return self._lists
-
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.arcs[:, 0], minlength=self.n_vertices)
 
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.arcs[:, 1], minlength=self.n_vertices)
-
-    def undirected_edges(self) -> set[tuple[int, int]]:
-        return {(min(x, y), max(x, y)) for x, y in self.arcs.tolist()}
-
-    def has_arc(self, x: int, y: int) -> bool:
-        enc = self.encoded_arcs()
-        target = x * self.n_vertices + y
-        pos = np.searchsorted(enc, target)
-        return pos < enc.size and enc[pos] == target
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,12 +97,6 @@ class OrientedGraph:
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n_vertices}, arcs={self.n_arcs})"
-
-
-def _runs(values: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
-    """``values`` cut into consecutive lists of the given sizes."""
-    flat, ends = values.tolist(), np.cumsum(sizes).tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def reverse_arcs(graph: OrientedGraph) -> OrientedGraph:
@@ -213,26 +189,48 @@ class Connectivity:
     strongly_connected: bool
 
 
-def _reached(graph: OrientedGraph, forward: bool = True, backward: bool = True) -> int:
-    """How many vertices a depth-first search from vertex 0 reaches along
-    the arcs, against them, or (by default) both ways."""
-    out, inn = graph.out_neighbors(), graph.in_neighbors()
-    seen = [False] * graph.n_vertices
-    seen[0] = True
-    stack, count = [0], 1
-    while stack:
-        v = stack.pop()
-        for w in (out[v] if forward else []) + (inn[v] if backward else []):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count
+def _roots(graph: OrientedGraph) -> np.ndarray:
+    """Each vertex's root, the least vertex of its undirected component, by
+    hook-and-jump (Shiloach and Vishkin, J. Algorithms 3, 1982): each round
+    hooks every root onto the least root it meets along an arc, then jumps
+    every vertex to its root's root until nothing moves; a round that hooks
+    no root ends the search.  Rounds: at most the least vertex's eccentricity
+    plus one, as its tree takes in every tree next to it each round."""
+    root = np.arange(graph.n_vertices)
+    x, y = graph.arcs[:, 0], graph.arcs[:, 1]
+    while True:
+        rx, ry = root[x], root[y]
+        hooked = root.copy()
+        np.minimum.at(hooked, np.maximum(rx, ry), np.minimum(rx, ry))
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+
+
+def _reached(graph: OrientedGraph, forward: bool) -> int:
+    """How many vertices a frontier search from vertex 0 reaches along the
+    arcs, or against them: each round gathers the frontier's runs of heads
+    with the arcs sorted by tail."""
+    tails, heads = graph.arcs.T if forward else graph.arcs.T[::-1]
+    order = np.argsort(tails, kind="stable")
+    heads, starts = heads[order], np.searchsorted(tails[order], np.arange(graph.n_vertices + 1))
+    seen = np.arange(graph.n_vertices) == 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        first, sizes = starts[frontier], starts[frontier + 1] - starts[frontier]
+        ends = np.cumsum(sizes)
+        step = heads[np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)]
+        frontier = np.unique(step[~seen[step]])  # each vertex enters once
+        seen[frontier] = True
+    return int(np.count_nonzero(seen))
 
 
 def is_connected(graph: OrientedGraph) -> bool:
-    """Whether the underlying undirected graph is connected: one search."""
-    return _reached(graph) == graph.n_vertices
+    """Whether the underlying undirected graph is connected: whether every
+    vertex has vertex 0's root, which is 0."""
+    return not _roots(graph).any()
 
 
 def connectivity(graph: OrientedGraph) -> Connectivity:
@@ -240,7 +238,7 @@ def connectivity(graph: OrientedGraph) -> Connectivity:
     backward from vertex 0 as well."""
     n = graph.n_vertices
     connected = is_connected(graph)
-    strong = connected and _reached(graph, True, False) == n and _reached(graph, False, True) == n
+    strong = connected and _reached(graph, True) == n and _reached(graph, False) == n
     return Connectivity(connected=connected, strongly_connected=strong)
 
 

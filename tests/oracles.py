@@ -9,7 +9,8 @@ kernels) that the chain, generating sets and the arc-orbit kernel now
 answer, the normal-subgroup lattice on the vertex table that the small
 faithful action replaced, the element-by-element mask lattice that the
 lattice over conjugacy classes replaced, the per-point block partition that
-a sort by label replaced, the per-arc neighbour loops, the per-arc
+a sort by label replaced, the per-arc neighbour loops and the depth-first
+search over them that the graph's sorted arc array replaced, the per-arc
 alternating-cycle walk and multicover ``Counter`` that orbit labels and
 sorted arc codes replaced, the per-point cycle-notation parser and
 printer, the per-entry arc checks and tuple-set graph that whole-array
@@ -944,3 +945,44 @@ def neighbors(graph):
         out[x].append(y)
         inn[y].append(x)
     return out, inn
+
+
+def reached(graph, forward=True, backward=True):
+    """How many vertices a depth-first search from vertex 0 reaches along
+    the arcs, against them, or (by default) both ways."""
+    out, inn = neighbors(graph)
+    seen = [False] * graph.n_vertices
+    seen[0] = True
+    stack, count = [0], 1
+    while stack:
+        v = stack.pop()
+        for w in (out[v] if forward else []) + (inn[v] if backward else []):
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count
+
+
+def connectivity(graph):
+    """(weakly connected, strongly connected) by depth-first searches."""
+    n = graph.n_vertices
+    return (reached(graph) == n,
+            reached(graph, True, False) == n and reached(graph, False, True) == n)
+
+
+def least_walk(graph, steps):
+    """The walk from vertex 0 that always goes to the least out-neighbour,
+    for ``steps`` steps or up to a vertex with none."""
+    outs, walk = neighbors(graph)[0], [0]
+    while len(walk) <= steps and outs[walk[-1]]:
+        walk.append(min(outs[walk[-1]]))
+    return walk
+
+
+def undirected_edges(graph):
+    return {(min(x, y), max(x, y)) for x, y in graph.arcs.tolist()}
+
+
+def has_arc(graph, x, y):
+    return [x, y] in graph.arcs.tolist()

@@ -228,7 +228,7 @@ def test_criterion_5_product_action():
            all(p.order() in (1, 2) for p in stab.elements()),
            "H is Klein four")
     # |H meet H^g| = 2 for g carrying the base vertex along an arc
-    w = pair.graph.out_neighbors()[0][0]
+    w = oracles.neighbors(pair.graph)[0][0][0]
     g = next(p for p in pair.group.elements() if p.apply(0) == w)
     stab_w = og4.point_stabilizer(pair.group, w)
     sw = {p.images.tobytes() for p in stab_w.elements()}

@@ -20,7 +20,7 @@ from og4.constructions import (
 from og4.perm import GroupAutomorphism
 
 import oracles
-from test_scale import PGL27, SPECS
+from test_scale import PGL27, SPECS, assert_n_is_one_column
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -36,7 +36,7 @@ class TestLexCycle:
     def test_r3_octahedron(self, lex_pairs):
         # 4-regular on 6 vertices, each vertex non-adjacent to exactly one other
         g = lex_pairs[3].graph
-        edges = g.undirected_edges()
+        edges = oracles.undirected_edges(g)
         for v in range(6):
             non = [w for w in range(6) if w != v and (min(v, w), max(v, w)) not in edges]
             assert len(non) == 1
@@ -51,7 +51,7 @@ class TestBuildCayley:
     def test_identity_out_neighbors(self, sc_pair, alt5):
         # the two out-neighbors of the identity vertex are exactly a and b
         ident_vertex = alt5.identity_index
-        outs = sc_pair.graph.out_neighbors()[ident_vertex]
+        outs = oracles.neighbors(sc_pair.graph)[0][ident_vertex]
         names = {sc_pair.labels[v] for v in outs}
         assert names == {"(1 2 3)", "(3 4 5)"}
 
@@ -61,7 +61,7 @@ class TestBuildCayley:
         stab = og4.point_stabilizer(sc_pair.group, alt5.identity_index)
         assert stab.order == 2
         h = next(p for p in stab.elements() if not p.is_identity())
-        outs = sc_pair.graph.out_neighbors()[alt5.identity_index]
+        outs = oracles.neighbors(sc_pair.graph)[0][alt5.identity_index]
         assert {h.apply(outs[0]), h.apply(outs[1])} == set(outs)
 
     def test_involution_a_refuted(self):
@@ -166,6 +166,10 @@ class TestTwCayley:
              og4.embed_pair(P("(1 2 3 4 5)", 5), P("(1 2 3)", 5))]
         )
         assert n.order == alt5.order ** 2
+
+    def test_n_is_one_column(self, tw_pair):
+        a, b = P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)
+        assert_n_is_one_column(tw_pair, a, b, 5)
 
 
 class TestInventory:

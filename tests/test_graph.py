@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ class TestOrientedGraph:
         g = directed_cycle(4)
         assert g.n_arcs == 4
         assert g.out_degrees().tolist() == [1, 1, 1, 1]
-        assert g.has_arc(0, 1) and not g.has_arc(1, 0)
+        assert oracles.has_arc(g, 0, 1) and not oracles.has_arc(g, 1, 0)
 
     def test_rejects_loop(self):
         with pytest.raises(OG4Error):
@@ -60,17 +62,32 @@ class TestOrientedGraph:
         assert reverse_arcs(reverse_arcs(g)) == g
         assert reverse_arcs(g).arcs.tolist() == sorted([y, x] for x, y in g.arcs.tolist())
 
-    def test_neighbour_lists_match_arc_loop(self, all_pairs):
-        """Out- and in-neighbour lists in arc order, as a loop over the arcs
-        gives them, built once per graph; also with an isolated vertex and
-        on the reversed graphs, whose tails are not in arc order."""
-        graphs = [(name, pair.graph) for name, pair in all_pairs]
-        graphs += [(f"reversed {name}", og4.reverse_arcs(g)) for name, g in graphs]
-        graphs.append(("isolated vertex", og4.OrientedGraph(4, [(2, 0), (0, 1), (2, 1)])))
-        for name, graph in graphs:
-            assert (graph.out_neighbors(), graph.in_neighbors()) == oracles.neighbors(graph), name
-            assert graph.out_neighbors() is graph.out_neighbors(), name
-            assert graph.in_neighbors() is graph.in_neighbors(), name
+    def test_only_the_arc_array(self):
+        g = OrientedGraph(4, [(2, 0), (0, 1), (2, 1)])
+        assert sorted(vars(g)) == ["arcs", "n_vertices"]
+        assert not g.arcs.flags.writeable
+
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1, 2)],  # a triple
+        [0, 1],  # a flat pair
+        [(1.7, 2.2)],  # floats, not truncated
+        [(0, 1), (1, 2, 0)],  # ragged
+        [(True, False)],
+        [("0", "1")],
+    ])
+    def test_rejects_malformed_arcs(self, arcs):
+        with pytest.raises(OG4Error, match="integer pairs"):
+            OrientedGraph(3, arcs)
+
+    @pytest.mark.parametrize("arcs", [[(1, 10**30)], [(-2**63 - 1, 2)], [(2**63, 1)]])
+    def test_rejects_endpoints_past_int64(self, arcs):
+        with pytest.raises(OG4Error, match="out of range"):
+            OrientedGraph(3, arcs)
+
+    def test_accepts_empty_and_integer_arrays(self):
+        for arcs in ([], np.zeros((0, 2)), np.array([[1, 0]], dtype=np.uint8)):
+            g = OrientedGraph(3, arcs)
+            assert g.arcs.dtype == np.int64 and g.arcs.shape[1] == 2
 
 
 def document_outcome(n, arcs):
@@ -138,7 +155,7 @@ class TestOrbital:
             [parse_permutation("(1 2 3 4 5)"), parse_permutation("(2 5)(3 4)", 5)]
         )
         g = orbital_graph(d5, (0, 1))
-        assert g.has_arc(0, 1) and g.has_arc(1, 0)
+        assert oracles.has_arc(g, 0, 1) and oracles.has_arc(g, 1, 0)
 
     def test_canonical_seed(self):
         z5 = og4.cyclic_group(5)
@@ -230,24 +247,139 @@ class TestConnectivity:
 
     def test_certification_searches_once(self, monkeypatch, all_pairs):
         """Certifying and classifying read only weak connectivity: one
-        undirected search per graph, where ``connectivity`` makes three."""
+        hook-and-jump search per graph, where ``connectivity`` adds a
+        forward and a backward frontier search."""
         searches = []
-        real = og4.graph._reached
 
-        def counting(graph, *args):
-            searches.append(graph.n_vertices)
-            return real(graph, *args)
+        def counting(name):
+            real = getattr(og4.graph, name)
 
-        monkeypatch.setattr(og4.graph, "_reached", counting)
+            def search(graph, *args):
+                searches.append((name, graph.n_vertices))
+                return real(graph, *args)
+            monkeypatch.setattr(og4.graph, name, search)
+
+        counting("_roots")
+        counting("_reached")
         name, pair = next((n, p) for n, p in all_pairs if n == "simple_cayley")
         assert og4.reverify(pair).ok
-        assert searches == [60], name
+        assert searches == [("_roots", 60)], name
         searches.clear()
         outcomes = [o for _, o in og4.classify_all_quotients(pair) if o.kind != "K1"]
         assert len(searches) == len(outcomes) + sum(o.kind == "Cover" for o in outcomes)
+        assert {s for s, _ in searches} == {"_roots"}
         searches.clear()
         connectivity(pair.graph)
-        assert searches == [60] * 3
+        assert searches == [("_roots", 60), ("_reached", 60), ("_reached", 60)]
+
+    def test_weak_search_peak(self, tw_pair):
+        """Under tracemalloc, the weak test of tw_cayley's 3,600-vertex
+        graph holds a few arc-length arrays (about 0.3 MB), not neighbour
+        lists (1.4 MB).  A fresh graph, so that nothing an earlier test
+        read is reused."""
+        graph = OrientedGraph(tw_pair.graph.n_vertices, tw_pair.graph.arcs)
+        tracemalloc.start()
+        try:
+            assert og4.is_connected(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700_000, peak
+
+
+def scrambled_cycles(length, count, seed=0):
+    """``count`` directed cycles of ``length`` vertices, numbered by a random
+    permutation."""
+    perm = np.random.default_rng(seed).permutation(length * count).reshape(count, length)
+    return OrientedGraph(length * count, np.concatenate(
+        [np.stack([c, np.roll(c, -1)], axis=1) for c in perm]))
+
+
+def layered(r):
+    """lexicographic_cycle(r)'s graph built from its arcs: r layers of two
+    vertices, each vertex with an arc to both vertices of the next layer."""
+    v = np.arange(2 * r)
+    after = 2 * ((v // 2 + 1) % r)
+    return OrientedGraph(2 * r, np.concatenate([np.stack([v, after], 1), np.stack([v, after + 1], 1)]))
+
+
+def least_walk(graph, steps):
+    """The least walk ``s_arc_report`` takes from vertex 0, recorded over
+    ``steps`` steps with every orbit test passing."""
+    walks = []
+
+    def record(group, walk):
+        walks.append(list(walk))
+        return graph.n_vertices * 2 ** (len(walk) - 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(og4.analysis, "_walk_orbit_size", record)
+        og4.s_arc_report(og4.OGPair(graph, None, None, ()), graph.n_vertices * 2 ** steps)
+    return walks[-1] if walks else [0]
+
+
+def assert_matches_oracles(graph, name, steps=8):
+    """Weak and strong connectivity and the least walk against the
+    depth-first searches and the neighbour lists in oracles.py; returns the
+    searches' (weak, strong)."""
+    weak, strong = oracles.connectivity(graph)
+    assert og4.is_connected(graph) == weak, name
+    assert connectivity(graph) == og4.Connectivity(weak, strong), name
+    want = oracles.least_walk(graph, steps)
+    assert least_walk(graph, len(want) - 1) == want, name
+    return weak, strong
+
+
+ARC_SETS = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.sets(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
+    max_size=3 * n)))
+
+
+class TestArcArrayOracles:
+    """Connectivity and the least walk read from the sorted arc array agree
+    with the searches over neighbour lists that they replaced."""
+
+    def test_corpus_and_quotients(self, all_pairs, wreath_pairs):
+        for name, pair in all_pairs + wreath_pairs:
+            graphs = [(name, pair.graph), (f"reversed {name}", reverse_arcs(pair.graph))]
+            graphs += [(f"{name} / N of order {n.order}", out.quotient_graph)
+                       for n, out in og4.classify_all_quotients(pair)
+                       if out.quotient_graph is not None]
+            for label, graph in graphs:
+                assert_matches_oracles(graph, label)
+
+    def test_long_cycles(self):
+        """A scrambled 20,000-cycle, whose 10,000 rounds of frontier search
+        hook-and-jump does in a few, and two such cycles."""
+        one = scrambled_cycles(20_000, 1)
+        assert assert_matches_oracles(one, "one cycle", steps=50) == (True, True)
+        two = scrambled_cycles(20_000, 2, seed=1)
+        assert assert_matches_oracles(two, "two cycles", steps=50) == (False, False)
+
+    def test_layered(self):
+        """The shortest walks from vertex 0 double with each layer; each
+        vertex enters a frontier once, so under tracemalloc ``connectivity``
+        at r = 20 peaks at some 14 KB (46 MB when a frontier keeps every
+        walk), and r = 40 has its answer."""
+        assert layered(5) == og4.lexicographic_cycle(5).graph
+        connectivity(layered(3))  # numpy's first-call allocations, untraced
+        tracemalloc.start()
+        try:
+            assert connectivity(layered(20)) == og4.Connectivity(True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, peak
+        for graph in (layered(40), reverse_arcs(layered(40))):
+            assert assert_matches_oracles(graph, graph, steps=90) == (True, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARC_SETS)
+    def test_drawn(self, drawn):
+        n, arcs = drawn
+        graph = OrientedGraph(n, sorted(arcs))
+        assert_matches_oracles(graph, (n, sorted(arcs)))
+        assert_matches_oracles(reverse_arcs(graph), "reversed")
 
 
 class TestVerify:

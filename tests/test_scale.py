@@ -9,7 +9,8 @@ inventory of Aut(T).  The constructions give closed forms: tw has
 2|T|^2 whose only minimal normal subgroup is T x T, transitive on the
 vertices, so both pairs are quasiprimitive.  Each member is constructed,
 its emitted pair verified and its spec classified through the CLI, under a
-generous time bound.
+generous time bound.  The tw member's N = <s0, s1>, read from one column of
+N<iota>'s table, is compared with N grown in that table.
 
 T = PSL(2,9) = Alt(6) acts on the projective line over F_9 = F_3[i],
 i^2 = -1, with a + bi -> point 1 + a + 3b and infinity -> point 10.  Its
@@ -22,9 +23,12 @@ PGammaL(2,9), all of Aut(T), the inventory.  Its pa member, with |V| = 64,800 an
 import json
 import time
 
+import numpy as np
 import pytest
 
-from og4.cli import main
+import og4
+from og4 import parse_permutation
+from og4.cli import build_from_document, main
 
 PSL27 = ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)", "(1 8)(2 7)(3 4)(5 6)"]
 PGL27 = PSL27 + ["(2 4 3 7 5 6)"]
@@ -71,6 +75,23 @@ def test_psl27_member(capsys, tmp_path, family):
     assert [(q["normal_subgroup_order"], q["n_blocks"]) for q in classified["quotients"]] \
         == [(T_ORDER ** 2, 1), (2 * T_ORDER ** 2, 1)]
     assert elapsed < SECONDS, f"{family}: {elapsed:.1f} s"
+
+
+def assert_n_is_one_column(pair, a, b, degree):
+    """tw's N = <s0, s1> is the elements of N<iota> (the pair's small
+    action) that send point 0 into the first half, as growing N in the
+    table finds."""
+    n_iota = pair.group.action
+    grown = og4.constructions._span(n_iota, [og4.embed_pair(a, b), og4.embed_pair(b, a)], "tw")
+    assert np.array_equal(n_iota.table[:, 0] < degree, grown)
+    assert np.count_nonzero(grown) * 2 == n_iota.order
+
+
+def test_psl27_tw_n_is_one_column():
+    spec = SPECS["tw"]
+    a, b = (parse_permutation(spec[k], 8) for k in ("a", "b"))
+    pair = build_from_document(spec, 10 ** 7)
+    assert_n_is_one_column(pair, a, b, 8)
 
 
 PSL29 = ["(1 2 3)(4 5 6)(7 8 9)", "(2 7 3 4)(5 8 9 6)", "(1 10)(2 3)(5 8)(6 9)"]
