@@ -248,45 +248,41 @@ def _basic_type_from_kinds(kinds: set[str]) -> str:
 
 def basic_chain(pair: OGPair) -> tuple[list[tuple[PermGroup, OGPair]], OGPair,
                                        list[tuple[PermGroup, QuotientOutcome]]]:
-    """Greedy cover chain 1 < N_1 < ... < N_s ending at a basic quotient.
+    """Reduce the pair to a basic quotient in one step: the chain is
+    [(N, Gamma_N)] for the first largest cover kernel N in the order of
+    ``classify_all_quotients``, or empty for basic input.
 
-    Each N_i is a normal subgroup of the *original* group; the paired OGPair
-    is the corresponding quotient.  For basic input the chain is empty.
-    When several normal subgroups give covers, the largest is taken (fewest
-    quotient vertices), ties broken by the order of
-    ``classify_all_quotients`` (element indices, i.e. element-table order).
+    Gamma_N is basic.  Its group is G on the N-orbits, which is G/N since a
+    cover's kernel is N, so its normal subgroups are the M/N with
+    N <= M normal in G, and (Gamma_N)_{M/N} = Gamma_M, the M/N-orbits on
+    N-blocks being the M-orbits.  A vertex's out-neighbours lie in distinct
+    N-blocks, so Gamma_M is a valency-4 oriented quotient of Gamma_N exactly
+    when it is one of Gamma: M/N is a cover kernel of Gamma_N iff M is one
+    of Gamma.  A cover of Gamma_N would give a cover kernel M larger than N.
+    The same argument shows that Gamma_N, for any cover kernel N, is basic
+    iff no cover kernel strictly contains N (``basic_quotients``).
+
     Returns the chain, the terminal pair, and the terminal's
     ``classify_all_quotients``, which ``_basic_type`` can read.
     """
-    group = pair.group
-    chain: list[tuple[PermGroup, OGPair]] = []
-    current = pair
-    current_blocks = BlockPartition.from_labels(np.arange(pair.graph.n_vertices))
-    while True:
-        classified = classify_all_quotients(current)
-        covers = [(n_sub, out) for n_sub, out in classified if out.kind == "Cover"]
-        if not covers:
-            return chain, current, classified
-        n_bar, out = max(covers, key=lambda item: item[0].order)  # first of the largest
-        # compose the quotient partition with the current one to express the
-        # chain subgroup inside the original group
-        composed_labels = out.partition.point_block[current_blocks.point_block]
-        current_blocks = BlockPartition.from_labels(composed_labels)
-        _, n_orig = induced_block_action(group, current_blocks)
-        if chain and n_orig.order <= chain[-1][0].order:
-            raise InvariantViolation("basic chain is not strictly increasing")
-        current = out.quotient_pair
-        chain.append((n_orig, current))
+    classified = classify_all_quotients(pair)
+    covers = [(n_sub, out) for n_sub, out in classified if out.kind == "Cover"]
+    if not covers:
+        return [], pair, classified
+    n_sub, out = max(covers, key=lambda item: item[0].order)  # first of the largest
+    terminal = out.quotient_pair
+    terminal_classified = classify_all_quotients(terminal)
+    if any(o.kind == "Cover" for _, o in terminal_classified):
+        raise InvariantViolation("quotient by a largest cover kernel has a cover")
+    return [(n_sub, terminal)], terminal, terminal_classified
 
 
 def basic_quotients(pair: OGPair) -> list[tuple[PermGroup, OGPair]]:
-    """All (N, quotient) with the quotient a *basic* OG(4) cover of the pair.
-
-    Exhaustive counterpart to the greedy chain; for basic input this is
-    empty.
+    """All (N, quotient) with the quotient a *basic* OG(4) cover of the pair:
+    the cover kernels that no other cover kernel strictly contains (the
+    argument is in ``basic_chain``), in the order of
+    ``classify_all_quotients``.  For basic input this is empty.
     """
-    out = []
-    for n_sub, res in classify_all_quotients(pair):
-        if res.kind == "Cover" and basic_type(res.quotient_pair) != "NonBasic":
-            out.append((n_sub, res.quotient_pair))
-    return out
+    covers = [(n_sub, out) for n_sub, out in classify_all_quotients(pair) if out.kind == "Cover"]
+    return [(n, out.quotient_pair) for n, out in covers
+            if not any(m.order > n.order and (m._mask >= n._mask).all() for m, _ in covers)]

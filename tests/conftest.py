@@ -110,6 +110,27 @@ def wreath_pairs():
     return [(name, og4.cli.build_from_document(doc)) for name, doc in WREATH_DOCS.items()]
 
 
+def cyclic_square_doc(n):
+    """The raw_cayley document on Z_n x Z_n = <(1 .. n), (n+1 .. 2n)>, with
+    a and b the two cycles and h swapping them, (1 n+1)(2 n+2)...(n 2n)."""
+    a = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    b = "(" + " ".join(str(i) for i in range(n + 1, 2 * n + 1)) + ")"
+    h = "".join(f"({i} {n + i})" for i in range(1, n + 1))
+    return {"family": "raw_cayley", "generators": [a, b], "a": a, "b": b, "h_conjugator": h}
+
+
+# NonBasic pairs whose cover kernels nest, so that the largest cover kernel,
+# the basic quotients and the covers of a cover quotient differ: Z12 x Z12
+# has 16 cover kernels, of which 6 lie in no larger one.  Kept out of
+# all_pairs for tier-1 time.
+CYCLIC_SQUARE_DOCS = {f"Z{n}^2": cyclic_square_doc(n) for n in (4, 6, 8, 12)}
+
+
+@pytest.fixture(scope="session")
+def cyclic_square_pairs():
+    return [(name, og4.cli.build_from_document(doc)) for name, doc in CYCLIC_SQUARE_DOCS.items()]
+
+
 @pytest.fixture(scope="session")
 def pairs_and_covers(all_pairs):
     """``all_pairs`` followed by the certified quotient pair of each Cover

@@ -15,8 +15,9 @@ alternating-cycle walk and multicover ``Counter`` that orbit labels and
 sorted arc codes replaced, the per-point cycle-notation parser and
 printer, the per-entry arc checks and tuple-set graph that whole-array
 document reads replaced, the per-candidate automorphism loop that the
-array test of an inventory's conjugator rows replaced, and the
-``json.dumps`` that writes every report.
+array test of an inventory's conjugator rows replaced, the greedy cover
+loop and the per-quotient basic types that the one-step basic reduction
+replaced, and the ``json.dumps`` that writes every report.
 
 Each element is looked up by the bytes of its full image row in a dict built
 here, never through ``PermGroup.index``, so the oracles share no lookup code
@@ -754,6 +755,35 @@ def normal_quotient(pair, n_sub):
     if not og4.connectivity(qgraph).connected:
         raise InvariantViolation("quotient of a connected pair is disconnected")
     return QuotientOutcome(kind, qgraph, image, kernel, part, ell, m // ell)
+
+
+def basic_chain(pair):
+    """``og4.basic_chain`` as a greedy loop: take the first largest cover
+    kernel of the current pair, compose its blocks with the blocks so far,
+    and read the chain subgroup of the original group as the kernel of the
+    original group on the composed blocks, until no cover is left."""
+    group = pair.group
+    chain, current = [], pair
+    current_blocks = og4.BlockPartition.from_labels(np.arange(pair.graph.n_vertices))
+    while True:
+        classified = og4.classify_all_quotients(current)
+        covers = [(n_sub, out) for n_sub, out in classified if out.kind == "Cover"]
+        if not covers:
+            return chain, current, classified
+        _, out = max(covers, key=lambda item: item[0].order)  # first of the largest
+        composed_labels = out.partition.point_block[current_blocks.point_block]
+        current_blocks = og4.BlockPartition.from_labels(composed_labels)
+        _, n_orig = og4.induced_block_action(group, current_blocks)
+        if chain and n_orig.order <= chain[-1][0].order:
+            raise InvariantViolation("basic chain is not strictly increasing")
+        current = out.quotient_pair
+        chain.append((n_orig, current))
+
+
+def basic_quotients(pair):
+    """``og4.basic_quotients`` by the basic type of every cover quotient."""
+    return [(n_sub, out.quotient_pair) for n_sub, out in og4.classify_all_quotients(pair)
+            if out.kind == "Cover" and og4.basic_type(out.quotient_pair) != "NonBasic"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ gives a Biquasiprimitive pair on 3,600 vertices, and Z2 wr D6 a NonBasic
 pair on 24 vertices with UnorientedCycle quotients.  Each document runs
 through every command of the CLI, and each answer is checked apart from
 og4's lattice: a two-colouring of the graph, the group orders from sympy,
-and the dihedral block action of each cycle quotient."""
+and the dihedral block action of each cycle quotient.  The two theorem
+checks these pairs reach first, the dihedral test of an UnorientedCycle
+and the cross-check of a Biquasiprimitive type, are made to fail once each."""
 
 import json
 from collections import deque
@@ -12,6 +14,7 @@ from collections import deque
 import pytest
 
 import og4
+from og4 import quotient
 from og4.cli import main
 
 import oracles
@@ -126,3 +129,19 @@ def test_unoriented_cycles_are_dihedral(wreath_pairs):
         edges = oracles.undirected_edges(out.quotient_graph)
         assert len(edges) == r and oracles.connectivity(out.quotient_graph)[0]
         assert sorted(v for e in edges for v in e) == sorted(2 * list(range(r)))
+
+
+def test_dihedral_check_fires(monkeypatch, wreath_pairs):
+    pair = dict(wreath_pairs)["Z2 wr D6"]
+    monkeypatch.setattr(quotient, "_is_dihedral_of_order", lambda group, two_r: False)
+    with pytest.raises(og4.InvariantViolation,
+                       match="unoriented 2-valent quotient is not a dihedral r-cycle"):
+        og4.classify_all_quotients(pair)
+
+
+def test_biquasiprimitive_cross_check_fires(monkeypatch, wreath_pairs):
+    pair = dict(wreath_pairs)["Alt(5) wr S2"]
+    monkeypatch.setattr(quotient, "_quasiprimitivity", lambda group, minimal: "quasiprimitive")
+    with pytest.raises(og4.InvariantViolation,
+                       match="basic type and biquasiprimitivity test disagree"):
+        og4.basic_type(pair)

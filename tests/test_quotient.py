@@ -228,6 +228,64 @@ class TestBasic:
         assert {"Cover", "OrientedCycle", "K2", "K1"} <= seen
 
 
+def same_pair(p, q):
+    return (np.array_equal(p.graph.arcs, q.graph.arcs)
+            and np.array_equal(p.group.table, q.group.table) and p.labels == q.labels)
+
+
+class TestBasicReduction:
+    """``basic_chain`` takes one step, to the quotient by the first largest
+    cover kernel, and ``basic_quotients`` keeps the cover kernels that lie
+    in no larger one.  The oracles are the greedy loop over covers of
+    covers and the basic type of every cover quotient."""
+
+    # n -> (cover kernel orders, chain kernel orders, basic quotient kernel orders)
+    CYCLIC_SQUARES = {
+        "Z4^2": ([2], [2], [2]),
+        "Z6^2": ([2, 3, 3, 4], [4], [3, 3, 4]),
+        "Z8^2": ([2, 4, 4, 4, 8, 8, 8], [8], [8, 8, 8]),
+        "Z12^2": ([2, 3, 3, 4, 4, 4, 6, 6, 8, 9, 12, 12, 12, 12, 16, 18], [18],
+                  [12, 12, 12, 12, 16, 18]),
+    }
+
+    def test_matches_oracles(self, all_pairs, wreath_pairs, cyclic_square_pairs):
+        for name, pair in all_pairs + wreath_pairs + cyclic_square_pairs:
+            chain, terminal, classified = basic_chain(pair)
+            want_chain, want_terminal, want_classified = oracles.basic_chain(pair)
+            assert len(chain) == len(want_chain) <= 1, name
+            for (n, q), (want_n, want_q) in zip(chain, want_chain):
+                assert n.same_elements(want_n) and same_pair(q, want_q), name
+            assert same_pair(terminal, want_terminal), name
+            assert [(n.order, o.kind, o.partition.n_blocks) for n, o in classified] == [
+                (n.order, o.kind, o.partition.n_blocks) for n, o in want_classified], name
+
+            got, want = basic_quotients(pair), oracles.basic_quotients(pair)
+            assert len(got) == len(want), name
+            for (n, q), (want_n, want_q) in zip(got, want):
+                assert n.same_elements(want_n) and same_pair(q, want_q), name
+
+    def test_nested_cover_kernels(self, cyclic_square_pairs):
+        for name, pair in cyclic_square_pairs:
+            covers = [n.order for n, o in classify_all_quotients(pair) if o.kind == "Cover"]
+            chain = [n.order for n, _ in basic_chain(pair)[0]]
+            basic = [n.order for n, _ in basic_quotients(pair)]
+            assert (covers, chain, basic) == self.CYCLIC_SQUARES[name], name
+
+    def test_non_basic_terminal_refused(self, monkeypatch, cyclic_square_pairs):
+        """With the order-8 cover kernels of Z8 x Z8 hidden, the largest
+        left has order 4, and its quotient has a cover: the check fires."""
+        pair = dict(cyclic_square_pairs)["Z8^2"]
+        real = quotient.classify_all_quotients
+
+        def hiding(p):
+            results = real(p)
+            return [(n, o) for n, o in results if p is not pair or n.order != 8]
+
+        monkeypatch.setattr(quotient, "classify_all_quotients", hiding)
+        with pytest.raises(og4.InvariantViolation, match="largest cover kernel has a cover"):
+            basic_chain(pair)
+
+
 class TestClassifyOnce:
     """``classify`` and ``chain`` read the basic type's minimal normal
     quotients from the quotients they have classified, so each nontrivial

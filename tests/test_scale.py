@@ -12,6 +12,11 @@ its emitted pair verified and its spec classified through the CLI, under a
 generous time bound.  The tw member's N = <s0, s1>, read from one column of
 N<iota>'s table, is compared with N grown in that table.
 
+G = PSL(2,7) wr S2 acts on 16 points: T on 1..8, T on 9..16 and the swap
+(1 9)(2 10)...(8 16).  Its raw_coset member, with |V| = |G|/2 = 28,224,
+is biquasiprimitive: T x T, of index 2, has two orbits, the K2 quotient's
+blocks.  It runs through construct, classify, chain and analyze.
+
 T = PSL(2,9) = Alt(6) acts on the projective line over F_9 = F_3[i],
 i^2 = -1, with a + bi -> point 1 + a + 3b and infinity -> point 10.  Its
 generators are x -> x + 1, x -> -ix (-i = (1 + i)^2 generates the nonzero
@@ -21,6 +26,7 @@ PGammaL(2,9), all of Aut(T), the inventory.  Its pa member, with |V| = 64,800 an
 """
 
 import json
+import re
 import time
 
 import numpy as np
@@ -127,3 +133,49 @@ def test_psl29_pa_member(capsys, tmp_path):
     assert [(q["normal_subgroup_order"], q["n_blocks"]) for q in classified["quotients"]] \
         == [(T29_ORDER ** 2, 1), (2 * T29_ORDER ** 2, 1)]
     assert elapsed < SECONDS_29, f"pa over PSL(2,9): {elapsed:.1f} s"
+
+
+def shift(text, by):
+    """Cycle notation with every point moved up by ``by``."""
+    return re.sub(r"\d+", lambda m: str(int(m.group()) + by), text)
+
+
+PSL27_WR = {
+    "family": "raw_coset",
+    "group_generators": PSL27 + [shift(g, 8) for g in PSL27]
+    + ["".join(f"({i} {i + 8})" for i in range(1, 9))],
+    "subgroup_generators": ["(1 8)(2 6)(3 7)(4 5)(9 10)(11 12)(13 15)(14 16)"],
+    "s": "(1 13 7 9 8 16)(2 10 4 11 6 12)(3 14)(5 15)",
+}
+SECONDS_WR = 30.0  # all four commands; about 1.1 s on 2 cores
+
+
+def test_psl27_wreath_member(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PSL27_WR))
+
+    def run(*argv):
+        status = main([*argv, str(spec), "--max-order", str(10 ** 7)])
+        out = capsys.readouterr().out
+        assert status == 0, (argv, out)
+        return json.loads(out)
+
+    t0 = time.perf_counter()
+    built, classified, chained, analyzed = (
+        run(command) for command in ("construct", "classify", "chain", "analyze"))
+    elapsed = time.perf_counter() - t0
+
+    order = 2 * T_ORDER ** 2
+    assert built["pair"]["n_vertices"] == T_ORDER ** 2 == 28_224
+    for report in (built, classified):
+        assert report["certificate"]["group_order"] == order == 56_448
+        assert report["certificate"]["stabilizer_order"] == 2
+    assert classified["basic_type"] == "Biquasiprimitive"
+    # (kind, |N|, blocks): T x T gives K2, G gives K1
+    assert [(q["kind"], q["normal_subgroup_order"], q["n_blocks"])
+            for q in classified["quotients"]] == [("K2", T_ORDER ** 2, 2), ("K1", order, 1)]
+    assert chained["kernel_orders"] == []
+    assert chained["terminal"] == {"n_vertices": T_ORDER ** 2, "group_order": order}
+    assert chained["basic_type_of_terminal"] == "Biquasiprimitive"
+    assert analyzed["s_arcs"]["counts"] == [T_ORDER ** 2, order, 2 * order]
+    assert elapsed < SECONDS_WR, f"PSL(2,7) wr S2: {elapsed:.1f} s"
