@@ -34,6 +34,7 @@ level tables included, is checked against ``TABLE_BYTES`` first.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -186,7 +187,9 @@ class SortedKeys:
 
 class _Level:
     """One level of a stabiliser chain: a base point, generators of the
-    level's group, and a Schreier tree of the point's orbit.
+    level's group, and a Schreier tree of the point's orbit.  A group's
+    element search is one too (``perm._search_tree``): the identity's
+    orbit under the right multiplications by the generators, with no jumps.
 
     The orbit is found by breadth-first search over points.  Each new point
     gets its tree parent (``parent``) and the generator of the tree edge
@@ -196,55 +199,71 @@ class _Level:
     ``tree[via[y]]``.  No row is kept; ``columns`` gathers every row on a
     few points, and ``row`` one whole row by walking up the tree.
 
-    ``tree`` is ``gens`` followed by any jumps: while the tree is deeper
-    than twice the bit length of the orbit size, the rows of the points at
-    depth d, d/2, d/4, ... on the path to the deepest point join ``tree``
-    and the search is redone, so a long cycle's tree is shallow (Seress,
-    *Permutation Group Algorithms*, ch. 4, on shallow Schreier trees).  The
-    Schreier check still multiplies by ``gens`` alone.
+    ``tree`` is ``gens`` followed by any jumps, which ``shallow`` adds to a
+    chain's levels: while the tree is deeper than twice the bit length of
+    the orbit size, the rows of the points at depth d, d/2, d/4, ... on the
+    path to the deepest point join ``tree`` and the search is redone, so a
+    long cycle's tree is shallow (Seress, *Permutation Group Algorithms*,
+    ch. 4, on shallow Schreier trees).  The Schreier check still multiplies
+    by ``gens`` alone.
 
     The search stops once the orbit has more than ``limit`` points, with no
     jumps made; such a level is incomplete, and ``_levels`` drops it.
     """
 
-    def __init__(self, point: int, gens: np.ndarray, key, limit: float = math.inf):
+    def __init__(self, point: int, gens: np.ndarray, key=None, limit: float = math.inf):
         self.point = point
         self.gens = gens
         self.key = key
         self.tree = gens
-        while self._search(limit) > 2 * self.orbit.size.bit_length() and self.orbit.size <= limit:
-            self.tree = np.vstack([self.tree, self._jumps(self.orbit.size - 1)])
+        self._search(limit)
 
-    def _search(self, limit: float) -> int:
-        """Build the tree by breadth-first search, until the orbit is complete
-        or has more than ``limit`` points; its depth."""
-        tree = self.tree
-        where = np.full(tree.shape[1], -1, dtype=np.int64)  # point -> orbit index
-        where[self.point] = 0
-        orbit, parent, via = [np.array([self.point])], [np.array([-1])], [np.array([-1])]
+    def shallow(self, limit: float) -> "_Level":
+        """The level, with jumps added while its tree is deep."""
+        while self.depth > 2 * self.orbit.size.bit_length() and self.orbit.size <= limit:
+            self.tree = np.vstack([self.tree, self._jumps(self.orbit.size - 1)])
+            self._search(limit)
+        return self
+
+    def _search(self, limit: float) -> None:
+        """Build the tree and its ``depth``, int32 arrays, by breadth-first
+        search until the orbit is complete or has more than ``limit`` points."""
+        tree, n = self.tree, self.tree.shape[1]
+        where = np.full(n, -1, dtype=np.int32)  # point -> orbit index
+        orbit, parent, via = (np.empty(n, dtype=np.int32) for _ in range(3))
+        where[self.point], orbit[0], parent[0], via[0] = 0, self.point, -1, -1
         segments = []  # (lo, hi, generator)
-        size, depth, frontier = 1, 0, np.array([self.point])
-        while frontier.size and size <= limit:
-            found = []
+        lo, size, depth = 0, 1, 0
+        while lo < size <= limit:
+            frontier, lo = orbit[lo:size], size
             for s in range(tree.shape[0]):
                 image = tree[s][frontier]
                 fresh = where[image] < 0
                 pts = image[fresh]
                 if pts.size:
-                    where[pts] = np.arange(size, size + pts.size)
-                    segments.append((size, size + pts.size, s))
-                    orbit.append(pts)
-                    parent.append(where[frontier[fresh]])
-                    via.append(np.full(pts.size, s))
-                    found.append(pts)
-                    size += pts.size
-            frontier = np.concatenate(found) if found else frontier[:0]
-            depth += bool(found)
-        self.where, self.segments = where, segments
-        self.orbit = np.concatenate(orbit)
-        self.parent = np.concatenate(parent)
-        self.via = np.concatenate(via)
-        return depth
+                    hi = size + pts.size
+                    where[pts] = np.arange(size, hi)
+                    orbit[size:hi], parent[size:hi], via[size:hi] = pts, where[frontier[fresh]], s
+                    segments.append((size, hi, s))
+                    size = hi
+            depth += size > lo
+        if size < n:  # hold no room past the orbit
+            orbit, parent, via = orbit[:size].copy(), parent[:size].copy(), via[:size].copy()
+        self.where, self.segments, self.depth = where, segments, depth
+        self.orbit, self.parent, self.via = orbit, parent, via
+
+    def renumbered(self, order: np.ndarray, rank: np.ndarray) -> "_Level":
+        """The same tree with point ``order[i]`` named i; ``rank`` is the
+        inverse of ``order``.  Only ``orbit``, ``where`` and the rows of
+        ``tree`` change: parents, ``via`` and segments are orbit indices."""
+        new = copy.copy(self)
+        new.point = int(rank[self.point])
+        new.tree = new.gens = np.empty_like(self.tree)  # an element search has no jumps
+        for m, out in zip(self.tree, new.tree):
+            np.take(rank, m[order], out=out)
+        new.orbit = np.take(rank, self.orbit, out=np.empty_like(self.orbit))
+        new.where = self.where[order]
+        return new
 
     def columns(self, points: np.ndarray, cols: Optional[np.ndarray] = None,
                 rows: Optional[int] = None) -> np.ndarray:
@@ -472,8 +491,9 @@ def _levels(strong: np.ndarray, n_given: int, old: list[_Level],
         gens = active[active < n_given] if not levels else active
         key = (b, tuple(gens.tolist()))
         j = len(levels)
+        limit = cap // product
         level = (old[j] if j < len(old) and old[j].key == key
-                 else _Level(b, strong[gens], key, cap // product))
+                 else _Level(b, strong[gens], key, limit).shallow(limit))
         product *= level.orbit.size
         if product > cap:
             return None

@@ -529,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.max_order <= 0 or args.max_sarcs <= 0:
-        parser.exit(2, "caps must be positive\n")
+        parser.exit(2, "error: caps must be positive\n")
     if args.command == "export" and args.format == "json":
         args.format = "dot"
     try:

@@ -27,7 +27,6 @@ from .perm import (
     _element_orders,
     _generate_in_parent,
     _right_mult_map,
-    _search_tree,
     _subgroup,
     _word_map,
     compose,
@@ -406,7 +405,7 @@ def double_coset_graph(
     n = space.n_cosets
     heads = np.concatenate([space.coset_id[_word_map(group, d, space.reps, left=True)]
                             for d in np.flatnonzero(dcs)])
-    _search_tree(group).left = None  # only the coset graph reads the left maps
+    group._left = None  # only the coset graph reads the left maps
     codes = _distinct_codes(np.tile(np.arange(n), heads.size // n), heads, n)
     graph = OrientedGraph(n, np.stack([codes // n, codes % n], axis=1))
     # the coset action is a homomorphic image of the group

@@ -222,7 +222,8 @@ def _reached(graph: OrientedGraph, forward: bool) -> int:
         first, sizes = starts[frontier], starts[frontier + 1] - starts[frontier]
         ends = np.cumsum(sizes)
         step = heads[np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)]
-        frontier = np.unique(step[~seen[step]])  # each vertex enters once
+        step = np.sort(step[~seen[step]])
+        frontier = step[_kernels.run_starts(step)]  # each vertex enters once
         seen[frontier] = True
     return int(np.count_nonzero(seen))
 

@@ -51,19 +51,21 @@ a group whose generators are paired one for one with the group's; see
 is put in the group's element order once, so masks, element indices and
 every "(order, element indices)" tie-break are those of the group's own
 table, which is never gathered for them.  A block action's kernel reads
-each element's images of the blocks' representatives, found by a
-breadth-first search over the element indices (``_images``,
-``_point_images``), not from the table.  The same search, with every edge
-of the small action's Cayley graph checked (``_paired_images``), proves
-that the pairing extends to a homomorphism; ``paired_order_bound`` uses it
-to bound a group's order by its small action's before the group is
-enumerated.
+each element's images of the blocks' representatives along the element
+search (``_images``, ``_point_images``), not from the table: the Schreier
+tree of the identity under the generators' right multiplications, a
+stabiliser-chain level with no jumps (``_search_tree``).  The same tree,
+with every edge of the Cayley graph checked (``_edges_hold``), proves that
+a pairing of generators extends to a homomorphism: the small action's
+(``_paired_images``, which ``paired_order_bound`` uses to bound a group's
+order before it is enumerated) and an automorphism's.
 
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -309,7 +311,8 @@ class PermGroup:
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._class_lattice: Optional[tuple] = None
-        self._tree: Optional[_SearchTree] = None
+        self._tree: Optional[_kernels._Level] = None
+        self._left: Optional[list[np.ndarray]] = None
         self._columns: dict[int, np.ndarray] = {}
 
     @property
@@ -639,12 +642,12 @@ def _word_map(group: PermGroup, s: int, points: Optional[np.ndarray] = None,
     """x -> x * s, or x -> s * x if ``left``, at the points (every element
     by default), with no lookup.  For s = g_j1 ... g_jd, its word in the
     search tree, that is the generators' right maps composed from g_j1 on,
-    or their left maps (looked up on first use) from g_jd on."""
+    or their left maps (looked up on first use, ``_left``) from g_jd on."""
     tree = _search_tree(group)
-    if left and tree.left is None:
-        tree.left = [left_mult_map(group, group.index_of(g)) for g in group.generators]
-    word = tree.word(s)
-    maps, word = (tree.left, word[::-1]) if left else (tree.right, word)
+    if left and group._left is None:
+        group._left = [left_mult_map(group, group.index_of(g)) for g in group.generators]
+    word = tree._path(tree.where[s])
+    maps, word = (group._left, word[::-1]) if left else (tree.gens, word)
     m = points
     for j in word:
         m = maps[j] if m is None else maps[j][m]
@@ -708,19 +711,24 @@ def _faithful_table(group: PermGroup) -> PermGroup:
 def _paired_images(small: PermGroup, rows: np.ndarray,
                    points: Sequence[int]) -> Optional[np.ndarray]:
     """``_images`` of the points, generator j of ``small`` paired with
-    ``rows[j]``, once every edge x -> x * s_j of S's Cayley graph is checked:
-    the images at x * s_j must be row j applied after those at x.  None if
-    one is not.
+    ``rows[j]``, once every edge x -> x * s_j of S's Cayley graph is checked
+    (``_edges_hold``); None if one fails.
 
     If every edge holds, a word w in the generators carries the images at x
     to those at x * w, inverses included; so a relator of S fixes the images
     of the points under every element (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, ch. 4, on action homomorphisms)."""
-    images = _images(small, rows, points)
-    for g, row in zip(small.generators, rows):
-        if not np.array_equal(images[_right_mult_map(small, small.index_of(g))], row[images]):
-            return None
-    return images
+    tree = _search_tree(small)
+    images = _images(tree, rows, points)
+    return images if _edges_hold(images, tree.gens, rows) else None
+
+
+def _edges_hold(images: np.ndarray, maps: Iterable[np.ndarray],
+                rows: Iterable[np.ndarray]) -> bool:
+    """Whether every edge x -> x * s_j of a Cayley graph, ``maps[j]``,
+    carries the images at x to ``rows[j]`` applied after them.  ``maps``
+    and ``rows`` may be iterators, read in step."""
+    return all(np.array_equal(images[m], row[images]) for m, row in zip(maps, rows))
 
 
 def paired_order_bound(small: PermGroup, gens: Sequence[Permutation]) -> Optional[int]:
@@ -742,75 +750,34 @@ def paired_order_bound(small: PermGroup, gens: Sequence[Permutation]) -> Optiona
     return small.order
 
 
-class _SearchTree:
-    """Breadth-first search of a group's elements from the identity over
-    the right multiplications by its generators, ``right[j]``: x -> x * g_j.
-    Element x is ``parent[x]`` times generator ``via[x]``, so the path up
-    to the identity spells x as a word in the generators; ``layers`` are
-    the elements each round finds.  ``left[j]``, x -> g_j * x, is looked up
-    by ``_word_map`` on first use.  The maps are intp, since a gather by an
-    int32 index array converts it first; the rest is int32."""
-
-    def __init__(self, right: list[np.ndarray], parent: np.ndarray, via: np.ndarray,
-                 layers: list[np.ndarray]):
-        self.right, self.parent, self.via, self.layers = right, parent, via, layers
-        self.left: Optional[list[np.ndarray]] = None
-
-    def renumbered(self, order: np.ndarray, rank: np.ndarray) -> "_SearchTree":
-        """The same search with element ``order[i]`` named i; ``rank`` is the
-        inverse of ``order``."""
-        return _SearchTree([rank[m[order]] for m in self.right],
-                           rank[self.parent[order]].astype(np.int32), self.via[order],
-                           [rank[found].astype(np.int32) for found in self.layers])
-
-    def word(self, s: int) -> list[int]:
-        """Generator indices j1, ..., jd with element s = g_j1 * ... * g_jd."""
-        word = []
-        while self.via[s] >= 0:
-            word.append(int(self.via[s]))
-            s = self.parent[s]
-        return word[::-1]
-
-
-def _search_tree(group: PermGroup) -> _SearchTree:
-    """The group's ``_SearchTree``, built on first use and cached: the
-    generators' right maps, then one gather per generator and round."""
+def _search_tree(group: PermGroup) -> _kernels._Level:
+    """The group's element search, built on first use and cached: the
+    Schreier tree (``_kernels._Level``) of the identity under the
+    generators' right maps x -> x * g_j, which are intp, since a gather by
+    an int32 index array converts it first."""
     if group._tree is None:
-        right = [_right_mult_map(group, group.index_of(g)) for g in group.generators]
-        parent = np.zeros(group.order, dtype=np.int32)
-        via = np.full(group.order, -1, dtype=np.int32)
-        seen = np.zeros(group.order, dtype=bool)
-        seen[group.identity_index] = True
-        frontier, layers = np.asarray([group.identity_index]), []
-        while frontier.size:
-            layer = []
-            for j, m in enumerate(right):
-                y = m[frontier]
-                fresh = ~seen[y]
-                y = y[fresh]
-                seen[y] = True
-                parent[y], via[y] = frontier[fresh], j
-                layer.append(y)
-            frontier = np.concatenate(layer)
-            layers.append(frontier.astype(np.int32))
-        if not seen.all():  # a word would be missing, and its map would be wrong
+        tree = _kernels._Level(group.identity_index, _right_maps(group, group.generators))
+        if tree.orbit.size < group.order:  # a word would be missing, and its map would be wrong
             raise InvariantViolation("the generators do not generate the group")
-        group._tree = _SearchTree(right, parent, via, layers)
+        group._tree = tree
     return group._tree
 
 
-def _images(group: PermGroup, gen_rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
+def _right_maps(group: PermGroup, elements: Sequence[Permutation]) -> np.ndarray:
+    """(len(elements), order): row j is x -> x * elements[j], looked up."""
+    return np.array([right_mult_map(group, group.index_of(e)) for e in elements],
+                    dtype=np.intp).reshape(len(elements), group.order)
+
+
+def _images(tree: _kernels._Level, rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
     """(order, len(points)): row x holds the images of the points under the
-    product of ``gen_rows`` along the search path to element x
-    (``_search_tree``), generator j of ``group`` being paired with
-    ``gen_rows[j]``.  Where the pairing extends to a homomorphism, that is
-    the image of x, whatever the path."""
-    out = np.empty((group.order, len(points)), dtype=np.int32)
-    out[group.identity_index] = points
-    tree = _search_tree(group)
-    for found in tree.layers:
-        out[found] = gen_rows[tree.via[found][:, None], out[tree.parent[found]]]
-    return out
+    product of ``rows`` along the path to element x in the element search
+    ``tree`` (its ``columns``, with edge j read as ``rows[j]``).  Where the
+    pairing extends to a homomorphism, that is the image of x, whatever
+    the path."""
+    paired = copy.copy(tree)
+    paired.tree = rows
+    return paired.columns(np.asarray(points))[tree.where]
 
 
 def _point_images(group: PermGroup, points: Sequence[int]) -> np.ndarray:
@@ -822,7 +789,7 @@ def _point_images(group: PermGroup, points: Sequence[int]) -> np.ndarray:
     columns = lattice._columns
     new = [int(p) for p in points if int(p) not in columns]
     if new:
-        columns.update(zip(new, _images(lattice, group.gen_rows(), new).T))
+        columns.update(zip(new, _images(_search_tree(lattice), group.gen_rows(), new).T))
     return np.stack([columns[int(p)] for p in points], axis=1)
 
 
@@ -1077,29 +1044,17 @@ class GroupAutomorphism:
         """Extend gens -> images to an automorphism, or None if impossible.
         Lists of different lengths are refused.
 
-        f(x * g) = f(x) * h is imposed frontier by frontier, from f(1) = 1,
-        by the right multiplications by each g and its image h.
+        f(x) is the product of the images along x's path in the search over
+        the gens, and f is a homomorphism iff every edge holds.
         """
         if len(gens) != len(images):
             raise OG4Error(f"{len(gens)} generators but {len(images)} generator images")
-        maps = [
-            (right_mult_map(group, group.index_of(g)), right_mult_map(group, group.index_of(h)))
-            for g, h in zip(gens, images)
-        ]
-        fmap = np.full(group.order, -1, dtype=np.int64)
-        fmap[group.identity_index] = group.identity_index
-        frontier = np.asarray([group.identity_index])
-        while frontier.size:
-            reached = np.zeros(group.order, dtype=bool)
-            for by_g, by_h in maps:
-                y, fy = by_g[frontier], by_h[fmap[frontier]]
-                unset = fmap[y] < 0
-                fmap[y[unset]] = fy[unset]
-                if not np.array_equal(fmap[y], fy):
-                    return None
-                reached[y[unset]] = True
-            frontier = np.flatnonzero(reached)
-        if not np.array_equal(np.sort(fmap), np.arange(group.order)):
+        by_g, by_h = _right_maps(group, gens), _right_maps(group, images)
+        tree = _kernels._Level(group.identity_index, by_g)
+        if tree.orbit.size < group.order:
+            return None
+        fmap = _images(tree, by_h, [group.identity_index])[:, 0]
+        if not (_edges_hold(fmap, by_g, by_h) and np.bincount(fmap, minlength=group.order).all()):
             return None
         return GroupAutomorphism(group, fmap, check=False)
 
@@ -1126,8 +1081,7 @@ def _check_automorphism(group: PermGroup, index_map: np.ndarray) -> None:
         raise OG4Error("index map is not a bijection on the element table")
     # f(x*g) = f(x)*f(g) for all x and generating g implies the full
     # homomorphism property by induction on word length.
-    for g in group.generators:
-        gidx = group.index_of(g)
-        by_fg = right_mult_map(group, int(index_map[gidx]))
-        if not np.array_equal(index_map[right_mult_map(group, gidx)], by_fg[index_map]):
-            raise OG4Error("index map is not a homomorphism")
+    gidx = [group.index_of(g) for g in group.generators]
+    if not _edges_hold(index_map, (right_mult_map(group, i) for i in gidx),
+                       (right_mult_map(group, int(index_map[i])) for i in gidx)):
+        raise OG4Error("index map is not a homomorphism")

@@ -39,7 +39,6 @@ from .perm import (
     is_normal_in,
     minimal_normal_subgroups,
     orbits,
-    transitivity_profile,
 )
 
 
@@ -142,7 +141,7 @@ def classify_og4_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
         # G-normal cover: kernel = N, N semiregular, quotient again in OG(4)
         if not kernel.same_elements(n_sub):
             raise InvariantViolation("cover kernel differs from N")
-        if not transitivity_profile(n_sub).semiregular:
+        if any(size != n_sub.order for size in part.block_sizes()):  # semiregular: |N| per orbit
             raise InvariantViolation("cover with non-semiregular N")
         if image.order * kernel.order != pair.group.order:
             raise InvariantViolation("cover image/kernel order arithmetic failed")

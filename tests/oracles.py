@@ -231,6 +231,54 @@ def conjugating_rows(group, inventory, pairs):
     return np.array(found, dtype=bool)
 
 
+def element_search(group):
+    """Breadth-first search of the elements from the identity over the right
+    multiplications by the generators, looked up by row bytes, as og4 kept
+    it before the search became a stabiliser-chain level: (parent, via,
+    layers), element x being element parent[x] times generator via[x], and
+    layers the elements each round finds, each generator's in turn."""
+    idx = byte_index(group)
+    right = [[idx[row.tobytes()] for row in g.images[group.table]] for g in group.generators]
+    parent = np.zeros(group.order, dtype=np.int64)
+    via = np.full(group.order, -1, dtype=np.int64)
+    seen = {group.identity_index}
+    frontier, layers = [group.identity_index], []
+    while frontier:
+        layer = []
+        for j, m in enumerate(right):
+            for x in frontier:
+                if m[x] not in seen:
+                    seen.add(m[x])
+                    parent[m[x]], via[m[x]] = x, j
+                    layer.append(m[x])
+        frontier = layer
+        if layer:
+            layers.append(np.array(layer))
+    return parent, via, layers
+
+
+def search_word(search, s):
+    """Generator indices j1, ..., jd with element s = g_j1 * ... * g_jd,
+    read up the ``element_search`` tree."""
+    parent, via, _ = search
+    word = []
+    while via[s] >= 0:
+        word.append(int(via[s]))
+        s = parent[s]
+    return word[::-1]
+
+
+def search_images(group, search, rows, points):
+    """Row x: the images of the points under the product of ``rows`` along
+    the ``element_search`` path to element x, one layer at a time."""
+    parent, via, layers = search
+    out = np.empty((group.order, len(points)), dtype=np.int64)
+    out[group.identity_index] = points
+    for found in layers:
+        out[found] = rows[via[found][:, None], out[parent[found]]]
+    return out
+
+
 def from_generator_images(group, gens, images):
     """Index map extending gens -> images by a stack search, or None."""
     idx = byte_index(group)

@@ -428,6 +428,14 @@ class TestClassifyQuotientChain:
         assert json.loads((tmp_path / "v").read_text())["certificate"]["group_order"] == 7200
         assert (tmp_path / "e").read_text().startswith("digraph")
 
+    def test_no_np_unique_in_the_package(self):
+        """``np.unique`` imports ``numpy.ma``; the package calls none."""
+        package = Path(__file__).resolve().parents[1] / "src" / "og4"
+        calls = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "np.unique(" in line]
+        assert not calls, calls
+
     @pytest.mark.parametrize("spec", [
         {"family": "pa", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
          "a": "(1 2)(3 4)", "b": "(1 5 4 3 2)",
@@ -538,6 +546,15 @@ class TestUsage:
             main(["construct", lex3_doc, "--max-order", "0"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cap", [["--max-order", "0"], ["--max-sarcs", "-1"]])
+    def test_nonpositive_cap_error_line(self, capsys, lex3_doc, cap):
+        """A cap below 1 is reported as every other exit-2 path is: one line
+        that starts with ``error:``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", lex3_doc, *cap])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: caps must be positive\n"
 
     def test_raw_cayley_document(self, capsys, tmp_path):
         doc = {

@@ -440,22 +440,25 @@ class TestHeldMaps:
 
     @staticmethod
     def held_maps(group):
-        """The bijections of the element indices that the group and its
-        search tree hold in their attributes, lists, tuples and dicts."""
+        """The bijections of the element indices, alone or as the rows of a
+        2-D array, that the group and its search tree hold in their
+        attributes, lists, tuples and dicts."""
         values = list(vars(group).values())
         if group._tree is not None:
             values += list(vars(group._tree).values())
         flat = [w for v in values for w in (
             v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else [v])]
-        return [a for a in flat if isinstance(a, np.ndarray) and a.shape == (group.order,)
-                and a.dtype == np.intp and np.bincount(a, minlength=group.order).all()]
+        return [a for a in flat if isinstance(a, np.ndarray) and a.ndim in (1, 2)
+                and a.shape[-1] == group.order and a.dtype == np.intp
+                and all(np.bincount(m, minlength=group.order).all()
+                        for m in a.reshape(-1, group.order))]
 
     @pytest.mark.parametrize("family", ["pa", "coset_simple", "sym_bigstab(7)"])
     def test_only_generator_maps(self, family):
         pair = og4.cli.build_from_document(workloads.spec(family, [1, 2, 3, 4, 5]))
         for group in (pair.group, pair.group.action):
             tree = group._tree
-            allowed = [] if tree is None else tree.right + (tree.left or [])
-            allowed += group._conjugation or []
+            allowed = [] if tree is None else [tree.tree, tree.gens]
+            allowed += (group._left or []) + (group._conjugation or [])
             held = self.held_maps(group)
             assert {id(m) for m in held} <= {id(m) for m in allowed}, (family, len(held))

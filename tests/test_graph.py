@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,18 @@ class TestConnectivity:
         searches.clear()
         connectivity(pair.graph)
         assert searches == [("_roots", 60), ("_reached", 60), ("_reached", 60)]
+
+    def test_connectivity_leaves_numpy_ma_unimported(self):
+        """The frontier searches dedupe by a sort, not ``np.unique``, which
+        imports ``numpy.ma``; run in a fresh interpreter on lex_cycle(8)."""
+        script = ("import sys, og4\n"
+                  "c = og4.connectivity(og4.lexicographic_cycle(8).graph)\n"
+                  "sys.exit(3 * (not c.strongly_connected) or 4 * ('numpy.ma' in sys.modules))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
     def test_weak_search_peak(self, tw_pair):
         """Under tracemalloc, the weak test of tw_cayley's 3,600-vertex

@@ -615,6 +615,16 @@ class TestOneIndex:
                     assert np.array_equal(got.index_map, want), name
             assert want is None or oracles.is_automorphism(group, want)
 
+    def test_from_generator_images_of_no_generators(self, narrow_groups):
+        """Empty lists extend to the identity on the trivial group and to
+        nothing on any other."""
+        trivial = og4.PermGroup(3, [identity(3)], np.arange(3, dtype=np.int32)[None, :])
+        for name, group in narrow_groups + [("trivial", trivial)]:
+            want = oracles.from_generator_images(group, [], [])
+            got = GroupAutomorphism.from_generator_images(group, [], [])
+            assert (want is None) == (got is None) == (group.order > 1), name
+            assert got is None or np.array_equal(got.index_map, want), name
+
     def test_automorphism_check(self, construction_groups):
         for name, group in construction_groups[:2]:
             aut = GroupAutomorphism.from_conjugation(group, parse_permutation("(1 2)", 5))
@@ -664,6 +674,32 @@ class TestComposedMaps:
                 assert np.array_equal(og4.perm._word_map(group, s, left=True),
                                       og4.perm.left_mult_map(group, s)), (name, s)
 
+    def test_search_matches_oracle(self, narrow_groups, tw_pair, pa_pair):
+        """Every element's word and ``_images`` in the element search, a
+        ``_kernels._Level``, against the element-indexed search it replaced:
+        on the narrow groups, on the tw and pa lattice groups, whose tree is
+        the small action's renumbered, and on Z_1000, a tree 999 deep.  The
+        images are taken under the generators, where they are the table, and
+        under random rows, where they depend on the path."""
+        rng = np.random.default_rng(23)
+        lattices = [og4.perm._lattice(pair.group) for pair in (tw_pair, pa_pair)]
+        assert all(lat is not pair.group for lat, pair in zip(lattices, (tw_pair, pa_pair)))
+        groups = narrow_groups + [("tw lattice", lattices[0]), ("pa lattice", lattices[1]),
+                                  ("Z1000", og4.cyclic_group(1000))]
+        for name, group in groups:
+            tree = og4.perm._search_tree(group)
+            search = oracles.element_search(group)
+            words = [[int(j) for j in tree._path(tree.where[s])] for s in range(group.order)]
+            assert words == [oracles.search_word(search, s) for s in range(group.order)], name
+            points = np.arange(group.degree)
+            assert np.array_equal(og4.perm._images(tree, group.gen_rows(), points),
+                                  group.table), name
+            rows = np.array([rng.permutation(group.degree) for _ in group.generators],
+                            dtype=np.int32)
+            assert np.array_equal(og4.perm._images(tree, rows, points),
+                                  oracles.search_images(group, search, rows, points)), name
+        assert max(map(len, words)) == 999
+
     def test_search_needs_generating_set(self, alt5):
         """A group whose given generators reach only part of its table has no
         word for the rest, so its search refuses instead of composing maps."""
@@ -689,11 +725,13 @@ class TestAutomorphisms:
 
     def test_from_generator_images_inconsistent(self):
         # g -> g, g^2 -> g^4 in Z6 assigns a bijection along a spanning tree
-        # of the Cayley graph, but g * g = g^2 would have to map to g^2
+        # of the Cayley graph, but g * g = g^2 would have to map to g^2.
+        # Listed with g^2 first, only the edges of g, the last one, break.
         z6 = og4.cyclic_group(6)
         gens, images = [z6.element(1), z6.element(2)], [z6.element(1), z6.element(4)]
-        assert oracles.from_generator_images(z6, gens, images) is None
-        assert GroupAutomorphism.from_generator_images(z6, gens, images) is None
+        for order in (slice(None), slice(None, None, -1)):
+            assert oracles.from_generator_images(z6, gens[order], images[order]) is None
+            assert GroupAutomorphism.from_generator_images(z6, gens[order], images[order]) is None
 
     def test_from_generator_images_length_mismatch(self):
         a5 = og4.alternating_group(5)

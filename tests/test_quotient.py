@@ -97,6 +97,22 @@ class TestClassification:
             assert out.induced_group.order * n.order == sc_pair.group.order
             assert out.quotient_pair.certificate.valency == 4
 
+    def test_cover_labels_orbits_once(self, monkeypatch, sc_pair, cyclic_square_pairs):
+        """A Cover reads N's semiregularity from the orbits ``normal_quotient``
+        found: one ``_normal_orbit_labels`` call per quotient, not two."""
+        calls = []
+        real = perm._normal_orbit_labels
+        monkeypatch.setattr(perm, "_normal_orbit_labels",
+                            lambda *args: calls.append(args) or real(*args))
+        covers = 0
+        for pair in [sc_pair] + [p for _, p in cyclic_square_pairs]:
+            for n_sub in og4.all_normal_subgroups(pair.group)[1:]:
+                calls.clear()
+                if classify_og4_quotient(pair, n_sub).kind == "Cover":
+                    assert len(calls) == 1, (pair.group.order, n_sub.order, len(calls))
+                    covers += 1
+        assert covers
+
     def test_k2_on_bipartite_cycle(self):
         # oriented 4-valent bipartite example: lexicographic cycle with even r
         pair = og4.lexicographic_cycle(4)
