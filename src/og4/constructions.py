@@ -9,6 +9,7 @@ hypothesis.  The group product used throughout is "left factor first":
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,7 +53,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
         return enumerate_group([identity(max(n, 1))])
     cycle = Permutation(np.roll(np.arange(n), -1))
     swap = parse_cycle_pair(0, 1, n)
-    return enumerate_group([swap, cycle], cap)
+    return enumerate_group([swap, cycle], cap, math.factorial(n))
 
 
 def alternating_group(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -196,7 +197,9 @@ def lexicographic_cycle(r: int, cap: int = DEFAULT_CAP) -> OGPair:
     tau = np.roll(np.arange(n), -2)  # (i, j) -> (i+1, j): vertex 2i + j
     flip0 = np.arange(n)
     flip0[[0, 1]] = [1, 0]
-    group = enumerate_group([Permutation(tau), Permutation(flip0)], cap)
+    # the pairs {2i, 2i+1} are blocks, permuted as an r-cycle by a group
+    # whose kernel fixes each pair setwise: the order is at most r * 2^r
+    group = enumerate_group([Permutation(tau), Permutation(flip0)], cap, r * 2 ** r)
     tails = np.repeat(np.arange(n), 2)  # each (i, j) to (i+1, 0) and (i+1, 1)
     arcs = np.stack([tails, tau[tails] - tails % 2 + np.tile([0, 1], n)], axis=1)
     labels = [f"({i},{j})" for i in range(r) for j in range(2)]
@@ -523,7 +526,8 @@ def pa_construction(
     d = t_grp.degree
     iota = block_swap(d)
     g_gens = [embed_pair(t, identity(d)) for t in t_grp.generators] + [iota]
-    group = enumerate_group(g_gens, cap)
+    # <T x 1, iota> lies in (T x T) x| <iota>, of order 2|T|^2
+    group = enumerate_group(g_gens, cap, 2 * t_grp.order ** 2)
     klein = _span(group, [embed_pair(a, a), iota], "coset:subgroup_in_group")
     subgroup = _subgroup(group, klein)
     if subgroup.order != 4 or (_element_orders(subgroup.table) > 2).any():

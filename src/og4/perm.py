@@ -1045,14 +1045,18 @@ class GroupAutomorphism:
         Lists of different lengths are refused.
 
         f(x) is the product of the images along x's path in the search over
-        the gens, and f is a homomorphism iff every edge holds.
+        the gens, and f is a homomorphism iff every edge holds.  For the
+        group's own generators that search is the group's (``_search_tree``).
         """
         if len(gens) != len(images):
             raise OG4Error(f"{len(gens)} generators but {len(images)} generator images")
-        by_g, by_h = _right_maps(group, gens), _right_maps(group, images)
-        tree = _kernels._Level(group.identity_index, by_g)
-        if tree.orbit.size < group.order:
-            return None
+        if tuple(gens) == group.generators:
+            tree = _search_tree(group)
+        else:
+            tree = _kernels._Level(group.identity_index, _right_maps(group, gens))
+            if tree.orbit.size < group.order:
+                return None
+        by_g, by_h = tree.gens, _right_maps(group, images)
         fmap = _images(tree, by_h, [group.identity_index])[:, 0]
         if not (_edges_hold(fmap, by_g, by_h) and np.bincount(fmap, minlength=group.order).all()):
             return None

@@ -9,6 +9,10 @@ The quotient's arcs are the distinct block codes ``bx * nb + by`` of the
 arcs (x, y); the multicover degree is the run length of the sorted codes
 ``x * nb + by``, checked against that of ``y * nb + bx``; and the quotient
 edges are two-way when the reversed codes are arcs too.
+
+The outcome depends on N only through its orbits, a block system of G, so
+``classify_all_quotients`` classifies each block system once and gives its
+outcome to every normal subgroup with those orbits.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .perm import (
     OG4Error,
     PermGroup,
     _element_orders,
+    _point_images,
     _quasiprimitivity,
     all_normal_subgroups,
     induced_block_action,
@@ -192,12 +197,33 @@ def classify_og4_quotient(pair: OGPair, n_sub: PermGroup) -> QuotientOutcome:
 
 def classify_all_quotients(pair: OGPair) -> list[tuple[PermGroup, QuotientOutcome]]:
     """Classified quotient for every nontrivial normal subgroup of the
-    acting group (the full group included)."""
+    acting group (the full group included).
+
+    The outcome depends on N only through its orbits, a block system of the
+    vertex-transitive G: they are the G-images of the N-orbit of vertex 0,
+    which is N's mask read on vertex 0's column (``_point_images``).  So
+    only the first N on each block system is classified, and each later one
+    shares its outcome once it is checked normal.  A cover's kernel is N,
+    so no second N has a cover's orbits."""
+    column = _point_images(pair.group, [0])[:, 0]
+    if np.bincount(column, minlength=pair.group.degree).min() == 0:
+        raise InvariantViolation("the pair's group is not vertex-transitive")
+    by_orbit: dict[bytes, QuotientOutcome] = {}
     results = []
     for n_sub in all_normal_subgroups(pair.group):
         if n_sub.order == 1:
             continue
-        results.append((n_sub, classify_og4_quotient(pair, n_sub)))
+        orbit = np.zeros(pair.group.degree, dtype=bool)
+        orbit[column[n_sub._mask]] = True
+        key = orbit.tobytes()
+        out = by_orbit.get(key)
+        if out is None:
+            out = by_orbit[key] = classify_og4_quotient(pair, n_sub)
+        else:
+            _check_normal(pair, n_sub)
+            if out.kind == "Cover":
+                raise InvariantViolation("two normal subgroups have a cover's orbits")
+        results.append((n_sub, out))
     return results
 
 

@@ -636,10 +636,16 @@ class TestKnownOrder:
     and gives the true order."""
 
     @pytest.fixture(scope="class")
-    def vertex_groups(self, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair, pa_pair):
-        return [("simple_cayley", sc_pair.group), ("coset_simple", cs_pair.group),
+    def vertex_groups(self, lex_pairs, sc_pair, cs_pair, sym5_pair, sym7_pair, tw_pair,
+                      pa_pair):
+        """The corpus's vertex groups, and the groups whose constructions
+        pass a proved order: lex_cycle's (r * 2^r), Sym(7) (7!) and pa's G
+        (2|T|^2)."""
+        return [(f"lex_cycle({r})", p.group) for r, p in lex_pairs.items()] + [
+                ("simple_cayley", sc_pair.group), ("coset_simple", cs_pair.group),
                 ("sym_bigstab(5)", sym5_pair.group), ("sym_bigstab(7)", sym7_pair.group),
-                ("tw_cayley", tw_pair.group), ("pa", pa_pair.group)]
+                ("tw_cayley", tw_pair.group), ("pa", pa_pair.group),
+                ("Sym(7)", og4.symmetric_group(7)), ("pa's G", pa_pair.group.action)]
 
     def test_matches_checked_chain(self, schreier_checks, vertex_groups):
         for name, group in vertex_groups:

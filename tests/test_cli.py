@@ -465,6 +465,22 @@ class TestClassifyQuotientChain:
         for key, n in counts.items():
             assert n <= 2 * len(groups[key].generators), (groups[key], n)
 
+    def test_raw_cayley_images_reuse_the_search(self, monkeypatch):
+        """``from_generator_images`` over N's own generators runs on N's
+        element search (``perm._search_tree``), which ``build_cayley`` reads
+        too, so each of the 2 generators' and 2 images' right maps is looked
+        up once (6 lookups when the automorphism searched on its own)."""
+        calls = []
+        lookup = og4.perm.right_mult_map
+
+        def counted(group, s):
+            calls.append(s)
+            return lookup(group, s)
+
+        monkeypatch.setattr(og4.perm, "right_mult_map", counted)
+        og4.cli.build_from_document(RAW_CAYLEY_SPEC)
+        assert len(calls) == 4
+
     def test_quotient_subset_of_classify(self, capsys, lex3_doc):
         _, out_c, _ = run(capsys, "classify", lex3_doc)
         _, out_q, _ = run(capsys, "quotient", lex3_doc)

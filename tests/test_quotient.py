@@ -303,18 +303,24 @@ class TestBasicReduction:
 
 
 class TestClassifyOnce:
-    """``classify`` and ``chain`` read the basic type's minimal normal
-    quotients from the quotients they have classified, so each nontrivial
-    normal subgroup of each pair is classified once.  ``classify`` took 26
-    calls for 24 on lex_cycle(8); ``chain`` took as many there, and 5 for 4
-    on simple_cayley."""
+    """``classify_all_quotients`` classifies the first normal subgroup on
+    each block system and shares its outcome with the later ones, and
+    ``classify`` and ``chain`` read the basic type's minimal normal
+    quotients from it, so each block system of each pair is classified
+    once.  Classifying every nontrivial normal subgroup took 25 calls on
+    lex_cycle(8), 3 on simple_cayley and 2 on tw_cayley, pa and
+    sym_bigstab(7); ``chain simple_cayley`` took 3 + 1."""
 
     FAMILIES = ["lex_cycle(8)", "simple_cayley", "tw_cayley", "pa", "sym_bigstab(7)"]
+    # family -> (block systems, nontrivial normal subgroups) of the pair
+    COUNTS = {"lex_cycle(8)": (4, 25), "simple_cayley": (2, 3), "tw_cayley": (1, 2),
+              "pa": (1, 2), "sym_bigstab(7)": (1, 2)}
 
     @staticmethod
     def run(command, family, monkeypatch, tmp_path):
         """The command's report, the orders of the subgroups it classified,
-        call by call, and those that ``classify_all_quotients`` listed."""
+        call by call, and, per ``classify_all_quotients`` call, the order
+        and the orbits (found on their own) of each subgroup it listed."""
         doc = tmp_path / "spec.json"
         doc.write_text(json.dumps(workloads.spec(family, [1, 2, 3, 4, 5])))
         calls, listed = [], []
@@ -326,7 +332,7 @@ class TestClassifyOnce:
 
         def listing(pair):
             results = real_all(pair)
-            listed.extend(n.order for n, _ in results)
+            listed.append([(n.order, og4.orbits(n).blocks) for n, _ in results])
             return results
 
         monkeypatch.setattr(quotient, "classify_og4_quotient", counting)
@@ -337,18 +343,74 @@ class TestClassifyOnce:
             assert og4.cli.main([command, str(doc)]) == 0
         return json.loads(out.getvalue()), calls, listed
 
+    @staticmethod
+    def first_per_block_system(listed):
+        """The order of the first listed subgroup on each block system."""
+        firsts = {}
+        for order, blocks in listed:
+            firsts.setdefault(blocks, order)
+        return list(firsts.values())
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
-        report, calls, _ = self.run("classify", family, monkeypatch, tmp_path)
-        listed = [q["normal_subgroup_order"] for q in report["quotients"]]
-        assert calls == listed
+        report, calls, (listed,) = self.run("classify", family, monkeypatch, tmp_path)
+        assert [order for order, _ in listed] == [
+            q["normal_subgroup_order"] for q in report["quotients"]]
+        assert calls == self.first_per_block_system(listed)
+        assert (len(calls), len(listed)) == self.COUNTS[family]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chain_one_call_per_normal_subgroup(self, family, monkeypatch, tmp_path):
         report, calls, listed = self.run("chain", family, monkeypatch, tmp_path)
-        assert calls == listed
-        if family == "simple_cayley":  # the pair's 3, then its cover quotient's 1
-            assert report["kernel_orders"] == [2] and len(calls) == 4
+        assert calls == [order for pair_listed in listed
+                         for order in self.first_per_block_system(pair_listed)]
+        if family == "simple_cayley":  # the pair's 2, then its cover quotient's 1
+            assert report["kernel_orders"] == [2] and len(calls) == 3
+            assert [len(pair_listed) for pair_listed in listed] == [3, 1]
+        else:
+            assert len(calls) == self.COUNTS[family][0]
+
+
+class TestSharedOutcomes:
+    """Every outcome that ``classify_all_quotients`` shares among the normal
+    subgroups on one block system is the one that classifying each of them
+    on its own gives."""
+
+    @staticmethod
+    def summary(out):
+        return (out.kind, out.partition.blocks, out.multicover_degree, out.quotient_valency,
+                out.cycle_length, out.quotient_pair is None)
+
+    def test_matches_one_by_one(self, all_pairs, wreath_pairs):
+        for name, pair in all_pairs + wreath_pairs:
+            for n_sub, out in classify_all_quotients(pair):
+                alone = classify_og4_quotient(pair, n_sub)
+                assert self.summary(out) == self.summary(alone), (name, n_sub.order)
+                assert out.kernel.same_elements(alone.kernel), (name, n_sub.order)
+                if out.kind == "Cover":
+                    assert same_pair(out.quotient_pair, alone.quotient_pair), name
+
+    def test_shared_cover_refused(self, monkeypatch, sc_pair):
+        """A cover's kernel is N, so a second normal subgroup on a cover's
+        block system breaks the theorem: simple_cayley's cover kernel,
+        listed twice, raises."""
+        real = quotient.all_normal_subgroups
+
+        def twice(group):
+            subs = real(group)
+            return subs + [n for n in subs if n.order == 2]
+
+        monkeypatch.setattr(quotient, "all_normal_subgroups", twice)
+        with pytest.raises(og4.InvariantViolation, match="two normal subgroups have a cover's"):
+            classify_all_quotients(sc_pair)
+
+    def test_intransitive_group_refused(self, lex_pairs):
+        """The block-system key reads vertex 0's orbit, which needs G
+        vertex-transitive; a point stabiliser in its place raises."""
+        pair = lex_pairs[3]
+        stabiliser = og4.point_stabilizer(pair.group, 0)
+        with pytest.raises(og4.InvariantViolation, match="not vertex-transitive"):
+            classify_all_quotients(dataclasses.replace(pair, group=stabiliser))
 
 
 class TestSmallAction:
