@@ -34,7 +34,6 @@ level tables included, is checked against ``TABLE_BYTES`` first.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import random
@@ -251,19 +250,6 @@ class _Level:
             orbit, parent, via = orbit[:size].copy(), parent[:size].copy(), via[:size].copy()
         self.where, self.segments, self.depth = where, segments, depth
         self.orbit, self.parent, self.via = orbit, parent, via
-
-    def renumbered(self, order: np.ndarray, rank: np.ndarray) -> "_Level":
-        """The same tree with point ``order[i]`` named i; ``rank`` is the
-        inverse of ``order``.  Only ``orbit``, ``where`` and the rows of
-        ``tree`` change: parents, ``via`` and segments are orbit indices."""
-        new = copy.copy(self)
-        new.point = int(rank[self.point])
-        new.tree = new.gens = np.empty_like(self.tree)  # an element search has no jumps
-        for m, out in zip(self.tree, new.tree):
-            np.take(rank, m[order], out=out)
-        new.orbit = np.take(rank, self.orbit, out=np.empty_like(self.orbit))
-        new.where = self.where[order]
-        return new
 
     def columns(self, points: np.ndarray, cols: Optional[np.ndarray] = None,
                 rows: Optional[int] = None) -> np.ndarray:

@@ -380,7 +380,7 @@ def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not JSON, or an int past 4300 digits
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, or too deep
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("document root must be an object")
@@ -546,8 +546,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.format == "dot" and "dot" not in report:
-        sys.stderr.write("error: --format dot is only available for 'export'\n")
-        return 2
+        if args.command != "export":
+            sys.stderr.write("error: --format dot is only available for 'export'\n")
+            return 2
+        args.format = "json"  # a refused export reports as verify does
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

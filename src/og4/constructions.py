@@ -366,6 +366,11 @@ def coset_space(group: PermGroup, subgroup: PermGroup) -> CosetSpace:
     h_idx = group.index.indices_of(subgroup.table)
     if h_idx is None:
         raise OG4Error("subgroup elements not all inside the group")
+    return _coset_space(group, subgroup, h_idx)
+
+
+def _coset_space(group: PermGroup, subgroup: PermGroup, h_idx: np.ndarray) -> CosetSpace:
+    """``coset_space``, given H's element indices."""
     least = np.arange(group.order)
     for h in h_idx:
         np.minimum(least, _word_map(group, h, left=True), out=least)
@@ -402,10 +407,16 @@ def double_coset_graph(
 ) -> tuple[OrientedGraph, PermGroup, CosetSpace]:
     """Raw coset graph: arcs Hx -> Hy iff y * x^-1 in HsH, plus the vertex
     action of the full group.  No OG conditions are enforced here."""
-    group, subgroup, s = spec.group, spec.subgroup, spec.s
-    space = coset_space(group, subgroup)
-    dcs = _double_coset_mask(group, group.index.indices_of(subgroup.table), group.index_of(s))
-    n = space.n_cosets
+    group = spec.group
+    space = coset_space(group, spec.subgroup)
+    h_idx = np.flatnonzero(space.coset_id == 0)  # H, the identity's coset
+    return _coset_graph(space, _double_coset_mask(group, h_idx, group.index_of(spec.s)), cap)
+
+
+def _coset_graph(space: CosetSpace, dcs: np.ndarray,
+                 cap: int) -> tuple[OrientedGraph, PermGroup, CosetSpace]:
+    """``double_coset_graph``, given the coset space and HsH's mask."""
+    group, n = space.group, space.n_cosets
     heads = np.concatenate([space.coset_id[_word_map(group, d, space.reps, left=True)]
                             for d in np.flatnonzero(dcs)])
     group._left = None  # only the coset graph reads the left maps
@@ -437,7 +448,8 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
         raise ConstructionRefuted("coset:core_free", f"core has order {core}")
 
     si, s_inv = group.index_of(s), group.index_of(s.inverse())
-    if _double_coset_mask(group, h_idx, si)[s_inv]:
+    dcs = _double_coset_mask(group, h_idx, si)
+    if dcs[s_inv]:
         raise ConstructionRefuted("coset:s_inv_not_in_HsH",
                                   "s^-1 lies in HsH (arc-transitive, not oriented)")
 
@@ -455,7 +467,7 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
     if span != group.order:
         raise ConstructionRefuted("coset:generates", f"<H, s> has order {span} < {group.order}")
 
-    graph, vertex_group, space = double_coset_graph(spec, cap)
+    graph, vertex_group, space = _coset_graph(_coset_space(group, subgroup, h_idx), dcs, cap)
     if vertex_group.order != group.order:
         raise ConstructionRefuted(
             "coset:faithful",

@@ -382,8 +382,10 @@ def reverify(pair: OGPair) -> VerifyOutcome:
 
 
 def export_dot(graph: OrientedGraph, labels: Optional[Sequence[str]] = None) -> str:
-    """Deterministic DOT rendering: one directed edge per arc."""
-    labels = [str(v) for v in range(graph.n_vertices)] if labels is None else list(labels)
+    """Deterministic DOT rendering: one directed edge per arc.  A label's
+    backslashes and double quotes are escaped."""
+    labels = [str(v) for v in range(graph.n_vertices)] if labels is None else [
+        s.replace("\\", "\\\\").replace('"', '\\"') for s in labels]
     lines = ["digraph oriented_graph {"]
     lines += [f'  v{v} [label="{labels[v]}"];' for v in range(graph.n_vertices)]
     lines += [f"  v{x} -> v{y};" for x, y in graph.arcs.tolist()]

@@ -45,12 +45,12 @@ normal-subgroup lattice works on conjugacy classes: a normal subgroup is the
 set of classes it is the union of, closed under the class products
 (``_class_lattice``).
 
-They run in the group's small faithful action when it has one (``action``,
-a group whose generators are paired one for one with the group's; see
-``_lattice``), and in the group itself otherwise.  The small action's table
-is put in the group's element order once, so masks, element indices and
-every "(order, element indices)" tie-break are those of the group's own
-table, which is never gathered for them.  A block action's kernel reads
+They run in the group's small faithful action S when it has one (``action``,
+its generators paired one for one with the group's), in S's own element
+order, and in the group itself otherwise.  One index permutation into S's
+order (``_lattice``) puts every mask, column and class list this module
+returns, and so every "(order, element indices)" tie-break, in the group's
+own order; its table is never gathered for them.  A block action's kernel reads
 each element's images of the blocks' representatives along the element
 search (``_images``, ``_point_images``), not from the table: the Schreier
 tree of the identity under the generators' right multiplications, a
@@ -282,7 +282,7 @@ class PermGroup:
 
     ``action``, if set, is the group in a faithful action on few points, a
     group whose generators are paired one for one with ``generators``.  The
-    lattice machinery runs in it (``_lattice``).
+    lattice machinery runs in it, in its own element order (``_lattice``).
     """
 
     def __init__(
@@ -306,7 +306,7 @@ class PermGroup:
         else:
             self.order = chain.order if chain is not None else int(np.count_nonzero(mask))
         self.action: Optional[PermGroup] = None
-        self._lattice: Optional[PermGroup] = None
+        self._to_lattice: Optional[np.ndarray] = None
         self._index: Optional[BaseKeys] = None
         self._conjugation: Optional[list[np.ndarray]] = None
         self._classes: Optional[list[np.ndarray]] = None
@@ -441,23 +441,6 @@ class BaseKeys(_kernels.SortedKeys):
         Rows in table order (a sorted subgroup table) get sorted indices."""
         idx, found = self.find(rows)
         return idx if found.all() else None
-
-
-class _ReorderedKeys(BaseKeys):
-    """Sorted ``BaseKeys`` whose rows are then put in another order: row i
-    is sorted row ``order[i]``, and lookups give positions in the new order.
-    The base and folded keys are the sorted index's own."""
-
-    def __init__(self, keys: BaseKeys, order: np.ndarray):
-        self.degree, self.ranks, self.keys = keys.degree, keys.ranks, keys.keys
-        self.base = keys.base
-        self.rank = np.empty_like(order)
-        self.rank[order] = np.arange(order.size)
-        self.table = _read_only(keys.table[order])
-        self.images = self.table[:, self.base]
-
-    def lookup(self, base_images: np.ndarray) -> np.ndarray:
-        return self.rank[super().lookup(base_images)]
 
 
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP,
@@ -665,18 +648,20 @@ def _conjugation_maps(group: PermGroup) -> list[np.ndarray]:
     return group._conjugation
 
 
-def _lattice(group: PermGroup) -> PermGroup:
-    """The group whose element indices the lattice masks run over: the group
-    itself, or for a group with an ``action``, that action's table with its
-    rows in the group's element order (``_faithful_table``)."""
-    if group._lattice is None:
-        group._lattice = group if group.action is None else _faithful_table(group)
-    return group._lattice
+def _lattice(group: PermGroup) -> tuple[PermGroup, np.ndarray]:
+    """(S, to_lattice): the group the lattice runs in, its ``action`` or
+    itself, and the permutation from the group's element indices to S's
+    (``_faithful_table``, cached on the group)."""
+    if group.action is None:
+        return group, np.arange(group.order)
+    if group._to_lattice is None:
+        group._to_lattice = _faithful_table(group)
+    return group.action, group._to_lattice
 
 
-def _faithful_table(group: PermGroup) -> PermGroup:
-    """The group's small action S, as a group whose element i is the group's
-    element i.
+def _faithful_table(group: PermGroup) -> np.ndarray:
+    """The permutation taking the group's element i to the index of the
+    element of its small action S that is paired with it.
 
     Generator j of S is paired with generator j of the group.  ``_images``
     gives every element of S the images of the group's ascending base under
@@ -686,9 +671,9 @@ def _faithful_table(group: PermGroup) -> PermGroup:
     fixed by its base images, so the pairing extends to a homomorphism from
     S onto the group (Holt, Eick and O'Brien, *Handbook of Computational
     Group Theory*, ch. 4, on action homomorphisms).  With |S| = |G| it is an
-    isomorphism, and sorting S by those base images puts it in the order of
-    the group's table, which is sorted by them.  Anything else raises
-    ``InvariantViolation``."""
+    isomorphism, and sorting S's indices by those base images lists them in
+    the group's table order; the sorted images are its base columns
+    (``_point_images``).  Anything else raises ``InvariantViolation``."""
     small = group.action
     if len(small.generators) != len(group.generators):
         raise InvariantViolation("the small action does not pair its generators with the group's")
@@ -699,13 +684,8 @@ def _faithful_table(group: PermGroup) -> PermGroup:
     if images is None:
         raise InvariantViolation("the paired generators do not define a homomorphism")
     order = np.lexsort(images.T[::-1])
-    keys = _ReorderedKeys(small.index, order)
-    lattice = PermGroup(small.degree, small.generators, keys.table)
-    lattice._index = keys
-    # S's search and its base images, in the new order
-    lattice._tree = _search_tree(small).renumbered(order, keys.rank)
-    lattice._columns = dict(zip(group.base, images[order].T))
-    return lattice
+    group._columns.update(zip(group.base, images[order].T))
+    return order
 
 
 def _paired_images(small: PermGroup, rows: np.ndarray,
@@ -782,14 +762,14 @@ def _images(tree: _kernels._Level, rows: np.ndarray, points: Sequence[int]) -> n
 
 def _point_images(group: PermGroup, points: Sequence[int]) -> np.ndarray:
     """(order, len(points)): every element's images of the points, in the
-    lattice's element order (``_images`` with the group's generators); each
-    point's column is cached on the lattice group, so the quotients of one
-    lattice search once per point."""
-    lattice = _lattice(group)
-    columns = lattice._columns
+    group's element order (``_images`` with the group's generators, in the
+    search of the group the lattice runs in, ``_lattice``); each point's
+    column is cached on the group, so its quotients search once per point."""
+    small, to_lattice = _lattice(group)
+    columns = group._columns
     new = [int(p) for p in points if int(p) not in columns]
     if new:
-        columns.update(zip(new, _images(_search_tree(lattice), group.gen_rows(), new).T))
+        columns.update(zip(new, _images(_search_tree(small), group.gen_rows(), new)[to_lattice].T))
     return np.stack([columns[int(p)] for p in points], axis=1)
 
 
@@ -834,9 +814,11 @@ def _generate_in_parent(
 
 
 def normal_closure(group: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
-    """Least normal subgroup of ``group`` containing the seeds."""
-    seed_idx = sorted({group.index_of(s) for s in seeds})
-    return _subgroup(group, _normal_closure_mask(_lattice(group), seed_idx)[0], normal=True)
+    """Least normal subgroup of ``group`` containing the seeds, closed in
+    the group the lattice runs in (``_lattice``)."""
+    small, to_lattice = _lattice(group)
+    mask = _normal_closure_mask(small, [to_lattice[group.index_of(s)] for s in seeds])[0]
+    return _subgroup(group, mask[to_lattice], normal=True)
 
 
 def _normal_closure_mask(group: PermGroup, seed_idx: Iterable[int]) -> tuple[np.ndarray, list[int]]:
@@ -857,15 +839,18 @@ def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
     """Classes as sorted index arrays, ordered by least element index.
 
     The classes are the connected components of the generators' conjugation
-    maps, each labelled by its least index (``_kernels.component_labels``).
+    maps in the group the lattice runs in (``_lattice``), each labelled by
+    its least index (``_kernels.component_labels``), cached there.
     """
-    lattice = _lattice(group)
-    if lattice._classes is None:
-        labels = _kernels.component_labels(_conjugation_maps(lattice), lattice.order)
+    small, to_lattice = _lattice(group)
+    if small._classes is None:
+        labels = _kernels.component_labels(_conjugation_maps(small), small.order)
         by_label = np.argsort(labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(labels[by_label])) + 1
-        lattice._classes = np.split(by_label, cuts)
-    return lattice._classes
+        small._classes = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
+    if small is group:
+        return small._classes
+    rank = np.argsort(to_lattice)  # S's indices to the group's
+    return sorted((np.sort(rank[c]) for c in small._classes), key=lambda c: c[0])
 
 
 def _class_lattice(lattice: PermGroup) -> tuple[np.ndarray, list, np.ndarray]:
@@ -912,10 +897,11 @@ def all_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     under joins (``_kernels.class_joins``), where a join's order is known
     before it is formed: |NA| = |N||A| / |N ∩ A|.
     """
-    cls_of, products, atoms = _class_lattice(_lattice(group))
+    small, to_lattice = _lattice(group)
+    cls_of, products, atoms = _class_lattice(small)
     joins = _kernels.class_joins(products, np.bincount(cls_of), atoms,
                                  DEFAULT_NORMAL_SUBGROUP_LIMIT)
-    return _subgroups_by_order(group, cls_of, joins)
+    return _subgroups_by_order(group, cls_of[to_lattice], joins)
 
 
 def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
@@ -923,15 +909,16 @@ def minimal_normal_subgroups(group: PermGroup) -> list[PermGroup]:
     holding no other atom's classes, since every minimal normal subgroup is
     the normal closure of any of its nonidentity elements.
     """
-    cls_of, _, atoms = _class_lattice(_lattice(group))
+    small, to_lattice = _lattice(group)
+    cls_of, _, atoms = _class_lattice(small)
     minimal = [(atoms <= atom).all(axis=1).sum() == 1 for atom in atoms]  # holding only itself
-    return _subgroups_by_order(group, cls_of, atoms[minimal])
+    return _subgroups_by_order(group, cls_of[to_lattice], atoms[minimal])
 
 
 def _subgroups_by_order(group: PermGroup, cls_of: np.ndarray,
                         class_sets: Iterable[np.ndarray]) -> list[PermGroup]:
     """The normal subgroups at the class sets, ordered by (order, element
-    indices); ``cls_of`` is each element's class."""
+    indices); ``cls_of`` gives each element of the group its class."""
     masks = sorted((n_set[cls_of] for n_set in class_sets),
                    key=lambda m: (int(np.count_nonzero(m)), np.flatnonzero(m).tolist()))
     return [_subgroup(group, mask, normal=True) for mask in masks]
@@ -944,16 +931,14 @@ def is_normal_in(sub: PermGroup, group: PermGroup) -> bool:
     by row in ``group``'s table."""
     if sub.degree != group.degree:
         return False
-    if sub._parent is group:
-        member = sub._mask
-    else:
-        idx = group.index.indices_of(sub.table)
-        if idx is None:
-            return False
-        member = np.zeros(group.order, dtype=bool)
-        member[idx] = True
-    idx = np.flatnonzero(member)
-    return all(member[c[idx]].all() for c in _conjugation_maps(_lattice(group)))
+    idx = np.flatnonzero(sub._mask) if sub._parent is group else group.index.indices_of(sub.table)
+    if idx is None:
+        return False
+    small, to_lattice = _lattice(group)
+    idx = to_lattice[idx]  # conjugated in the group the lattice runs in
+    member = np.zeros(group.order, dtype=bool)
+    member[idx] = True
+    return all(member[c[idx]].all() for c in _conjugation_maps(small))
 
 
 def quasiprimitivity_type(group: PermGroup) -> str:
@@ -982,7 +967,7 @@ def is_nonabelian_simple(group: PermGroup) -> bool:
     """Exhaustive check: nontrivial, nonabelian, no proper nontrivial normals."""
     if group.order == 1 or _is_abelian(group):
         return False
-    return bool(_class_lattice(_lattice(group))[2].all())
+    return bool(_class_lattice(_lattice(group)[0])[2].all())
 
 
 # ---------------------------------------------------------------------------

@@ -961,15 +961,16 @@ class VertexLattice:
 
 class MaskLattice:
     """The normal-subgroup lattice as og4 computed it before it moved to
-    conjugacy classes: in the lattice group's index space
+    conjugacy classes: in the index space of the group the lattice runs in
     (``og4.perm._lattice``), the normal closure of each nontrivial class is
     a boolean mask grown element by element (``og4.perm._generate_in_parent``),
     and each join N<S> of a subgroup found with a closure's kept seeds S is
     grown from N's mask (``og4.perm._grow``), from the trivial group up.
-    Results are element-index lists, ordered by (order, indices)."""
+    Results are the masks put in the group's element order by
+    ``to_lattice``, as element-index lists ordered by (order, indices)."""
 
     def __init__(self, group):
-        self.lattice = og4.perm._lattice(group)
+        self.lattice, self.to_lattice = og4.perm._lattice(group)
         self.closures, seen = [], set()
         for cls in og4.conjugacy_classes(self.lattice)[1:]:  # the identity's class is the first
             mask, gens = og4.perm._generate_in_parent(self.lattice, cls)
@@ -992,11 +993,11 @@ class MaskLattice:
                             found[joined.tobytes()] = joined
                             nxt.append(joined)
             frontier = nxt
-        return VertexLattice._sorted(found.values())
+        return VertexLattice._sorted(m[self.to_lattice] for m in found.values())
 
     def minimal_normal_subgroups(self):
         masks = [m for m, _ in self.closures]
-        return VertexLattice._sorted(m for m in masks
+        return VertexLattice._sorted(m[self.to_lattice] for m in masks
                                      if not any(o is not m and not (o & ~m).any() for o in masks))
 
 

@@ -190,6 +190,23 @@ class TestNoVertexDegreeWork:
         assert got["quotients"] == want["quotients"]
         assert got["certificate"] == want["certificate"]
 
+    def test_classify_builds_the_conjugation_maps_once(self, tmp_path, monkeypatch):
+        """``classify`` of the pa spec builds the conjugation maps of its G,
+        of order 7200, once: the coset checks build them on G, and the
+        lattice runs in G itself."""
+        builds = Counter()
+        real = og4.perm._conjugation_maps
+
+        def counting(group):
+            builds[group.order] += group._conjugation is None
+            return real(group)
+
+        for module in (og4.perm, og4.constructions):
+            monkeypatch.setattr(module, "_conjugation_maps", counting)
+        status, out, _ = run_cli(tmp_path, "classify", PA_DOC)
+        assert status == 0 and json.loads(out)["basic_type"] == "Quasiprimitive"
+        assert builds[7200] == 1, builds
+
 
 def test_bound_needs_one_generator_per_generator():
     small = og4.alternating_group(5)

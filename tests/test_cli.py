@@ -233,6 +233,17 @@ class TestMalformedDocuments:
         assert (status, out) == (2, "")
         assert err.startswith("error: cannot read") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"family": "lex_cycle", "r": '
+                                      + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["root", "field"])
+    def test_deeply_nested_document(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        status, out, err = run(capsys, "verify", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["(1 2)", [1, 2], ["(1 2)"], ["(1 2)", "()", "()"], {}])
     def test_action_generators_of_wrong_type_or_length(self, capsys, tmp_path, lex3_pair,
                                                        value):
@@ -524,6 +535,20 @@ class TestAnalyzeExport:
         _, out1, _ = run(capsys, "export", lex3_doc)
         _, out2, _ = run(capsys, "export", lex3_doc)
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "dot"]], ids=["default", "dot"])
+    def test_refused_export_reports_as_verify(self, capsys, tmp_path, fmt):
+        """A pair that fails certification: export exits 1 with the JSON
+        refusal report that verify writes."""
+        doc = write_doc(tmp_path, "tri.json",
+                        {"generators": ["(1 2 3)"], "arcs": [[1, 2], [2, 3], [3, 1]]})
+        reports = {}
+        for command in ("verify", "export"):
+            status, out, err = run(capsys, command, doc, *fmt if command == "export" else [])
+            assert (status, err) == (1, ""), command
+            reports[command] = json.loads(out)
+        assert reports["export"] == {**reports["verify"], "command": "export"}
+        assert reports["export"]["clause"] == "og:valency"
 
     def test_dot_format_rejected_elsewhere(self, capsys, lex3_doc):
         status, out, err = run(capsys, "analyze", lex3_doc, "--format", "dot")

@@ -448,3 +448,10 @@ class TestDot:
         dot = export_dot(pair.graph, pair.labels)
         assert 'label="(0,0)"' in dot
         assert dot.count("->") == 12
+
+    def test_label_escaping(self):
+        """A label's backslashes and double quotes are escaped."""
+        dot = export_dot(directed_cycle(3), ['a"b', "c\\", 'd\\"'])
+        assert 'v0 [label="a\\"b"];' in dot
+        assert 'v1 [label="c\\\\"];' in dot
+        assert 'v2 [label="d\\\\\\""];' in dot

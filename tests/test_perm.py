@@ -512,10 +512,9 @@ class TestIndexSpace:
             self.lookup(rows[:, self.base]), np.ones(rows.shape[0], dtype=bool)))
         assert og4.is_normal_in(outsider, group)
 
-    def test_one_lookup_per_block(self, monkeypatch, cs_pair, sym5_pair):
+    def test_one_lookup_per_block(self, monkeypatch, cs_pair):
         """``indices_of`` looks each block of about 2^16 entries up once, for
-        the sorted index of coset_simple's vertex group and for the index of
-        sym_bigstab(5)'s small action, reordered to the vertex group's."""
+        the sorted index of coset_simple's vertex group."""
         calls = []
         real = og4.perm.BaseKeys.lookup
 
@@ -524,18 +523,16 @@ class TestIndexSpace:
             return real(keys, base_images)
 
         monkeypatch.setattr(og4.perm.BaseKeys, "lookup", lookup)
-        lattice = og4.perm._lattice(sym5_pair.group)
-        assert isinstance(lattice.index, og4.perm._ReorderedKeys)
-        for group in (cs_pair.group, lattice):
-            keys = group.index
-            step = (1 << 16) // group.degree
-            copies = 2 * step // group.order + 1
-            rows = np.tile(keys.table, (copies, 1))
-            calls.clear()
-            got = keys.indices_of(rows)
-            assert len(calls) > 1 and sum(calls) == rows.shape[0], group
-            assert max(calls) == step, group
-            assert np.array_equal(got, np.tile(np.arange(group.order), copies)), group
+        group = cs_pair.group
+        keys = group.index
+        step = (1 << 16) // group.degree
+        copies = 2 * step // group.order + 1
+        rows = np.tile(keys.table, (copies, 1))
+        calls.clear()
+        got = keys.indices_of(rows)
+        assert len(calls) > 1 and sum(calls) == rows.shape[0]
+        assert max(calls) == step
+        assert np.array_equal(got, np.tile(np.arange(group.order), copies))
 
 
 class TestOneIndex:
@@ -658,14 +655,13 @@ class TestComposedMaps:
                                       s_x[s]), (name, s)
 
     def test_sampled_full_maps(self, narrow_groups, tw_pair, pa_pair, cs_pair, sym7_pair):
-        """Whole maps of 64 sampled elements of the tw and pa lattice groups
-        (whose search is renumbered from the small action's) and the coset
-        groups, and of 4 elements of every narrow group."""
+        """Whole maps of 64 sampled elements of the small actions the tw and
+        pa lattices run in and the coset groups, and of 4 elements of every
+        narrow group."""
         rng = random.Random(17)
-        groups = [("tw lattice", og4.perm._lattice(tw_pair.group), 64),
-                  ("pa lattice", og4.perm._lattice(pa_pair.group), 64)]
-        groups += [(name, pair.group.action, 64) for name, pair in
-                   [("pa G", pa_pair), ("coset_simple G", cs_pair), ("Sym(7)", sym7_pair)]]
+        groups = [(name, pair.group.action, 64) for name, pair in
+                  [("tw N<iota>", tw_pair), ("pa G", pa_pair), ("coset_simple G", cs_pair),
+                   ("Sym(7)", sym7_pair)]]
         groups += [(name, group, 4) for name, group in narrow_groups]
         for name, group, n in groups:
             for s in rng.sample(range(group.order), min(n, group.order)):
@@ -677,14 +673,14 @@ class TestComposedMaps:
     def test_search_matches_oracle(self, narrow_groups, tw_pair, pa_pair):
         """Every element's word and ``_images`` in the element search, a
         ``_kernels._Level``, against the element-indexed search it replaced:
-        on the narrow groups, on the tw and pa lattice groups, whose tree is
-        the small action's renumbered, and on Z_1000, a tree 999 deep.  The
-        images are taken under the generators, where they are the table, and
-        under random rows, where they depend on the path."""
+        on the narrow groups, on the small actions the tw and pa lattices run
+        in, and on Z_1000, a tree 999 deep.  The images are taken under the
+        generators, where they are the table, and under random rows, where
+        they depend on the path."""
         rng = np.random.default_rng(23)
-        lattices = [og4.perm._lattice(pair.group) for pair in (tw_pair, pa_pair)]
-        assert all(lat is not pair.group for lat, pair in zip(lattices, (tw_pair, pa_pair)))
-        groups = narrow_groups + [("tw lattice", lattices[0]), ("pa lattice", lattices[1]),
+        smalls = [og4.perm._lattice(pair.group)[0] for pair in (tw_pair, pa_pair)]
+        assert all(small is pair.group.action for small, pair in zip(smalls, (tw_pair, pa_pair)))
+        groups = narrow_groups + [("tw N<iota>", smalls[0]), ("pa G", smalls[1]),
                                   ("Z1000", og4.cyclic_group(1000))]
         for name, group in groups:
             tree = og4.perm._search_tree(group)

@@ -427,9 +427,9 @@ class TestSmallAction:
         block kernels and block images."""
         for name, pair in all_pairs:
             group = pair.group
-            lattice = perm._lattice(group)
-            assert lattice.degree == self.SMALL.get(name, group.degree), name
-            assert (lattice is group) == (name not in self.SMALL), name
+            small, _ = perm._lattice(group)
+            assert small.degree == self.SMALL.get(name, group.degree), name
+            assert (small is group) == (name not in self.SMALL), name
             oracle = oracles.VertexLattice(group)
             assert [c.tolist() for c in og4.conjugacy_classes(group)] == oracle.classes(), name
             normals = og4.all_normal_subgroups(group)

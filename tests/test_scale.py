@@ -28,6 +28,7 @@ PGammaL(2,9), all of Aut(T), the inventory.  Its pa member, with |V| = 64,800 an
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_psl27_tw_n_is_one_column():
     a, b = (parse_permutation(spec[k], 8) for k in ("a", "b"))
     pair = build_from_document(spec, 10 ** 7)
     assert_n_is_one_column(pair, a, b, 8)
+
+
+LATTICE_PEAK_BYTES = 8_000_000  # the peak is about 5.9 MB
+
+
+def test_psl27_tw_lattice_memory():
+    """The lattice of the tw member runs in its small action S = N<iota>
+    itself: ``_lattice`` returns S and one index permutation, and its traced
+    peak, S's element search included, stays under the bound."""
+    pair = build_from_document(SPECS["tw"], 10 ** 7)
+    tracemalloc.start()
+    try:
+        lattice = og4.perm._lattice(pair.group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LATTICE_PEAK_BYTES, f"{peak / 1e6:.1f} MB"
+    small, to_lattice = lattice
+    assert small is pair.group.action
+    assert np.array_equal(np.sort(to_lattice), np.arange(pair.group.order))
 
 
 PSL29 = ["(1 2 3)(4 5 6)(7 8 9)", "(2 7 3 4)(5 8 9 6)", "(1 10)(2 3)(5 8)(6 9)"]
