@@ -113,29 +113,6 @@ def ascending_base(table: np.ndarray) -> list[int]:
     return base
 
 
-def sort_group_rows(rows: np.ndarray) -> np.ndarray:
-    """A group's element rows, in any order and possibly repeated, as its
-    sorted table of distinct rows.
-
-    The ascending base is found by scanning the rows of each stabiliser for
-    their least moved point; the rows are then sorted by the base columns
-    alone, and two rows of a group with equal base images are equal.
-    """
-    ident = np.arange(rows.shape[1])
-    base: list[int] = []
-    stab = rows
-    while True:
-        moved = np.flatnonzero((stab != ident).any(axis=0))
-        if not moved.size:
-            break
-        base.append(int(moved[0]))
-        stab = stab[stab[:, base[-1]] == base[-1]]
-    if not base:
-        return rows[:1].copy()
-    table = rows[np.lexsort(rows[:, base[::-1]].T)]
-    return table[run_starts(table[:, base])]
-
-
 class SortedKeys:
     """Positions of rows in a list sorted by their base images.
 
@@ -306,8 +283,9 @@ class _Candidate:
 
     When U fits one block (orbit size * degree <= ``_BLOCK``) it is gathered
     whole, once, as ``u``, and read by the sort, the check and the table;
-    ``StabiliserChain`` drops it from its top candidate.  Otherwise ``u`` is
-    None and only blocks of U's columns are ever gathered.
+    ``StabiliserChain`` drops it from its top candidate, with the check's
+    ``u_base`` and ``keys``.  Otherwise ``u`` is None and only blocks of
+    U's columns are ever gathered.
     """
 
     def __init__(self, level: _Level, below: np.ndarray, deeper: list[_Level]):
@@ -513,12 +491,13 @@ class StabiliserChain:
     (also ``len``) is the product of their sizes.  ``table()`` gathers the
     top candidate's rows, already in sorted order, and ``first_stabiliser()``
     is the verified table below the top level.  The chain holds the levels'
-    trees and the table below the top, and no transversal rows.
+    trees, the table below the top and its sort order, and nothing of the
+    check: no transversal rows, base images or keys.
     """
 
     def __init__(self, levels: list[_Level], top: Optional[_Candidate], degree: int):
         if top is not None:
-            top.u = None
+            top.u = top.u_base = top.keys = None
         self.top = top
         self.degree = degree
         self.base = [lv.point for lv in levels]

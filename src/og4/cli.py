@@ -3,7 +3,8 @@
 Subcommands: construct | verify | classify | quotient | chain | analyze |
 export.  Inputs are JSON documents (construction specs or raw pair files);
 reports are deterministic JSON, text, or DOT.  Exit codes: 0 verified or
-constructed, 1 refuted, 2 usage / parse / cap error.
+constructed, 1 refuted, 2 usage / parse / cap error, a report that cannot be
+written, or a command out of memory.
 
 Permutations in documents use 1-based cycle notation; vertex numbers in
 documents are 1-based.  All internal indices are 0-based.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -533,6 +535,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "export" and args.format == "json":
         args.format = "dot"
     try:
+        return _run(args)
+    except MemoryError:
+        sys.stderr.write(f"error: {args.command} ran out of memory\n")
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command and write its report; the exit status."""
+    try:
         report, status = _COMMANDS[args.command](args), 0
     except ConstructionRefuted as exc:
         report = {
@@ -550,15 +561,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr.write("error: --format dot is only available for 'export'\n")
             return 2
         args.format = "json"  # a refused export reports as verify does
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 _emit(report, args.format, fh)
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write {args.output}: {exc}\n")
-            return 2
-    else:
-        _emit(report, args.format, sys.stdout)
+        else:
+            _emit(report, args.format, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.output:  # so the interpreter's last flush of the rest cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write {args.output or 'the report'}: {exc}\n")
+        return 2
     return status
 
 

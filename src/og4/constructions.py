@@ -24,7 +24,7 @@ from .perm import (
     OG4Error,
     PermGroup,
     Permutation,
-    _conjugation_maps,
+    _core,
     _element_orders,
     _generate_in_parent,
     _right_mult_map,
@@ -378,20 +378,6 @@ def _coset_space(group: PermGroup, subgroup: PermGroup, h_idx: np.ndarray) -> Co
     return CosetSpace(group, subgroup, np.searchsorted(reps, least), reps)
 
 
-def _core_mask(group: PermGroup, h_idx: np.ndarray) -> np.ndarray:
-    """Largest normal subgroup of the group inside H, as a mask: H pruned of
-    the members some generator conjugates out of it, until nothing changes."""
-    core = np.zeros(group.order, dtype=bool)
-    core[h_idx] = True
-    while True:
-        keep = core.copy()
-        for conj in _conjugation_maps(group):
-            keep &= core[conj]
-        if np.array_equal(keep, core):
-            return core
-        core = keep
-
-
 def _double_coset_mask(group: PermGroup, h_idx: np.ndarray, si: int) -> np.ndarray:
     """HsH as a mask over the group's table: each h * (s * h'), the left
     multiplications read only at the |H| points they are applied to."""
@@ -443,7 +429,9 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
     if s not in group:
         raise ConstructionRefuted("coset:s_in_group")
 
-    core = int(_core_mask(group, h_idx).sum())
+    in_h = np.zeros(group.order, dtype=bool)
+    in_h[h_idx] = True
+    core = int(_core(group, in_h).sum())
     if core != 1:
         raise ConstructionRefuted("coset:core_free", f"core has order {core}")
 
@@ -453,8 +441,6 @@ def build_coset_graph(spec: CosetSpec, cap: int = DEFAULT_CAP) -> OGPair:
         raise ConstructionRefuted("coset:s_inv_not_in_HsH",
                                   "s^-1 lies in HsH (arc-transitive, not oriented)")
 
-    in_h = np.zeros(group.order, dtype=bool)
-    in_h[h_idx] = True
     h_conj = _word_map(group, s_inv, _word_map(group, si, h_idx), left=True)  # s^-1 h s
     meet = int(in_h[h_conj].sum())
     if h_idx.size != 2 * meet:

@@ -50,15 +50,16 @@ its generators paired one for one with the group's), in S's own element
 order, and in the group itself otherwise.  One index permutation into S's
 order (``_lattice``) puts every mask, column and class list this module
 returns, and so every "(order, element indices)" tie-break, in the group's
-own order; its table is never gathered for them.  A block action's kernel reads
-each element's images of the blocks' representatives along the element
-search (``_images``, ``_point_images``), not from the table: the Schreier
-tree of the identity under the generators' right multiplications, a
-stabiliser-chain level with no jumps (``_search_tree``).  The same tree,
-with every edge of the Cayley graph checked (``_edges_hold``), proves that
-a pairing of generators extends to a homomorphism: the small action's
-(``_paired_images``, which ``paired_order_bound`` uses to bound a group's
-order before it is enumerated) and an automorphism's.
+own order; its table is never gathered for them.  A block action's kernel
+is a core (``_core``) of block stabilisers, read from the images of one
+point per block orbit along the element search (``_images``,
+``_point_images``), not from the table: the Schreier tree of the identity
+under the generators' right multiplications, a stabiliser-chain level with
+no jumps (``_search_tree``).  The same tree, with every edge of the Cayley
+graph checked (``_edges_hold``), proves that a pairing of generators
+extends to a homomorphism: the small action's (``_paired_images``, which
+``paired_order_bound`` uses to bound a group's order before it is
+enumerated) and an automorphism's.
 
 Points are 0-based internally; the cycle-notation parser/printer is 1-based.
 """
@@ -835,6 +836,21 @@ def _normal_closure_mask(group: PermGroup, seed_idx: Iterable[int]) -> tuple[np.
     return mask, gens
 
 
+def _core(group: PermGroup, mask: np.ndarray) -> np.ndarray:
+    """The largest normal subgroup of the group inside the subgroup at
+    ``mask``, as a mask: the subgroup pruned of the members some generator
+    conjugates out of it, until nothing changes, in the group the lattice
+    runs in (``_lattice``)."""
+    small, to_lattice = _lattice(group)
+    core = np.zeros(small.order, dtype=bool)
+    core[to_lattice] = mask
+    while True:
+        keep = core & np.logical_and.reduce([core[c] for c in _conjugation_maps(small)])
+        if np.array_equal(keep, core):
+            return core[to_lattice]
+        core = keep
+
+
 def conjugacy_classes(group: PermGroup) -> list[np.ndarray]:
     """Classes as sorted index arrays, ordered by least element index.
 
@@ -977,9 +993,12 @@ def is_nonabelian_simple(group: PermGroup) -> bool:
 def induced_block_action(
     group: PermGroup, partition: BlockPartition
 ) -> tuple[PermGroup, PermGroup]:
-    """(image on block indices, kernel of that action).  Each element's
-    action on the blocks is read from its images of the blocks' least
-    points (``_point_images``)."""
+    """(image on block indices, kernel of that action).  The image is the
+    group the generators' actions on the blocks generate.  The kernel is the
+    core (``_core``) of the stabiliser of the least block of each block
+    orbit, whose conjugates are every block (Dixon and Mortimer, *Permutation
+    Groups*, ch. 1); on one block orbit that reads one column, every
+    element's image of point 0 (``_point_images``)."""
     pb = partition.point_block
     if pb.size != group.degree:
         raise OG4Error("partition does not cover the group's points")
@@ -987,14 +1006,13 @@ def induced_block_action(
     # invariant: each generator maps every point into the block that its
     # block's representative goes to
     rows = group.gen_rows()
-    if not (pb[rows] == pb[rows[:, reps]][:, pb]).all():
+    on_blocks = pb[rows[:, reps]]
+    if not (pb[rows] == on_blocks[:, pb]).all():
         raise OG4Error("partition is not invariant under the group")
-    induced = pb[_point_images(group, reps)]  # (order, n_blocks)
-    gen_images = [Permutation(pb[g.images[reps]]) for g in group.generators]
-    image = PermGroup(partition.n_blocks, list(dict.fromkeys(gen_images)),
-                      _kernels.sort_group_rows(induced))
-    kernel_mask = (induced == np.arange(partition.n_blocks)).all(axis=1)
-    return image, _subgroup(group, kernel_mask)
+    least = np.flatnonzero(_kernels.point_orbit_labels(on_blocks) == np.arange(partition.n_blocks))
+    fixes = (pb[_point_images(group, reps[least])] == least).all(axis=1)
+    image = enumerate_group(list(dict.fromkeys(map(Permutation, on_blocks))), group.order)
+    return image, _subgroup(group, _core(group, fixes))
 
 
 # ---------------------------------------------------------------------------

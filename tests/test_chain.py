@@ -230,20 +230,6 @@ class TestRowOracle:
             assert inside[chain.top.below[:, points]].all()
 
 
-class TestSortedRows:
-    def test_group_from_shuffled_table(self, corpus_groups):
-        rng = np.random.default_rng(3)
-        for name, group in corpus_groups:
-            if group.degree > 100:
-                continue
-            shuffled = group.table[rng.permutation(group.order)]
-            assert np.array_equal(_kernels.sort_group_rows(shuffled), group.table), name
-
-    def test_repeated_rows_are_dropped(self, sym5):
-        rows = np.concatenate([sym5.table[::-1], sym5.table[::3]])
-        assert np.array_equal(_kernels.sort_group_rows(rows), sym5.table)
-
-
 class TestResources:
     """Under tracemalloc: gathering tw_cayley's vertex-group table (7200
     rows of degree 3600, 99 MB) stays within 1.25 tables, building its
@@ -281,6 +267,17 @@ class TestResources:
         assert chain.order == 6000 and chain.base == [0]
         peak = self._peak(lambda: _kernels.close_under_products(cycle, 6000))
         assert peak < 16 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("proved", [False, True], ids=["checked", "proved"])
+    def test_chain_keeps_no_check_state(self, tw_pair, proved):
+        """A built chain drops its top level's transversal block, the
+        transversal's base images and the sort keys of its |G| elements:
+        nothing reads them once the levels are verified, and a chain closed
+        by a proved order never reads them at all."""
+        gens = tw_pair.group.gen_rows()
+        chain = _kernels.close_under_products(gens, 7200, 7200 if proved else None)
+        assert (chain.top.u, chain.top.u_base, chain.top.keys) == (None, None, None)
+        assert np.array_equal(chain.row(7199), tw_pair.group.row(7199))
 
     def test_alternating_peak(self, tw_pair):
         """7,200 arcs in 1,200 cycles, labelled as orbits on the arcs; a
@@ -721,12 +718,12 @@ class TestKnownOrder:
             og4.build_coset_graph(spec)
         assert exc.value.clause == "coset:core_free"
 
-        def trivial_core(group, h_idx):
+        def trivial_core(group, mask):
             core = np.zeros(group.order, dtype=bool)
             core[group.identity_index] = True
             return core
 
-        monkeypatch.setattr(og4.constructions, "_core_mask", trivial_core)
+        monkeypatch.setattr(og4.constructions, "_core", trivial_core)
         with pytest.raises(og4.ConstructionRefuted) as exc:
             og4.build_coset_graph(spec)
         assert exc.value.clause == "coset:faithful"

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -560,6 +561,68 @@ class TestAnalyzeExport:
         assert status == 0
         assert out == ""
         assert json.loads(dest.read_text())["basic_type"] == "Cycle"
+
+
+class TestResourceFailures:
+    """A report that cannot be written and a command that runs out of
+    memory each exit 2 with one ``error:`` line and no traceback: exit 1
+    means only "refuted"."""
+
+    @staticmethod
+    def child(argv, **kwargs):
+        """og4 in a child whose standard output is block-buffered, as a
+        shell gives it, so that what a failed write leaves in the buffer
+        meets the interpreter's last flush."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run([sys.executable, "-m", "og4.cli", *argv], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=300, **kwargs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, lex3_doc):
+        with open("/dev/full", "w") as full:
+            proc = self.child(["construct", lex3_doc], stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("spec", ["lex3", "tw_cayley"])
+    def test_closed_pipe(self, tmp_path, lex3_doc, spec):
+        """As ``og4 construct ... | head -c 100`` once ``head`` has exited:
+        the lex_cycle(3) report fails at the flush, tw_cayley's (about
+        470 KB) part way through."""
+        doc = lex3_doc if spec == "lex3" else write_doc(tmp_path, "tw.json", {
+            "family": "tw_cayley", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+            "a": "(1 2 3)", "b": "(1 2 3 4 5)",
+            "aut_supergroup_generators": ["(1 2)", "(1 2 3 4 5)"]})
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.child(["construct", doc], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+    def test_memory_error(self, capsys, monkeypatch, lex3_doc):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 324. MiB")
+
+        monkeypatch.setattr(og4._kernels, "close_under_products", exhausted)
+        assert run(capsys, "classify", lex3_doc) == (2, "", "error: classify ran out of memory\n")
+
+    def test_address_space_limit(self, tmp_path):
+        """lex_cycle(18) under a 10^8 cap asks for a 324 MB array while its
+        chain is built; a child whose own address space is held to 300 MB
+        cannot have it."""
+        doc = write_doc(tmp_path, "lex18.json", {"family": "lex_cycle", "r": 18})
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+        proc = self.child(["classify", doc, "--max-order", "100000000"],
+                          stdout=subprocess.PIPE, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: classify ran out of memory\n")
 
 
 class TestUsage:

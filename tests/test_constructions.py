@@ -12,7 +12,6 @@ from og4.constructions import (
     CosetSpec,
     block_swap,
     _conjugating_rows,
-    _core_mask,
     build_cayley,
     build_coset_graph,
     double_coset_graph,
@@ -316,7 +315,9 @@ class TestCosetOracles:
                 assert np.array_equal(space.coset_id, coset_id), name
                 assert np.array_equal(space.reps, reps), name
                 h_idx = group.index.indices_of(sub.table)
-                core = set(np.flatnonzero(_core_mask(group, h_idx)).tolist())
+                in_h = np.zeros(group.order, dtype=bool)
+                in_h[h_idx] = True
+                core = set(np.flatnonzero(og4.perm._core(group, in_h)).tolist())
                 assert core == oracles.core_indices(group, h_idx.tolist(), ops), name
                 for g in group.generators:
                     want = [coset_id[ops.mul(int(r), ops.of(g))] for r in reps]

@@ -286,6 +286,37 @@ class TestStructure:
         assert kernel.order == 4
         assert image.order * kernel.order == g.order
 
+    def test_induced_block_action_intransitive(self):
+        """<(1 2), (3 4)> on {1}, {2}, {3, 4} has two orbits on the blocks,
+        so the kernel is the core of the stabiliser of blocks 0 and 2:
+        <(3 4)>, as the oracle reads it from every element and block."""
+        g = enumerate_group([parse_permutation("(1 2)", 4), parse_permutation("(3 4)", 4)])
+        part = BlockPartition.from_labels(np.asarray([0, 1, 2, 2]))
+        image, kernel = induced_block_action(g, part)
+        assert [og4.format_cycles(k) for k in kernel.elements()] == ["()", "(3 4)"]
+        assert [og4.format_cycles(p) for p in image.elements()] == ["()", "(1 2)"]
+        want_kernel, want_image = oracles.VertexLattice(g).block_action(part)
+        assert np.flatnonzero(kernel._mask).tolist() == want_kernel
+        assert image.table.tobytes() == want_image.tobytes()
+
+    def test_induced_block_action_of_a_cyclic_subgroup(self, lex_pairs, sc_pair):
+        """The cyclic subgroup of each generator of a pair's group keeps the
+        blocks of every normal subgroup's orbits and is in general
+        intransitive on them; its kernel and image equal the oracle's."""
+        intransitive = 0
+        for pair in [*lex_pairs.values(), sc_pair]:
+            for g in pair.group.generators:
+                sub = enumerate_group([g])
+                oracle = oracles.VertexLattice(sub)
+                for n_sub in og4.all_normal_subgroups(pair.group):
+                    part = og4.orbits(n_sub)
+                    image, kernel = induced_block_action(sub, part)
+                    want_kernel, want_image = oracle.block_action(part)
+                    assert np.flatnonzero(kernel._mask).tolist() == want_kernel
+                    assert image.table.tobytes() == want_image.tobytes()
+                    intransitive += not og4.transitivity_profile(image).transitive
+        assert intransitive
+
 
     def test_normal_subgroup_limit(self, monkeypatch):
         monkeypatch.setattr(og4.perm, "DEFAULT_NORMAL_SUBGROUP_LIMIT", 3)

@@ -23,6 +23,7 @@ from og4.quotient import (
     classify_og4_quotient,
     normal_quotient,
 )
+from conftest import cyclic_square_doc
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -112,6 +113,26 @@ class TestClassification:
                     assert len(calls) == 1, (pair.group.order, n_sub.order, len(calls))
                     covers += 1
         assert covers
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "lex_cycle", "r": 8},
+        {"family": "simple_cayley", "degree": 5, "generators": ["(1 2 3)", "(1 2 3 4 5)"],
+         "a": "(1 2 3)", "sigma": "(1 4)(2 5)"},
+        cyclic_square_doc(12),
+    ], ids=["lex_cycle(8)", "simple_cayley", "Z12^2"])
+    def test_classify_caches_one_column(self, monkeypatch, tmp_path, capsys, doc):
+        """Each block action's kernel is a core of vertex 0's block
+        stabiliser, so after ``classify`` the vertex group holds vertex 0's
+        column alone, not one column per block."""
+        pairs = []
+        real = og4.cli.classify_all_quotients
+        monkeypatch.setattr(og4.cli, "classify_all_quotients",
+                            lambda pair: pairs.append(pair) or real(pair))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert og4.cli.main(["classify", str(path)]) == 0
+        capsys.readouterr()
+        assert list(pairs[0].group._columns) == [0]
 
     def test_k2_on_bipartite_cycle(self):
         # oriented 4-valent bipartite example: lexicographic cycle with even r
